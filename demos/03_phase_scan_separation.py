@@ -11,14 +11,14 @@ import numpy as np
 
 from hccm.config import preset_config
 from hccm.pipeline import analyze_phase_estimates
-from hccm.detector import scan_correlations
+from hccm.detector import simulate_estimates
 
 cfg = preset_config("paper-quick")
 print(
     f"simulating {len(cfg.phases)} phases x {cfg.samples_per_phase} samples "
     f"(seed {cfg.seed}, 14:86 splitter, visibility {cfg.visibility})"
 )
-analysis = analyze_phase_estimates(scan_correlations(cfg))
+analysis = analyze_phase_estimates(simulate_estimates(cfg))
 
 fit = analysis.fit
 names = ("a0", "a1", "b1", "a2", "b2")

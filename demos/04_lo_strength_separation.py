@@ -9,7 +9,7 @@ on the same simulated state.
 import numpy as np
 
 from hccm.config import preset_config
-from hccm.detector import scan_correlations, scan_lo_correlations
+from hccm.detector import simulate_estimates
 from hccm.pipeline import analyze_lo_estimates, analyze_phase_estimates
 
 cfg = preset_config("paper-quick")
@@ -18,7 +18,7 @@ print(
     f"LO scan at phi = {phi / np.pi:.2f} pi over field strengths "
     + ", ".join(f"{e:.2f}" for e in cfg.lo_scan_e_l)
 )
-lo = analyze_lo_estimates(scan_lo_correlations(cfg, phi, cfg.lo_scan_e_l))
+lo = analyze_lo_estimates(simulate_estimates(cfg, "lo_scan"))
 
 print(f"\n{'E_L':>6s}{'C(phi)':>11s}{'+-':>8s}{'C(phi+pi)':>11s}{'+-':>8s}{'odd':>9s}{'even':>9s}")
 for e, up, dn in zip(lo.estimates.e_values, lo.corrected_phi, lo.corrected_phi_pi):
@@ -35,7 +35,7 @@ print(f"\nby-LO separation at the reference strength E_ref = {lo.e_ref:.2f}:")
 for name, v, s in zip(("C0", "C1", "C2"), values, err):
     print(f"  {name} = {v:+9.4f} +- {s:.4f}")
 
-phase_sep = analyze_phase_estimates(scan_correlations(cfg)).separation
+phase_sep = analyze_phase_estimates(simulate_estimates(cfg)).separation
 v_ph, c_ph = phase_sep.contributions_at(phi)
 diff = v_ph[1] - values[1]
 combined = np.sqrt(c_ph[1, 1] + cov[1, 1])

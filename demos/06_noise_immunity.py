@@ -11,18 +11,18 @@ import numpy as np
 from dataclasses import replace
 
 from hccm.config import preset_config
-from hccm.detector import DetectorConfig, scan_correlations
+from hccm.detector import DetectorConfig, simulate_estimates
 
 cfg = preset_config("paper-quick")
 cfg = replace(cfg, samples_per_phase=50_000, blocked_samples=100_000)
 
-clean = scan_correlations(cfg)
+clean = simulate_estimates(cfg)
 
 noisy_det = DetectorConfig(
     eta1=0.94, eta2=0.94, dark_uncorr1=120.0, dark_uncorr2=120.0, dark_corr=3.0,
     lo_excess=0.001,
 )
-noisy = scan_correlations(replace(cfg, detector=noisy_det))
+noisy = simulate_estimates(replace(cfg, detector=noisy_det))
 
 print("clean vs noisy run (same seed; dark noise ~10x photocurrent variance):")
 print(

@@ -14,20 +14,18 @@ from .analysis import (
     drift_error,
     estimate_correlation,
     fit_trig_poly,
-    lo_offset_correction,
     separate_by_lo,
     separate_by_phase,
 )
-from .config import dump_config, load_config, preset_config
+from .config import load_config, preset_config
 from .detector import (
     DetectorConfig,
     ExperimentConfig,
-    PhaseScanRecord,
+    SegmentEstimate,
     SignalParams,
-    scan_correlations,
-    scan_lo_correlations,
-    simulate_lo_scan,
-    simulate_phase_scan,
+    scan_estimates,
+    simulate_estimates,
+    simulate_segments,
 )
 from .errors import (
     AnomalousTermInaccessibleError,
@@ -65,6 +63,7 @@ from .nonclassicality import (
     squeezed_phases,
 )
 from .pipeline import run_pipeline
+from .records import PhaseScanRecord
 from .splitter import (
     BeamSplitter,
     Contributions,

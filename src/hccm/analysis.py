@@ -9,7 +9,7 @@ squares with exact first-order error propagation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -52,18 +52,6 @@ def estimate_correlation(samples) -> CorrelationEstimate:
     value = float(products.mean())
     stderr = float(products.std(ddof=1) / np.sqrt(n))
     return CorrelationEstimate(value=value, stderr=stderr, n=n)
-
-
-def lo_offset_correction(
-    c: CorrelationEstimate, blocked_signal: CorrelationEstimate
-) -> CorrelationEstimate:
-    """Remove the blocked-signal offset (LO classical noise plus correlated
-    dark noise); uncertainties add in quadrature."""
-    return CorrelationEstimate(
-        value=c.value - blocked_signal.value,
-        stderr=float(np.hypot(c.stderr, blocked_signal.stderr)),
-        n=c.n,
-    )
 
 
 def drift_error(block_run_a: CorrelationEstimate, block_run_b: CorrelationEstimate) -> float:
@@ -161,7 +149,8 @@ class SeparatedContributions:
 
     method is "by-phase" (full Fourier payload) or "by-lo-strength" (values
     pinned to the scanned phase pair).  contributions_at evaluates the triple
-    (C0, C1(phi), C2(phi)) with its joint 3x3 covariance.
+    (C0, C1(phi), C2(phi)) with its joint 3x3 covariance.  to_dict/from_dict
+    convert to and from plain JSON values; the method follows from the payload.
     """
 
     method: str
@@ -173,6 +162,27 @@ class SeparatedContributions:
     ref_values: np.ndarray | None = None
     ref_cov: np.ndarray | None = None
     c_block: CorrelationEstimate | None = field(default=None, compare=False)
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, CorrelationEstimate):
+                value = asdict(value)
+            if f.name != "method" and value is not None:
+                out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return out
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "SeparatedContributions":
+        kw = {f.name: payload[f.name] for f in fields(cls) if f.name in payload}
+        for name in ("coeffs", "coeff_cov", "ref_values", "ref_cov"):
+            if name in kw:
+                kw[name] = np.array(kw[name], dtype=float)
+        if "c_block" in kw:
+            kw["c_block"] = CorrelationEstimate(**kw["c_block"])
+        kw["method"] = BY_PHASE if "coeffs" in kw else BY_LO
+        return cls(**kw)
 
     def contributions_at(self, phi: float):
         if self.method == BY_PHASE:

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import config as config_mod
 from . import records, reports
-from .analysis import BY_PHASE, CorrelationEstimate, SeparatedContributions
-from .detector import estimates_from_record
+from .analysis import SeparatedContributions
+from .detector import scan_estimates
 from .errors import (
     AnomalousTermInaccessibleError,
     ConfigError,
@@ -32,7 +32,7 @@ from .errors import (
     DegenerateDesignError,
     InsufficientDataError,
 )
-from .nonclassicality import classify_phase_range, squeezed_phases
+from .nonclassicality import build_L, classify_phase_range, det_with_error, squeezed_phases
 from .pipeline import (
     PipelineResult,
     analyze_lo_estimates,
@@ -40,6 +40,7 @@ from .pipeline import (
     det_scan,
     run_pipeline,
 )
+from .splitter import splitter_coefficients
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -147,47 +148,22 @@ def cmd_simulate(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def _separation_payload(cfg, phase_analysis, lo_analysis) -> dict:
-    payload = {
-        "config": config_mod.config_to_flat(cfg),
-        "method": phase_analysis.separation.method,
-        "coeffs": [float(c) for c in phase_analysis.separation.coeffs],
-        "coeff_cov": [[float(v) for v in row] for row in phase_analysis.separation.coeff_cov],
-        "c0_value": phase_analysis.separation.c0_value,
-        "c0_sigma": phase_analysis.separation.c0_sigma,
-        "c_block": {
-            "value": phase_analysis.c_block.value,
-            "stderr": phase_analysis.c_block.stderr,
-            "n": phase_analysis.c_block.n,
-        },
-        "drift_error": phase_analysis.drift,
-        "phis": [float(p) for p in phase_analysis.estimates.phis],
-    }
-    if lo_analysis is not None:
-        sep = lo_analysis.separation
-        payload["lo"] = {
-            "phi_ref": sep.phi_ref,
-            "c0_value": sep.c0_value,
-            "c0_sigma": sep.c0_sigma,
-            "ref_values": [float(v) for v in sep.ref_values],
-            "ref_cov": [[float(v) for v in row] for row in sep.ref_cov],
-        }
-    return payload
+def _read_estimates(path: str, kind: str):
+    record = records.read_record(path)
+    if record.kind != kind:
+        raise DataError(f"{path} holds a {record.kind} record, expected {kind}")
+    return scan_estimates(kind, record.config, record.segments)
 
 
 def cmd_analyze(manifest: RunManifest) -> int:
-    record = records.read_record(manifest.path(PHASE_RECORD))
-    cfg = record.config
-    try:
-        est = estimates_from_record(record)
-    except ValueError as exc:
-        raise DataError(f"record is missing a calibration run: {exc}") from exc
-    phase_analysis = analyze_phase_estimates(est)
+    phase_analysis = analyze_phase_estimates(
+        _read_estimates(manifest.path(PHASE_RECORD), "phase_scan")
+    )
 
     lo_analysis = None
     lo_path = manifest.path(LO_RECORD)
     if os.path.exists(lo_path):
-        lo_analysis = analyze_lo_estimates(estimates_from_record(records.read_record(lo_path)))
+        lo_analysis = analyze_lo_estimates(_read_estimates(lo_path, "lo_scan"))
 
     if manifest.report_format == "structured":
         doc = {
@@ -206,7 +182,15 @@ def cmd_analyze(manifest: RunManifest) -> int:
         if lo_analysis is not None:
             _write(manifest.path("lo_table.txt"), reports.lo_table_text(lo_analysis))
             print(manifest.path("lo_table.txt"))
-    payload = _separation_payload(cfg, phase_analysis, lo_analysis)
+    payload = {
+        "config": config_mod.config_to_flat(phase_analysis.estimates.config),
+        "method": phase_analysis.separation.method,
+        **phase_analysis.separation.to_dict(),
+        "drift_error": phase_analysis.drift,
+        "phis": phase_analysis.estimates.phis.tolist(),
+    }
+    if lo_analysis is not None:
+        payload["lo"] = lo_analysis.separation.to_dict()
     _write(manifest.path(SEPARATION_FILE), json.dumps(payload, sort_keys=True, indent=1) + "\n")
     print(manifest.path(SEPARATION_FILE))
     chi2_dof = phase_analysis.fit.chi2 / max(phase_analysis.fit.dof, 1)
@@ -214,7 +198,8 @@ def cmd_analyze(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def _load_separation(path: str):
+def cmd_test(manifest: RunManifest) -> int:
+    path = manifest.path(SEPARATION_FILE)
     if not os.path.exists(path):
         raise DataError(
             f"missing {path}; run `hccm analyze` first (the determinant test "
@@ -223,37 +208,9 @@ def _load_separation(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     cfg = config_mod.build_config(payload["config"])
-    sep = SeparatedContributions(
-        method=BY_PHASE,
-        c0_value=float(payload["c0_value"]),
-        c0_sigma=float(payload["c0_sigma"]),
-        coeffs=np.array(payload["coeffs"]),
-        coeff_cov=np.array(payload["coeff_cov"]),
-        c_block=CorrelationEstimate(
-            value=float(payload["c_block"]["value"]),
-            stderr=float(payload["c_block"]["stderr"]),
-            n=int(payload["c_block"]["n"]),
-        ),
-    )
-    lo_sep = None
-    if "lo" in payload:
-        lo = payload["lo"]
-        lo_sep = SeparatedContributions(
-            method="by-lo-strength",
-            c0_value=float(lo["c0_value"]),
-            c0_sigma=float(lo["c0_sigma"]),
-            phi_ref=float(lo["phi_ref"]),
-            ref_values=np.array(lo["ref_values"]),
-            ref_cov=np.array(lo["ref_cov"]),
-        )
-    return cfg, sep, lo_sep, np.array(payload["phis"], dtype=float)
-
-
-def cmd_test(manifest: RunManifest) -> int:
-    from .nonclassicality import build_L, det_with_error
-    from .splitter import splitter_coefficients
-
-    cfg, sep, lo_sep, phis = _load_separation(manifest.path(SEPARATION_FILE))
+    sep = SeparatedContributions.from_dict(payload)
+    lo_sep = SeparatedContributions.from_dict(payload["lo"]) if "lo" in payload else None
+    phis = np.array(payload["phis"], dtype=float)
     dets = det_scan(sep, cfg, phis)
     flags = squeezed_phases(cfg.signal.state(), phis)
     summary = classify_phase_range(dets, flags)

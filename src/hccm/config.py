@@ -265,8 +265,3 @@ def config_to_flat(cfg: ExperimentConfig) -> dict:
     if cfg.lo_scan_e_l:
         flat["lo_scan_field_strengths"] = ",".join(repr(e) for e in cfg.lo_scan_e_l)
     return flat
-
-
-def dump_config(cfg: ExperimentConfig) -> str:
-    flat = config_to_flat(cfg)
-    return "".join(f"{key} = {flat[key]}\n" for key in sorted(flat))

@@ -14,11 +14,17 @@ Every segment draws from its own seed-derived substream, so segments are
 reproducible independently of evaluation order.  Mode mismatch (visibility v)
 reduces the interfering LO amplitude to v*E_L; the orthogonal LO remainder
 only adds shot noise.
+
+Analysis sees a segment only as a SegmentEstimate, its spec plus its
+correlation estimate.  simulate_segments yields them from draws and
+records.read_record from files; scan_estimates assembles either stream into
+PhaseScanEstimates or LoScanEstimates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,43 +178,11 @@ class SegmentSpec:
     n: int
 
 
-@dataclass(frozen=True)
-class Segment:
+class SegmentEstimate(NamedTuple):
+    """A segment's spec and estimate: all analysis needs from a sample source."""
+
     spec: SegmentSpec
-    c1: np.ndarray
-    c2: np.ndarray
-
-    def pairs(self) -> np.ndarray:
-        return np.column_stack([self.c1, self.c2])
-
-
-@dataclass(frozen=True)
-class PhaseScanRecord:
-    """Sampled fluctuation pairs for every segment plus the config snapshot."""
-
-    kind: str  # "phase_scan" | "lo_scan"
-    segments: tuple
-    config: ExperimentConfig
-
-    def phase_segments(self):
-        return [s for s in self.segments if s.spec.kind == KIND_PHASE]
-
-    def lo_segments(self):
-        return [s for s in self.segments if s.spec.kind in (KIND_LO_PHASE, KIND_LO_PHASE_PI)]
-
-    def blocked_lo_runs(self):
-        a = self._only(KIND_BLOCKED_LO_A)
-        b = self._only(KIND_BLOCKED_LO_B)
-        return a, b
-
-    def blocked_signal_run(self):
-        return self._only(KIND_BLOCKED_SIGNAL)
-
-    def _only(self, kind):
-        found = [s for s in self.segments if s.spec.kind == kind]
-        if len(found) != 1:
-            raise ValueError(f"record holds {len(found)} segments of kind {kind!r}")
-        return found[0]
+    estimate: CorrelationEstimate
 
 
 def drift_factor(cfg: ExperimentConfig, block: int) -> float:
@@ -252,11 +226,12 @@ def segment_statistics(cfg: ExperimentConfig, spec: SegmentSpec):
     return sigma_q, sigma_total, lo_flux
 
 
-def _chol2(sigma: np.ndarray) -> np.ndarray:
+def _chol2(sigma: np.ndarray):
+    """Entries (a, b, c) of the lower Cholesky factor [[a, 0], [b, c]]."""
     a = np.sqrt(max(sigma[0, 0], 0.0))
     b = sigma[1, 0] / a if a > 0 else 0.0
     c = np.sqrt(max(sigma[1, 1] - b * b, 0.0))
-    return np.array([[a, 0.0], [b, c]])
+    return a, b, c
 
 
 def _segment_rng(cfg: ExperimentConfig, spec: SegmentSpec, source: int):
@@ -268,25 +243,30 @@ def draw_segment(cfg: ExperimentConfig, spec: SegmentSpec):
     """Draw the (c1, c2) fluctuation samples of one segment."""
     det = cfg.detector
     sigma_q, _, lo_flux = segment_statistics(cfg, spec)
-    chol = _chol2(sigma_q)
+    a, b, c = _chol2(sigma_q)
+
+    def normal(source):
+        return _segment_rng(cfg, spec, source).standard_normal(spec.n)
+
+    # in place, elementwise (no BLAS threads, no fused multiply-add): c1 = a*z0, c2 = b*z0 + c*z1
     z = _segment_rng(cfg, spec, _SRC_QUANTUM).standard_normal((spec.n, 2))
-    c = z @ chol.T
-    gains = np.array([det.gain1, det.gain2])
+    c1, c2 = z[:, 0], z[:, 1]
+    c2 *= c
+    c2 += b * c1
+    c1 *= a
     if det.dark_uncorr1 > 0:
-        c[:, 0] += gains[0] * np.sqrt(det.dark_uncorr1) * _segment_rng(
-            cfg, spec, _SRC_DARK1
-        ).standard_normal(spec.n)
+        c1 += det.gain1 * np.sqrt(det.dark_uncorr1) * normal(_SRC_DARK1)
     if det.dark_uncorr2 > 0:
-        c[:, 1] += gains[1] * np.sqrt(det.dark_uncorr2) * _segment_rng(
-            cfg, spec, _SRC_DARK2
-        ).standard_normal(spec.n)
+        c2 += det.gain2 * np.sqrt(det.dark_uncorr2) * normal(_SRC_DARK2)
     if det.dark_corr > 0:
-        common = _segment_rng(cfg, spec, _SRC_DARK_CORR).standard_normal(spec.n)
-        c += np.sqrt(det.dark_corr) * common[:, None] * gains[None, :]
+        common = np.sqrt(det.dark_corr) * normal(_SRC_DARK_CORR)
+        c1 += common * det.gain1
+        c2 += common * det.gain2
     if det.lo_excess > 0 and np.any(lo_flux > 0):
-        rin = _segment_rng(cfg, spec, _SRC_RIN).standard_normal(spec.n)
-        c += np.sqrt(det.lo_excess) * rin[:, None] * (gains * lo_flux)[None, :]
-    return c[:, 0], c[:, 1]
+        rin = np.sqrt(det.lo_excess) * normal(_SRC_RIN)
+        c1 += rin * (det.gain1 * lo_flux[0])
+        c2 += rin * (det.gain2 * lo_flux[1])
+    return c1, c2
 
 
 def phase_scan_plan(cfg: ExperimentConfig):
@@ -328,30 +308,6 @@ def lo_scan_plan(cfg: ExperimentConfig, phi: float, e_l_grid):
     return specs
 
 
-def iter_segments(cfg: ExperimentConfig, specs):
-    """Lazily draw (spec, c1, c2) per segment; keeps memory per-segment."""
-    for spec in specs:
-        c1, c2 = draw_segment(cfg, spec)
-        yield spec, c1, c2
-
-
-def simulate_phase_scan(cfg: ExperimentConfig) -> PhaseScanRecord:
-    """Materialize the full phase-scan record (all samples in memory)."""
-    segments = tuple(
-        Segment(spec, c1, c2) for spec, c1, c2 in iter_segments(cfg, phase_scan_plan(cfg))
-    )
-    return PhaseScanRecord(kind="phase_scan", segments=segments, config=cfg)
-
-
-def simulate_lo_scan(cfg: ExperimentConfig, phi: float, e_l_grid) -> PhaseScanRecord:
-    """Materialize an LO-strength scan record at phases phi and phi + pi."""
-    segments = tuple(
-        Segment(spec, c1, c2)
-        for spec, c1, c2 in iter_segments(cfg, lo_scan_plan(cfg, phi, e_l_grid))
-    )
-    return PhaseScanRecord(kind="lo_scan", segments=segments, config=cfg)
-
-
 @dataclass(frozen=True)
 class PhaseScanEstimates:
     """Per-phase correlation estimates plus the calibration results."""
@@ -375,82 +331,60 @@ class LoScanEstimates:
     config: ExperimentConfig
 
 
-def scan_correlations(cfg: ExperimentConfig) -> PhaseScanEstimates:
-    """Run the phase scan streaming segment-by-segment (full-scale friendly)."""
-    per_phase = {}
-    cal = {}
-    for spec, c1, c2 in iter_segments(cfg, phase_scan_plan(cfg)):
-        est = analysis.estimate_correlation(np.column_stack([c1, c2]))
-        if spec.kind == KIND_PHASE:
-            per_phase[spec.index] = est
-        else:
-            cal[spec.kind] = est
-    ests = tuple(per_phase[i] for i in range(len(cfg.phases)))
-    return PhaseScanEstimates(
-        phis=np.array(cfg.phases),
-        estimates=ests,
-        blocked_lo=(cal[KIND_BLOCKED_LO_A], cal[KIND_BLOCKED_LO_B]),
-        blocked_signal=cal[KIND_BLOCKED_SIGNAL],
-        config=cfg,
-    )
+def scan_plan(cfg: ExperimentConfig, kind: str):
+    """Ordered segment specs of a "phase_scan" or an "lo_scan" record of cfg."""
+    if kind == "phase_scan":
+        return phase_scan_plan(cfg)
+    if kind == "lo_scan":
+        return lo_scan_plan(cfg, cfg.lo_scan_phi, cfg.lo_scan_e_l)
+    raise ValueError(f"unknown record kind {kind!r}")
 
 
-def scan_lo_correlations(cfg: ExperimentConfig, phi: float, e_l_grid) -> LoScanEstimates:
-    """Run the LO-strength scan streaming segment-by-segment."""
-    at_phi = {}
-    at_pi = {}
-    blocked_signal = None
-    for spec, c1, c2 in iter_segments(cfg, lo_scan_plan(cfg, phi, e_l_grid)):
-        est = analysis.estimate_correlation(np.column_stack([c1, c2]))
-        if spec.kind == KIND_LO_PHASE:
-            at_phi[spec.index] = est
-        elif spec.kind == KIND_LO_PHASE_PI:
-            at_pi[spec.index] = est
-        else:
-            blocked_signal = est
-    grid = [float(e) for e in e_l_grid]
+def simulate_segments(cfg: ExperimentConfig, specs):
+    """Draw and reduce one segment at a time: a lazy SegmentEstimate stream."""
+    for spec in specs:
+        pairs = np.column_stack(draw_segment(cfg, spec))
+        yield SegmentEstimate(spec, analysis.estimate_correlation(pairs))
+
+
+def scan_estimates(kind: str, cfg: ExperimentConfig, segments):
+    """Assemble SegmentEstimates of one scan, from any sample source, into
+    PhaseScanEstimates ("phase_scan") or LoScanEstimates ("lo_scan").
+
+    Phases and LO strengths come from the segment specs, grid points in index
+    order; a missing calibration segment raises ValueError naming its kind.
+    """
+    by_key = {(spec.kind, spec.index): (spec, est) for spec, est in segments}
+
+    def find(seg_kind, index=0):
+        if (seg_kind, index) not in by_key:
+            raise ValueError(f"no {seg_kind!r} segment with index {index}")
+        return by_key[seg_kind, index]
+
+    def grid(seg_kind):
+        return [by_key[key] for key in sorted(by_key) if key[0] == seg_kind]
+
+    blocked_signal = find(KIND_BLOCKED_SIGNAL)[1]
+    if kind == "phase_scan":
+        phases = grid(KIND_PHASE)
+        return PhaseScanEstimates(
+            phis=np.array([spec.phi for spec, _ in phases]),
+            estimates=tuple(est for _, est in phases),
+            blocked_lo=(find(KIND_BLOCKED_LO_A)[1], find(KIND_BLOCKED_LO_B)[1]),
+            blocked_signal=blocked_signal,
+            config=cfg,
+        )
+    at_phi = grid(KIND_LO_PHASE)
     return LoScanEstimates(
-        phi=float(phi),
-        e_values=np.array(grid),
-        at_phi=tuple(at_phi[j] for j in range(len(grid))),
-        at_phi_pi=tuple(at_pi[j] for j in range(len(grid))),
+        phi=float(at_phi[0][0].phi),
+        e_values=np.array([spec.e_l for spec, _ in at_phi]),
+        at_phi=tuple(est for _, est in at_phi),
+        at_phi_pi=tuple(find(KIND_LO_PHASE_PI, spec.index)[1] for spec, _ in at_phi),
         blocked_signal=blocked_signal,
         config=cfg,
     )
 
 
-def estimates_from_record(record: PhaseScanRecord):
-    """Reduce a materialized record to the estimate structures."""
-    if record.kind == "phase_scan":
-        cfg = record.config
-        segs = sorted(record.phase_segments(), key=lambda s: s.spec.index)
-        a, b = record.blocked_lo_runs()
-        return PhaseScanEstimates(
-            phis=np.array([s.spec.phi for s in segs]),
-            estimates=tuple(analysis.estimate_correlation(s.pairs()) for s in segs),
-            blocked_lo=(
-                analysis.estimate_correlation(a.pairs()),
-                analysis.estimate_correlation(b.pairs()),
-            ),
-            blocked_signal=analysis.estimate_correlation(record.blocked_signal_run().pairs()),
-            config=cfg,
-        )
-    at_phi, at_pi, e_by_index = {}, {}, {}
-    phi = None
-    for seg in record.lo_segments():
-        est = analysis.estimate_correlation(seg.pairs())
-        e_by_index[seg.spec.index] = seg.spec.e_l
-        if seg.spec.kind == KIND_LO_PHASE:
-            at_phi[seg.spec.index] = est
-            phi = seg.spec.phi
-        else:
-            at_pi[seg.spec.index] = est
-    order = sorted(e_by_index)
-    return LoScanEstimates(
-        phi=float(phi),
-        e_values=np.array([e_by_index[j] for j in order]),
-        at_phi=tuple(at_phi[j] for j in order),
-        at_phi_pi=tuple(at_pi[j] for j in order),
-        blocked_signal=analysis.estimate_correlation(record.blocked_signal_run().pairs()),
-        config=record.config,
-    )
+def simulate_estimates(cfg: ExperimentConfig, kind: str = "phase_scan"):
+    """Simulate one scan of cfg streaming segment by segment (full-scale friendly)."""
+    return scan_estimates(kind, cfg, simulate_segments(cfg, scan_plan(cfg, kind)))

@@ -110,11 +110,6 @@ class MomentTriple:
     anom: float
     var_e: float
 
-    def as_matrix(self) -> np.ndarray:
-        """Symmetric 2x2 moment matrix whose negativity certifies anomalous
-        quantum correlations."""
-        return np.array([[self.var_i, self.anom], [self.anom, self.var_e]])
-
 
 def vacuum(n_modes: int = 1) -> GaussianState:
     return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))

@@ -24,13 +24,7 @@ from .analysis import (
     separate_by_lo,
     separate_by_phase,
 )
-from .detector import (
-    ExperimentConfig,
-    LoScanEstimates,
-    PhaseScanEstimates,
-    scan_correlations,
-    scan_lo_correlations,
-)
+from .detector import ExperimentConfig, LoScanEstimates, PhaseScanEstimates, simulate_estimates
 from .nonclassicality import (
     DetResult,
     PhaseRangeSummary,
@@ -137,7 +131,7 @@ def run_pipeline(cfg: ExperimentConfig, with_lo_scan: bool | None = None) -> Pip
     The LO-strength scan runs when the config carries a grid (or when forced
     by with_lo_scan).
     """
-    est = scan_correlations(cfg)
+    est = simulate_estimates(cfg, "phase_scan")
     phase = analyze_phase_estimates(est)
     dets = det_scan(phase.separation, cfg, est.phis)
     flags = squeezed_phases(cfg.signal.state(), est.phis)
@@ -145,8 +139,7 @@ def run_pipeline(cfg: ExperimentConfig, with_lo_scan: bool | None = None) -> Pip
     lo = lo_det = None
     do_lo = bool(cfg.lo_scan_e_l) if with_lo_scan is None else with_lo_scan
     if do_lo:
-        lo_est = scan_lo_correlations(cfg, cfg.lo_scan_phi, cfg.lo_scan_e_l)
-        lo = analyze_lo_estimates(lo_est)
+        lo = analyze_lo_estimates(simulate_estimates(cfg, "lo_scan"))
         coeffs = splitter_coefficients(cfg.splitter)
         lo_det = det_with_error(
             build_L(lo.separation, coeffs, cfg.lo_scan_phi), threshold=cfg.sig_threshold

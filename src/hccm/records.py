@@ -5,40 +5,55 @@ record kind, then one row per sample::
 
     phase_index, phase_rad, c1, c2
 
-For phase scans, phase_index enumerates the scanned phases; the calibration
-runs use the reserved indices -1 (first blocked-LO run), -2 (second blocked-LO
-run) and -3 (blocked-signal run).  For LO scans, phase_index enumerates the
-scan segments in acquisition order and extra header lines
-``segment.<i>.e_l`` / ``segment.<i>.phi`` / ``segment.<i>.kind`` map them back
-to grid values.  Phases per segment always come from the data rows, so records
-with non-equidistant phase grids read back faithfully.
+Segments follow the plan of the header's config (``detector.scan_plan``) and
+each segment's rows are contiguous.  For phase scans, phase_index enumerates
+the scanned phases; the calibration runs use the reserved indices -1 (first
+blocked-LO run), -2 (second blocked-LO run) and -3 (blocked-signal run).  For
+LO scans, phase_index enumerates the scan segments in acquisition order; the
+header lines ``segment.<i>.kind`` / ``.phi`` / ``.e_l`` / ``.block`` describe
+them for other readers.  Phases per segment always come from the data rows,
+so records with non-equidistant phase grids read back faithfully.
+
+stream_record is the one writer; read_record holds one segment at a time and
+reduces it to its correlation estimate, so both run in bounded memory.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import analysis
 from . import config as config_mod
 from .detector import (
     KIND_BLOCKED_LO_A,
     KIND_BLOCKED_LO_B,
     KIND_BLOCKED_SIGNAL,
-    KIND_LO_PHASE,
-    KIND_LO_PHASE_PI,
     KIND_PHASE,
     ExperimentConfig,
-    PhaseScanRecord,
-    Segment,
+    SegmentEstimate,
     SegmentSpec,
+    draw_segment,
+    scan_plan,
 )
 from .errors import DataError
 
 FORMAT_TAG = "HCCM1"
+BLOCK_ROWS = 1 << 16
 
 _CAL_INDEX = {KIND_BLOCKED_LO_A: -1, KIND_BLOCKED_LO_B: -2, KIND_BLOCKED_SIGNAL: -3}
-_CAL_KIND = {v: k for k, v in _CAL_INDEX.items()}
+
+
+@dataclass(frozen=True)
+class PhaseScanRecord:
+    """A record file reduced to one SegmentEstimate per segment, in plan order."""
+
+    kind: str  # "phase_scan" | "lo_scan"
+    segments: tuple
+    config: ExperimentConfig
 
 
 def _header_lines(kind: str, cfg: ExperimentConfig, specs):
@@ -52,6 +67,7 @@ def _header_lines(kind: str, cfg: ExperimentConfig, specs):
             lines.append(f"# segment.{row_index}.phi={spec.phi!r}")
             lines.append(f"# segment.{row_index}.e_l={spec.e_l!r}")
             lines.append(f"# segment.{row_index}.block={spec.block}")
+    lines.append("# columns=phase_index,phase_rad,c1,c2")
     return lines
 
 
@@ -63,82 +79,60 @@ def _row_index(record_kind: str, position: int, spec: SegmentSpec) -> int:
     return _CAL_INDEX[spec.kind]
 
 
-def _write_rows(fh, kind, position, spec, c1, c2):
-    idx = _row_index(kind, position, spec)
-    phi = repr(float(spec.phi))
-    for v1, v2 in zip(c1.tolist(), c2.tolist()):
-        fh.write(f"{idx},{phi},{v1!r},{v2!r}\n")
-
-
-def write_record(record: PhaseScanRecord, path) -> None:
-    """Write a materialized record to a plain-text columnar file."""
-    specs = [seg.spec for seg in record.segments]
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in _header_lines(record.kind, record.config, specs):
-            fh.write(line + "\n")
-        fh.write("# columns=phase_index,phase_rad,c1,c2\n")
-        for position, seg in enumerate(record.segments):
-            _write_rows(fh, record.kind, position, seg.spec, seg.c1, seg.c2)
-
-
 def stream_record(cfg: ExperimentConfig, path, kind: str = "phase_scan") -> int:
     """Simulate and write a record segment-by-segment (bounded memory).
 
     Returns the number of sample rows written.
     """
-    from .detector import draw_segment, lo_scan_plan, phase_scan_plan
-
-    if kind == "phase_scan":
-        specs = phase_scan_plan(cfg)
-    elif kind == "lo_scan":
-        specs = lo_scan_plan(cfg, cfg.lo_scan_phi, cfg.lo_scan_e_l)
-    else:
-        raise ValueError(f"unknown record kind {kind!r}")
+    specs = scan_plan(cfg, kind)
     rows = 0
     with open(path, "w", encoding="utf-8") as fh:
         for line in _header_lines(kind, cfg, specs):
             fh.write(line + "\n")
-        fh.write("# columns=phase_index,phase_rad,c1,c2\n")
         for position, spec in enumerate(specs):
             c1, c2 = draw_segment(cfg, spec)
-            _write_rows(fh, kind, position, spec, c1, c2)
+            prefix = f"{_row_index(kind, position, spec)},{float(spec.phi)!r}"
+            for v1, v2 in zip(c1.tolist(), c2.tolist()):
+                fh.write(f"{prefix},{v1!r},{v2!r}\n")
             rows += spec.n
     return rows
 
 
 def read_record(path) -> PhaseScanRecord:
-    """Read a record file written by write_record."""
+    """Read a record file one segment at a time (bounded memory).
+
+    Every segment is checked against the plan of the config in the header:
+    a segment out of order, with rows that are not contiguous, with a row
+    count other than the plan's, with a non-integer phase_index, or missing
+    altogether raises DataError naming it.
+    """
     if not os.path.exists(path):
         raise DataError(f"record file not found: {path}")
-    meta = {}
-    rows_by_index = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    meta[key.strip()] = value.strip()
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise DataError(f"malformed data row: {line!r}")
-            idx = int(parts[0])
-            rows_by_index.setdefault(idx, []).append(
-                (float(parts[1]), float(parts[2]), float(parts[3]))
-            )
-    if meta.get("format") != FORMAT_TAG:
-        raise DataError(f"not a {FORMAT_TAG} record file: {path}")
-    kind = meta.get("kind", "phase_scan")
-    cfg = _config_from_meta(meta)
-    if kind == "lo_scan":
-        segments = _lo_segments(meta, rows_by_index)
-    else:
-        segments = _phase_segments(cfg, rows_by_index)
-    return PhaseScanRecord(kind=kind, segments=tuple(segments), config=cfg)
+        meta, first_row = _read_header(fh)
+        if meta.get("format") != FORMAT_TAG:
+            raise DataError(f"not a {FORMAT_TAG} record file: {path}")
+        kind = meta.get("kind", "phase_scan")
+        cfg = _config_from_meta(meta)
+        try:
+            plan = scan_plan(cfg, kind)
+        except ValueError as exc:
+            raise DataError(f"record header gives no segment plan: {exc}") from exc
+        segments = tuple(_read_segments(_Rows(itertools.chain(first_row, fh)), kind, plan))
+    return PhaseScanRecord(kind=kind, segments=segments, config=cfg)
+
+
+def _read_header(fh):
+    """The ``# key=value`` header as a dict, plus the first data line (if any)."""
+    meta = {}
+    for raw in fh:
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            return meta, [raw]
+        key, sep, value = line[1:].partition("=")
+        if sep:
+            meta[key.strip()] = value.strip()
+    return meta, []
 
 
 def _config_from_meta(meta: dict) -> ExperimentConfig:
@@ -151,57 +145,82 @@ def _config_from_meta(meta: dict) -> ExperimentConfig:
         raise DataError(f"record header does not parse as a config: {exc}") from exc
 
 
-def _segment_from_rows(spec: SegmentSpec, rows) -> Segment:
-    arr = np.array(rows)
-    return Segment(spec=spec, c1=arr[:, 1].copy(), c2=arr[:, 2].copy())
+class _Rows:
+    """The data rows, parsed BLOCK_ROWS lines at a time and consumed from the front."""
+
+    def __init__(self, lines):
+        self._lines = lines
+        self._block = np.empty((0, 4))
+
+    def head(self):
+        """phase_index of the next row, or None after the last row."""
+        while len(self._block) == 0:
+            lines = list(itertools.islice(self._lines, BLOCK_ROWS))
+            if not lines:
+                return None
+            try:
+                block = np.loadtxt(lines, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise DataError(f"malformed data row: {exc}") from exc
+            if block.size and block.shape[1] != 4:
+                raise DataError(f"malformed data row: {lines[0].strip()!r}")
+            self._block = block.reshape(-1, 4)
+        return float(self._block[0, 0])
+
+    def take(self, index: int, limit: int) -> np.ndarray:
+        """Up to limit rows from the front of the current block that carry index."""
+        match = self._block[:limit, 0] == index
+        k = len(match) if match.all() else int(np.argmin(match))
+        taken, self._block = self._block[:k], self._block[k:]
+        return taken
+
+    def rest(self) -> set:
+        """The distinct phase_index values of all remaining rows (consumes them)."""
+        seen = set()
+        while self.head() is not None:
+            seen.update(np.unique(self._block[:, 0]).tolist())
+            self._block = self._block[:0]
+        return seen
 
 
-def _phase_segments(cfg: ExperimentConfig, rows_by_index: dict):
-    blocks = {}
-    block = 0
-    for entry in cfg.schedule:
-        if entry == "phases":
-            for i in range(len(cfg.phases)):
-                blocks[i] = block
-                block += 1
-        else:
-            blocks[_CAL_INDEX[entry]] = block
-            block += 1
-    segments = []
-    for idx in sorted(rows_by_index):
-        rows = rows_by_index[idx]
-        if idx < 0:
-            if idx not in _CAL_KIND:
-                raise DataError(f"unknown calibration index {idx}")
-            kind, seg_index = _CAL_KIND[idx], 0
-        else:
-            kind, seg_index = KIND_PHASE, idx
-        spec = SegmentSpec(
-            kind=kind,
-            index=seg_index,
-            phi=rows[0][0],
-            e_l=cfg.e_l,
-            block=blocks.get(idx, 0),
-            n=len(rows),
-        )
-        segments.append(_segment_from_rows(spec, rows))
-    return segments
+def _segment_name(spec: SegmentSpec, index: int) -> str:
+    if spec.kind in _CAL_INDEX:
+        return f"calibration run {spec.kind} (phase_index {index})"
+    return f"segment {spec.kind} {spec.index} (phase_index {index})"
 
 
-def _lo_segments(meta: dict, rows_by_index: dict):
-    segments = []
-    for idx in sorted(rows_by_index):
-        rows = rows_by_index[idx]
+def _read_segments(rows: _Rows, kind: str, plan):
+    """Reduce each segment of the plan, in order, to a SegmentEstimate."""
+    indices = [_row_index(kind, position, spec) for position, spec in enumerate(plan)]
+    names = {index: _segment_name(spec, index) for index, spec in zip(indices, plan)}
+    for position, (index, spec) in enumerate(zip(indices, plan)):
+        name = names[index]
+        pairs = np.empty((spec.n, 2))
+        filled, phi = 0, None
+        while filled < spec.n and rows.head() == index:
+            chunk = rows.take(index, spec.n - filled)
+            phi = float(chunk[0, 1]) if phi is None else phi
+            pairs[filled : filled + len(chunk)] = chunk[:, 2:]
+            filled += len(chunk)
+        # the row after the segment: the next segment's first, or none
+        found = rows.head()
+        if found is not None and not found.is_integer():
+            raise DataError(f"{name}: phase_index {found!r} is not an integer")
+        if found is not None and found not in names:
+            raise DataError(f"{name}: phase_index {found:g} is not in the plan")
+        if found == index:
+            raise DataError(f"{name}: more rows than the plan's {spec.n}")
+        if found in indices[:position]:
+            raise DataError(f"{names[found]}: rows are not contiguous")
+        if filled < spec.n:
+            if index in rows.rest():
+                problem = "rows are not contiguous" if filled else "out of order"
+                raise DataError(f"{name}: {problem}")
+            if filled:
+                raise DataError(f"{name}: {filled} rows, the plan has {spec.n}")
+            raise DataError(f"{name} is missing")
         try:
-            kind = meta[f"segment.{idx}.kind"]
-            phi = float(meta[f"segment.{idx}.phi"])
-            e_l = float(meta[f"segment.{idx}.e_l"])
-            block = int(meta[f"segment.{idx}.block"])
-        except KeyError as exc:
-            raise DataError(f"LO-scan record lacks metadata for segment {idx}") from exc
-        if kind not in (KIND_LO_PHASE, KIND_LO_PHASE_PI, KIND_BLOCKED_SIGNAL):
-            raise DataError(f"unknown LO-scan segment kind {kind!r}")
-        index = idx // 2 if kind in (KIND_LO_PHASE, KIND_LO_PHASE_PI) else 0
-        spec = SegmentSpec(kind=kind, index=index, phi=phi, e_l=e_l, block=block, n=len(rows))
-        segments.append(_segment_from_rows(spec, rows))
-    return segments
+            estimate = analysis.estimate_correlation(pairs)
+        except ValueError as exc:
+            raise DataError(f"{name}: {exc}") from exc
+        yield SegmentEstimate(replace(spec, phi=phi), estimate)

@@ -57,10 +57,6 @@ class BeamSplitter:
     def r_l(self) -> float:
         return float(np.sqrt(self.rl2))
 
-    def amplitude_map(self) -> np.ndarray:
-        """Real amplitude map (signal, LO) -> (output 1, output 2)."""
-        return np.array([[self.t_s, self.r_l], [-self.r_s, self.t_l]])
-
     @property
     def is_lossless(self) -> bool:
         return (

@@ -14,8 +14,8 @@ from hccm.detector import (
     SignalParams,
     draw_segment,
     phase_scan_plan,
-    scan_correlations,
     segment_statistics,
+    simulate_estimates,
 )
 from hccm.fock import fock_squeezed_coherent, joint_photon_statistics, oracle_moments
 from hccm.gaussian import (
@@ -288,7 +288,7 @@ def test_ac7_dark_noise_immunity():
     noisy = ExperimentConfig(
         detector=DetectorConfig(eta1=0.94, eta2=0.94, dark_corr=5.0), **base
     )
-    est = scan_correlations(noisy)
+    est = simulate_estimates(noisy)
     num = den = 0.0
     for phi, e in zip(est.phis, est.estimates):
         resid = (e.value - est.blocked_signal.value) - _truth_at(noisy, phi)
@@ -396,7 +396,7 @@ def test_ac9_coverage_calibration():
     hits = np.zeros(5)
     runs = 500
     for seed in range(runs):
-        analysis = analyze_phase_estimates(scan_correlations(cfg0.with_seed(30_000 + seed)))
+        analysis = analyze_phase_estimates(simulate_estimates(cfg0.with_seed(30_000 + seed)))
         fit = analysis.fit
         err = np.sqrt(np.diag(fit.cov))
         hits += (np.abs(fit.coeffs - targets) <= err).astype(float)

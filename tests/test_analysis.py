@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,10 @@ from hccm.analysis import (
     BY_LO,
     BY_PHASE,
     CorrelationEstimate,
+    SeparatedContributions,
     drift_error,
     estimate_correlation,
     fit_trig_poly,
-    lo_offset_correction,
     separate_by_lo,
     separate_by_phase,
 )
@@ -46,17 +48,22 @@ class TestEstimateCorrelation:
         assert half.stderr == pytest.approx(full.stderr * np.sqrt(2.0), rel=0.05)
 
 
+class TestSeparationDict:
+    def test_round_trip(self):
+        points = synthetic_points((1.0, 0.5, -0.2, 0.3, 0.1), np.linspace(0, 6, 12), 0.01)
+        fit = fit_trig_poly(points)
+        by_phase = separate_by_phase(fit, _est(0.4, 0.02, n=50), drift=0.01)
+        lo_points = [(e, _est(1 + e, 0.01), _est(1 - e, 0.01)) for e in (0.0, 1.0, 2.0)]
+        for sep in (by_phase, separate_by_lo(lo_points, 0.7)):
+            back = SeparatedContributions.from_dict(json.loads(json.dumps(sep.to_dict())))
+            assert back.method == sep.method
+            phi = 0.3 if sep.phi_ref is None else sep.phi_ref
+            for got, want in zip(back.contributions_at(phi), sep.contributions_at(phi)):
+                np.testing.assert_array_equal(got, want)
+        assert SeparatedContributions.from_dict(by_phase.to_dict()).c_block == by_phase.c_block
+
+
 class TestOffsetAndDrift:
-    def test_zero_offset(self):
-        est = _est(1.0, 0.01)
-        out = lo_offset_correction(est, _est(0.0, 0.0))
-        assert out.value == 1.0 and out.stderr == 0.01
-
-    def test_quadrature_arithmetic(self):
-        out = lo_offset_correction(_est(1.0, 0.01), _est(0.2, 0.01))
-        assert out.value == pytest.approx(0.8)
-        assert out.stderr == pytest.approx(np.sqrt(2) * 0.01, rel=1e-12)
-
     def test_drift_error(self):
         assert drift_error(_est(1.0), _est(1.0)) == 0.0
         assert drift_error(_est(1.0), _est(0.9)) == pytest.approx(0.1)

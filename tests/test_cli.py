@@ -68,6 +68,17 @@ class TestChain:
         assert "det_table" in det and "summary" in det
 
 
+    def test_two_step_matches_reproduce(self, tmp_path, tiny_config_path):
+        # the record round trip changes no report byte
+        two, one = str(tmp_path / "two"), str(tmp_path / "one")
+        assert main(["simulate", "--config", tiny_config_path, "--out", two]) == 0
+        assert main(["analyze", "--out", two]) == 0
+        assert main(["test", "--out", two]) == 0
+        assert main(["reproduce-paper", "--config", tiny_config_path, "--out", one]) == 0
+        for name in ("fit_report.txt", "phase_table.txt", "lo_table.txt", "det_table.txt"):
+            assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
 class TestDeterminism:
     def test_reproduce_quick_byte_identical(self, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -135,6 +146,17 @@ class TestExitCodes:
     def test_missing_record(self, tmp_path, capsys):
         assert main(["analyze", "--out", str(tmp_path / "empty")]) == 3
         assert "data error" in capsys.readouterr().err
+
+    def test_truncated_record(self, tmp_path, tiny_config_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", tiny_config_path, "--out", str(out)]) == 0
+        record = out / "phase_scan.txt"
+        record.write_text("".join(record.read_text().splitlines(keepends=True)[:-1000]))
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "blocked_signal" in err and "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["lo_scan.txt", "phase_scan.txt"]
 
     def test_test_requires_analyze_output(self, tmp_path, capsys):
         assert main(["test", "--out", str(tmp_path)]) == 3

@@ -3,23 +3,27 @@ import pytest
 
 from hccm.analysis import estimate_correlation
 from hccm.detector import (
+    _SRC_QUANTUM,
     KIND_PHASE,
     DetectorConfig,
     ExperimentConfig,
     SignalParams,
+    _segment_rng,
     draw_segment,
     drift_factor,
     lo_scan_plan,
     phase_scan_plan,
-    scan_correlations,
     segment_statistics,
-    simulate_lo_scan,
-    simulate_phase_scan,
+    simulate_estimates,
 )
 from hccm.errors import ConfigError
 from hccm.splitter import symmetric_splitter
 
 from conftest import truth_correlation
+
+
+def draw_plan(cfg, specs):
+    return [draw_segment(cfg, spec) for spec in specs]
 
 
 def small_config(**overrides):
@@ -63,28 +67,29 @@ class TestConfigValidation:
 class TestDeterminism:
     def test_identical_records(self):
         cfg = small_config()
-        r1 = simulate_phase_scan(cfg)
-        r2 = simulate_phase_scan(cfg)
-        for s1, s2 in zip(r1.segments, r2.segments):
-            np.testing.assert_array_equal(s1.c1, s2.c1)
-            np.testing.assert_array_equal(s1.c2, s2.c2)
+        r1 = draw_plan(cfg, phase_scan_plan(cfg))
+        r2 = draw_plan(cfg, phase_scan_plan(cfg))
+        for (a1, a2), (b1, b2) in zip(r1, r2):
+            np.testing.assert_array_equal(a1, b1)
+            np.testing.assert_array_equal(a2, b2)
 
     def test_order_independent_segments(self, rng):
         # drawing segments in any order reproduces the record bitwise
         cfg = small_config()
-        record = simulate_phase_scan(cfg)
+        record = draw_plan(cfg, phase_scan_plan(cfg))
         specs = list(phase_scan_plan(cfg))
         order = rng.permutation(len(specs))
         drawn = {i: draw_segment(cfg, specs[i]) for i in order}
-        for i, seg in enumerate(record.segments):
+        for i, (seg_c1, seg_c2) in enumerate(record):
             c1, c2 = drawn[i]
-            np.testing.assert_array_equal(seg.c1, c1)
-            np.testing.assert_array_equal(seg.c2, c2)
+            np.testing.assert_array_equal(seg_c1, c1)
+            np.testing.assert_array_equal(seg_c2, c2)
 
     def test_seed_changes_samples(self):
-        r1 = simulate_phase_scan(small_config(seed=1))
-        r2 = simulate_phase_scan(small_config(seed=2))
-        assert not np.array_equal(r1.segments[0].c1, r2.segments[0].c1)
+        cfg1, cfg2 = small_config(seed=1), small_config(seed=2)
+        r1 = draw_plan(cfg1, phase_scan_plan(cfg1))
+        r2 = draw_plan(cfg2, phase_scan_plan(cfg2))
+        assert not np.array_equal(r1[0][0], r2[0][0])
 
 
 class TestSamplingStatistics:
@@ -95,10 +100,10 @@ class TestSamplingStatistics:
             detector=DetectorConfig(),
             visibility=1.0,
         )
-        record = simulate_phase_scan(cfg)
-        seg = record.phase_segments()[0]
-        np.testing.assert_allclose(seg.c1, 0.0, atol=1e-12)
-        np.testing.assert_allclose(seg.c2, 0.0, atol=1e-12)
+        spec = [s for s in phase_scan_plan(cfg) if s.kind == KIND_PHASE][0]
+        c1, c2 = draw_segment(cfg, spec)
+        np.testing.assert_allclose(c1, 0.0, atol=1e-12)
+        np.testing.assert_allclose(c2, 0.0, atol=1e-12)
 
     def test_sample_covariance_matches_model(self):
         cfg = small_config(
@@ -122,16 +127,28 @@ class TestSamplingStatistics:
         scale = np.sqrt(np.outer(np.diag(sigma_total), np.diag(sigma_total)))
         np.testing.assert_allclose(emp / scale, sigma_total / scale, atol=0.02)
 
+    def test_draws_match_matrix_product(self):
+        # the elementwise Cholesky product equals z @ L.T up to rounding
+        cfg = small_config()
+        spec = phase_scan_plan(cfg)[3]
+        sigma_q, _, _ = segment_statistics(cfg, spec)
+        z = _segment_rng(cfg, spec, _SRC_QUANTUM).standard_normal((spec.n, 2))
+        expected = z @ np.linalg.cholesky(sigma_q).T
+        c1, c2 = draw_segment(cfg, spec)
+        scale = np.sqrt(np.diag(sigma_q))
+        np.testing.assert_allclose(c1, expected[:, 0], rtol=0, atol=1e-12 * scale[0])
+        np.testing.assert_allclose(c2, expected[:, 1], rtol=0, atol=1e-12 * scale[1])
+
     def test_ac_coupling_zero_means(self):
-        record = simulate_phase_scan(small_config(samples_per_phase=50_000))
-        for seg in record.phase_segments():
-            for arr in (seg.c1, seg.c2):
+        cfg = small_config(samples_per_phase=50_000)
+        for spec in [s for s in phase_scan_plan(cfg) if s.kind == KIND_PHASE]:
+            for arr in draw_segment(cfg, spec):
                 se = arr.std(ddof=1) / np.sqrt(arr.size)
                 assert abs(arr.mean()) < 6 * se
 
     def test_estimates_converge_to_prediction(self):
         cfg = small_config(samples_per_phase=400_000, blocked_samples=400_000)
-        est = scan_correlations(cfg)
+        est = simulate_estimates(cfg)
         for phi, e in zip(est.phis, est.estimates):
             expected = truth_correlation(cfg, phi) + est.blocked_signal.value
             assert abs(e.value - expected) < 5 * np.hypot(e.stderr, est.blocked_signal.stderr)
@@ -170,10 +187,10 @@ class TestSamplingStatistics:
         cfg2 = small_config(
             detector=DetectorConfig(eta1=0.94, eta2=0.94, gain1=2.5, gain2=0.4)
         )
-        s1 = simulate_phase_scan(cfg1).segments[3]
-        s2 = simulate_phase_scan(cfg2).segments[3]
-        np.testing.assert_allclose(s2.c1, 2.5 * s1.c1, rtol=1e-12)
-        np.testing.assert_allclose(s2.c2, 0.4 * s1.c2, rtol=1e-12)
+        s1 = draw_segment(cfg1, phase_scan_plan(cfg1)[3])
+        s2 = draw_segment(cfg2, phase_scan_plan(cfg2)[3])
+        np.testing.assert_allclose(s2[0], 2.5 * s1[0], rtol=1e-12)
+        np.testing.assert_allclose(s2[1], 0.4 * s1[1], rtol=1e-12)
 
     def test_uncorrelated_dark_leaves_expectation(self):
         # paired seeds: the quantum draw is shared, dark noise is additive
@@ -199,9 +216,9 @@ class TestSamplingStatistics:
             blocked_samples=300_000,
             detector=DetectorConfig(eta1=0.94, eta2=0.94, dark_corr=3.0, lo_excess=0.001),
         )
-        est = scan_correlations(cfg)
+        est = simulate_estimates(cfg)
         clean = small_config(samples_per_phase=300_000, blocked_samples=300_000)
-        est_clean = scan_correlations(clean)
+        est_clean = simulate_estimates(clean)
         # the blocked-signal run recovers the full phi-independent offset
         for e, e0, phi in zip(est.estimates, est_clean.estimates, est.phis):
             corrected = e.value - est.blocked_signal.value
@@ -226,7 +243,7 @@ class TestDrift:
             vals = []
             for seed in range(8):
                 cfg = small_config(seed=seed, drift_rate=drift, blocked_samples=50_000)
-                est = scan_correlations(cfg)
+                est = simulate_estimates(cfg)
                 vals.append(abs(est.blocked_lo[0].value - est.blocked_lo[1].value))
             gaps.append(np.mean(vals))
         assert gaps[0] < gaps[1] < gaps[2]
@@ -245,19 +262,19 @@ class TestLoScan:
 
     def test_grid_zero_matches_blocked(self):
         cfg = small_config()
-        record = simulate_lo_scan(cfg, 3 * np.pi / 4, [0.0, 1.0, 2.0])
-        seg0 = [s for s in record.lo_segments() if s.spec.index == 0][0]
-        _, sigma_total, _ = segment_statistics(cfg, seg0.spec)
+        plan = lo_scan_plan(cfg, 3 * np.pi / 4, [0.0, 1.0, 2.0])
+        spec0 = [s for s in plan if s.kind != "blocked_signal" and s.index == 0][0]
+        _, sigma_total, _ = segment_statistics(cfg, spec0)
         blocked_spec = phase_scan_plan(cfg)[0]
         _, sigma_blocked, _ = segment_statistics(cfg, blocked_spec)
         np.testing.assert_allclose(sigma_total, sigma_blocked, rtol=1e-9)
 
     def test_phase_pair_recorded(self):
         cfg = small_config(samples_per_phase=500)
-        record = simulate_lo_scan(cfg, 1.0, [0.0, 1.5])
-        kinds = [s.spec.kind for s in record.segments]
+        plan = lo_scan_plan(cfg, 1.0, [0.0, 1.5])
+        kinds = [s.kind for s in plan]
         assert kinds.count("lo_phase") == 2
         assert kinds.count("lo_phase_pi") == 2
         assert kinds.count("blocked_signal") == 1
-        phis = {s.spec.phi for s in record.lo_segments()}
+        phis = {s.phi for s in plan if s.kind != "blocked_signal"}
         assert phis == {1.0, (1.0 + np.pi) % (2 * np.pi)}

@@ -4,14 +4,15 @@ import pytest
 from hccm.detector import (
     DetectorConfig,
     ExperimentConfig,
-    PhaseScanRecord,
     SignalParams,
-    estimates_from_record,
-    simulate_lo_scan,
-    simulate_phase_scan,
+    draw_segment,
+    lo_scan_plan,
+    phase_scan_plan,
+    scan_estimates,
+    simulate_estimates,
 )
 from hccm.errors import DataError
-from hccm.records import read_record, stream_record, write_record
+from hccm.records import read_record, stream_record
 from hccm.splitter import symmetric_splitter
 
 
@@ -33,26 +34,51 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def data_rows(path):
+    """The data rows of a record file as an (N, 4) array."""
+    return np.loadtxt(path, delimiter=",", ndmin=2)
+
+
+def read_estimates(path):
+    record = read_record(path)
+    return scan_estimates(record.kind, record.config, record.segments)
+
+
+def split_record(path):
+    """Header lines and data lines of a record file."""
+    lines = path.read_text().splitlines(keepends=True)
+    header = [line for line in lines if line.startswith("#")]
+    return header, lines[len(header) :]
+
+
 class TestPhaseScanRoundTrip:
     def test_samples_survive(self, tmp_path):
-        record = simulate_phase_scan(tiny_config())
+        cfg = tiny_config()
+        plan = phase_scan_plan(cfg)
         path = tmp_path / "scan.txt"
-        write_record(record, path)
+        stream_record(cfg, path)
+        rows = data_rows(path)
+        start = 0
+        for spec in plan:
+            c1, c2 = draw_segment(cfg, spec)
+            seg_rows = rows[start : start + spec.n]
+            start += spec.n
+            np.testing.assert_array_equal(seg_rows[:, 2], c1)
+            np.testing.assert_array_equal(seg_rows[:, 3], c2)
+            assert np.all(seg_rows[:, 1] == spec.phi)
         back = read_record(path)
         assert back.kind == "phase_scan"
-        assert len(back.segments) == len(record.segments)
+        assert len(back.segments) == len(plan)
         by_key = {(s.spec.kind, s.spec.index): s for s in back.segments}
-        for seg in record.segments:
-            twin = by_key[(seg.spec.kind, seg.spec.index)]
-            np.testing.assert_array_equal(twin.c1, seg.c1)
-            np.testing.assert_array_equal(twin.c2, seg.c2)
-            assert twin.spec.phi == seg.spec.phi
+        for spec in plan:
+            twin = by_key[(spec.kind, spec.index)]
+            assert twin.spec.n == spec.n
+            assert twin.spec.phi == spec.phi
 
     def test_config_round_trip(self, tmp_path):
         cfg = tiny_config()
-        record = simulate_phase_scan(cfg)
         path = tmp_path / "scan.txt"
-        write_record(record, path)
+        stream_record(cfg, path)
         cfg2 = read_record(path).config
         assert cfg2.seed == cfg.seed
         assert cfg2.e_l == pytest.approx(cfg.e_l)
@@ -62,27 +88,33 @@ class TestPhaseScanRoundTrip:
         assert cfg2.signal.v_min == pytest.approx(cfg.signal.v_min, rel=1e-12)
 
     def test_estimates_match(self, tmp_path):
-        record = simulate_phase_scan(tiny_config())
+        cfg = tiny_config()
         path = tmp_path / "scan.txt"
-        write_record(record, path)
-        est_a = estimates_from_record(record)
-        est_b = estimates_from_record(read_record(path))
+        stream_record(cfg, path)
+        est_a = simulate_estimates(cfg)
+        est_b = read_estimates(path)
         for a, b in zip(est_a.estimates, est_b.estimates):
             assert a.value == b.value
             assert a.stderr == b.stderr
         assert est_a.blocked_signal.value == est_b.blocked_signal.value
 
+    def test_non_equidistant_phases_read_back(self, tmp_path):
+        # the header stores only n_phases; the rows carry each segment's phase
+        phases = (0.0, 0.3, 0.5, 1.9, 2.0, 3.5, 4.1, 6.0)
+        path = tmp_path / "scan.txt"
+        stream_record(tiny_config(phases=phases), path)
+        np.testing.assert_array_equal(read_estimates(path).phis, phases)
+
 
 class TestLoScanRoundTrip:
     def test_lo_record(self, tmp_path):
         cfg = tiny_config()
-        record = simulate_lo_scan(cfg, cfg.lo_scan_phi, cfg.lo_scan_e_l)
         path = tmp_path / "lo.txt"
-        write_record(record, path)
+        stream_record(cfg, path, kind="lo_scan")
         back = read_record(path)
         assert back.kind == "lo_scan"
-        est_a = estimates_from_record(record)
-        est_b = estimates_from_record(back)
+        est_a = simulate_estimates(cfg, "lo_scan")
+        est_b = scan_estimates(back.kind, back.config, back.segments)
         np.testing.assert_allclose(est_b.e_values, est_a.e_values)
         assert est_b.phi == pytest.approx(est_a.phi)
         for a, b in zip(est_a.at_phi, est_b.at_phi):
@@ -92,11 +124,23 @@ class TestLoScanRoundTrip:
 class TestStreaming:
     def test_stream_matches_materialized(self, tmp_path):
         cfg = tiny_config()
-        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-        write_record(simulate_phase_scan(cfg), p1)
-        rows = stream_record(cfg, p2, kind="phase_scan")
-        assert p1.read_text() == p2.read_text()
+        path = tmp_path / "b.txt"
+        rows = stream_record(cfg, path, kind="phase_scan")
+        drawn = [draw_segment(cfg, spec) for spec in phase_scan_plan(cfg)]
+        data = data_rows(path)
+        np.testing.assert_array_equal(data[:, 2], np.concatenate([c1 for c1, _ in drawn]))
+        np.testing.assert_array_equal(data[:, 3], np.concatenate([c2 for _, c2 in drawn]))
         assert rows == 8 * 50 + 3 * 60
+        assert rows == len(data)
+
+    def test_lo_rows_follow_plan(self, tmp_path):
+        cfg = tiny_config()
+        path = tmp_path / "lo.txt"
+        rows = stream_record(cfg, path, kind="lo_scan")
+        plan = lo_scan_plan(cfg, cfg.lo_scan_phi, cfg.lo_scan_e_l)
+        expected = np.concatenate([np.full(spec.n, i) for i, spec in enumerate(plan)])
+        np.testing.assert_array_equal(data_rows(path)[:, 0], expected)
+        assert rows == sum(spec.n for spec in plan)
 
 
 class TestErrors:
@@ -116,14 +160,61 @@ class TestErrors:
         with pytest.raises(DataError):
             read_record(path)
 
-    def test_missing_blocked_run_detected(self):
-        record = simulate_phase_scan(tiny_config())
-        stripped = PhaseScanRecord(
-            kind="phase_scan",
-            segments=tuple(
-                s for s in record.segments if s.spec.kind != "blocked_lo_a"
-            ),
-            config=record.config,
-        )
-        with pytest.raises(ValueError, match="blocked_lo_a"):
-            estimates_from_record(stripped)
+    def test_missing_blocked_run_detected(self, tmp_path):
+        path = tmp_path / "scan.txt"
+        stream_record(tiny_config(), path)
+        header, data = split_record(path)
+        path.write_text("".join(header + [line for line in data if not line.startswith("-1,")]))
+        with pytest.raises(DataError, match="calibration run blocked_lo_a .* is missing"):
+            read_record(path)
+
+
+class TestPlanChecks:
+    """A record whose rows disagree with its own header's plan is refused."""
+
+    @pytest.fixture
+    def record(self, tmp_path):
+        path = tmp_path / "scan.txt"
+        stream_record(tiny_config(), path)
+        return path
+
+    def rewrite(self, path, transform):
+        header, data = split_record(path)
+        path.write_text("".join(header + transform(data)))
+
+    def test_segment_out_of_order(self, record):
+        # plan order: blocked_lo_a (60 rows), 8 phases x 50, blocked_lo_b, blocked_signal
+        self.rewrite(record, lambda d: d[60:460] + d[:60] + d[460:])
+        with pytest.raises(DataError, match="blocked_lo_a .*out of order"):
+            read_record(record)
+
+    def test_rows_not_contiguous(self, record):
+        # one row of phase 2 moved behind phase 3
+        self.rewrite(record, lambda d: d[:170] + d[171:260] + [d[170]] + d[260:])
+        with pytest.raises(DataError, match="segment phase 2 .*not contiguous"):
+            read_record(record)
+
+    def test_phase_index_not_integer(self, record):
+        self.rewrite(record, lambda d: d[:100] + ["1.5" + d[100][1:]] + d[101:])
+        with pytest.raises(DataError, match="segment phase 0 .*not an integer"):
+            read_record(record)
+
+    def test_row_count_differs_from_plan(self, record):
+        self.rewrite(record, lambda d: d[:-10])
+        with pytest.raises(DataError, match="blocked_signal .*50 rows, the plan has 60"):
+            read_record(record)
+
+    def test_extra_rows(self, record):
+        self.rewrite(record, lambda d: d + d[-1:])
+        with pytest.raises(DataError, match="blocked_signal .*more rows than the plan's 60"):
+            read_record(record)
+
+    def test_index_outside_plan(self, record):
+        self.rewrite(record, lambda d: d[:100] + ["9" + d[100][1:]] + d[101:])
+        with pytest.raises(DataError, match="phase_index 9 is not in the plan"):
+            read_record(record)
+
+    def test_non_finite_samples(self, record):
+        self.rewrite(record, lambda d: d[:100] + [d[100].rsplit(",", 1)[0] + ",nan\n"] + d[101:])
+        with pytest.raises(DataError, match="segment phase 0 .*finite"):
+            read_record(record)
