@@ -68,26 +68,6 @@ class TrigFit:
     chi2: float
     dof: int
 
-    @property
-    def a0(self) -> float:
-        return float(self.coeffs[0])
-
-    @property
-    def a1(self) -> float:
-        return float(self.coeffs[1])
-
-    @property
-    def b1(self) -> float:
-        return float(self.coeffs[2])
-
-    @property
-    def a2(self) -> float:
-        return float(self.coeffs[3])
-
-    @property
-    def b2(self) -> float:
-        return float(self.coeffs[4])
-
     def predict(self, phi) -> np.ndarray:
         return _design(np.atleast_1d(np.asarray(phi, dtype=float))) @ self.coeffs
 
@@ -106,11 +86,11 @@ def _design(phi: np.ndarray) -> np.ndarray:
     )
 
 
-def _weights(stderrs: np.ndarray) -> np.ndarray:
-    if np.all(stderrs > 0):
-        return 1.0 / stderrs**2
-    if np.all(stderrs == 0):
-        return np.ones_like(stderrs)
+def _weights(variances: np.ndarray) -> np.ndarray:
+    if np.all(variances > 0):
+        return 1.0 / variances
+    if np.all(variances == 0):
+        return np.ones_like(variances)
     raise ValueError("per-point standard errors must be all positive or all zero")
 
 
@@ -128,7 +108,7 @@ def fit_trig_poly(points) -> TrigFit:
             f"need at least 6 distinct phases, got {np.unique(phis).size}"
         )
     y = np.array([e.value for e in ests])
-    w = _weights(np.array([e.stderr for e in ests]))
+    w = _weights(np.array([e.stderr for e in ests]) ** 2)
     sw = np.sqrt(w)
     a_mat = _design(phis) * sw[:, None]
     u, s, vt = np.linalg.svd(a_mat, full_matrices=False)
@@ -283,13 +263,7 @@ def separate_by_lo(points, phi: float, e_ref: float | None = None) -> SeparatedC
     var_b = np.array([b.stderr**2 for _, b in pairs])
     var_de = (var_a + var_b) / 4.0
     cov_de = (var_a - var_b) / 4.0
-
-    if np.all(var_de > 0):
-        w = 1.0 / var_de
-    elif np.all(var_de == 0):
-        w = np.ones_like(var_de)
-    else:
-        raise ValueError("per-point standard errors must be all positive or all zero")
+    w = _weights(var_de)
 
     # odd part: slope through the origin
     denom = float(w @ e_vals**2)

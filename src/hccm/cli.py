@@ -92,14 +92,7 @@ class RunManifest:
 
     @classmethod
     def from_args(cls, args) -> "RunManifest":
-        return cls(
-            command=args.command,
-            out_dir=args.out,
-            config_path=args.config,
-            preset=args.preset,
-            seed_override=args.seed,
-            report_format=args.format,
-        )
+        return cls(args.command, args.out, args.config, args.preset, args.seed, args.format)
 
     def resolve_config(self, default_preset: str | None = None):
         if self.config_path and self.preset:
@@ -113,9 +106,7 @@ class RunManifest:
         else:
             raise ConfigError("one of --config or --preset is required")
         if self.seed_override is not None:
-            if self.seed_override < 0:
-                raise ConfigError("seed must be non-negative")
-            cfg = cfg.with_seed(self.seed_override)
+            cfg = cfg.with_seed(self.seed_override)  # ExperimentConfig rejects a negative seed
         return cfg
 
     def ensure_out_dir(self) -> None:
@@ -129,7 +120,7 @@ class RunManifest:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with records.atomic_open(path) as fh:
         fh.write(text)
 
 
@@ -220,15 +211,7 @@ def cmd_test(manifest: RunManifest) -> int:
             build_L(lo_sep, splitter_coefficients(cfg.splitter), lo_sep.phi_ref),
             threshold=cfg.sig_threshold,
         )
-    result = PipelineResult(
-        config=cfg,
-        phase=None,
-        det_results=dets,
-        squeezed_flags=flags,
-        summary=summary,
-        lo=None,
-        lo_det=lo_det,
-    )
+    result = PipelineResult(cfg, None, dets, flags, summary, lo_det=lo_det)  # no phase analysis
     if manifest.report_format == "structured":
         doc = {"det_table": reports.det_table_rows(result), "summary": reports.det_summary_dict(result)}
         _write(manifest.path("det_report.json"), json.dumps(doc, sort_keys=True, indent=1) + "\n")

@@ -144,6 +144,12 @@ def _get_float_list(flat: dict, key: str):
         raise ConfigError(f"key {key!r}: not a comma-separated number list") from exc
 
 
+def _field_strength(calib: float, power_uw: float) -> float:
+    if not power_uw >= 0:
+        raise ConfigError(f"LO powers must be >= 0, got {power_uw!r}")
+    return calib * math.sqrt(power_uw)
+
+
 def build_config(flat: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a flat string dict (preset-aware)."""
     if "preset" in flat and flat["preset"] not in PRESETS:
@@ -189,7 +195,7 @@ def build_config(flat: dict) -> ExperimentConfig:
         calib = None
     else:
         calib = _get_float(merged, "lo_amp_per_sqrt_uw")
-        e_l = calib * math.sqrt(_get_float(merged, "lo_power_uw"))
+        e_l = _field_strength(calib, _get_float(merged, "lo_power_uw"))
 
     if "lo_scan_field_strengths" in merged and "lo_scan_powers_uw" in merged:
         raise ConfigError("give either lo_scan_field_strengths or lo_scan_powers_uw, not both")
@@ -198,7 +204,8 @@ def build_config(flat: dict) -> ExperimentConfig:
     elif "lo_scan_powers_uw" in merged:
         if calib is None:
             calib = _get_float(merged, "lo_amp_per_sqrt_uw")
-        lo_grid = tuple(calib * math.sqrt(p) for p in _get_float_list(merged, "lo_scan_powers_uw"))
+        powers = _get_float_list(merged, "lo_scan_powers_uw")
+        lo_grid = tuple(_field_strength(calib, p) for p in powers)
     else:
         lo_grid = ()
 

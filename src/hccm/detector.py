@@ -23,6 +23,8 @@ PhaseScanEstimates or LoScanEstimates.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -31,15 +33,7 @@ import numpy as np
 from . import analysis
 from .analysis import CorrelationEstimate
 from .errors import ConfigError
-from .gaussian import (
-    GaussianState,
-    LocalOscillator,
-    apply_loss,
-    from_quadrature_variances,
-    photocurrent_covariance,
-    two_mode_output,
-    vacuum,
-)
+from .gaussian import from_quadrature_variances
 from .splitter import BeamSplitter, symmetric_splitter
 
 TWO_PI = 2.0 * np.pi
@@ -68,6 +62,14 @@ _KIND_IDS = {
 _SRC_QUANTUM, _SRC_DARK1, _SRC_DARK2, _SRC_DARK_CORR, _SRC_RIN = range(5)
 
 
+def _require_finite(obj, *names):
+    """Raise ConfigError naming the first attribute (number or tuple) that is not finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not all(math.isfinite(v) for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SignalParams:
     """Principal quadrature variances, squeezed-axis angle and displacement."""
@@ -80,7 +82,8 @@ class SignalParams:
     def __post_init__(self):
         from_quadrature_variances(self.v_min, self.v_max, self.angle, self.alpha)
 
-    def state(self, amplitude_scale: float = 1.0) -> GaussianState:
+    def state(self, amplitude_scale: float = 1.0):
+        """The signal as a validated gaussian.GaussianState."""
         return from_quadrature_variances(
             self.v_min, self.v_max, self.angle, self.alpha * amplitude_scale
         )
@@ -106,12 +109,15 @@ class DetectorConfig:
 
     def __post_init__(self):
         if not (0.0 <= self.eta1 <= 1.0 and 0.0 <= self.eta2 <= 1.0):
-            raise ValueError("efficiencies must lie in [0, 1]")
+            raise ConfigError("efficiencies must lie in [0, 1]")
+        _require_finite(
+            self, "gain1", "gain2", "dark_uncorr1", "dark_uncorr2", "dark_corr", "lo_excess"
+        )
         if self.gain1 <= 0 or self.gain2 <= 0:
-            raise ValueError("gains must be positive")
+            raise ConfigError("gains must be positive")
         for name in ("dark_uncorr1", "dark_uncorr2", "dark_corr", "lo_excess"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ConfigError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -134,12 +140,19 @@ class ExperimentConfig:
     lo_scan_phi: float = 0.75 * np.pi
 
     def __post_init__(self):
+        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
+        object.__setattr__(self, "lo_scan_e_l", tuple(float(e) for e in self.lo_scan_e_l))
+        _require_finite(
+            self, "e_l", "drift_rate", "sig_threshold", "lo_scan_phi", "phases", "lo_scan_e_l"
+        )
         if self.samples_per_phase < 2:
             raise ConfigError("samples_per_phase must be >= 2")
         if len(self.phases) == 0:
             raise ConfigError("phases must be non-empty")
         if self.e_l < 0:
             raise ConfigError("lo field strength must be >= 0")
+        if self.lo_scan_e_l and (self.lo_scan_e_l[0] != 0.0 or min(self.lo_scan_e_l) < 0):
+            raise ConfigError("the LO scan grid must start with 0 (blocked LO) and be >= 0")
         if self.drift_rate < 0:
             raise ConfigError("drift_rate must be >= 0")
         if not 0.0 < self.visibility <= 1.0:
@@ -152,8 +165,19 @@ class ExperimentConfig:
             )
         if self.blocked_samples is not None and self.blocked_samples < 2:
             raise ConfigError("blocked_samples must be >= 2")
-        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
-        object.__setattr__(self, "lo_scan_e_l", tuple(float(e) for e in self.lo_scan_e_l))
+        bs = self.splitter
+        smax = np.linalg.svd([[bs.t_s, bs.r_l], [-bs.r_s, bs.t_l]], compute_uv=False)[0]
+        if smax > 1.0 + 1e-9:
+            raise ConfigError(f"splitter amplitude map is not passive: singular value {smax:.6f}")
+        # the largest segment (last block of either scan, strongest LO) must not overflow
+        last_block = max(len(self.phases) + len(SCHEDULE_DEFAULT) - 2, 2 * len(self.lo_scan_e_l))
+        probe = SegmentSpec(KIND_PHASE, 0, 0.0, max((self.e_l, *self.lo_scan_e_l)), last_block, 2)
+        try:
+            finite = bool(np.isfinite(segment_statistics(self, probe)[1]).all())
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError("sampling covariance overflows: drift, gain, LO or noise too large")
 
     @property
     def n_blocked(self) -> int:
@@ -190,12 +214,6 @@ def drift_factor(cfg: ExperimentConfig, block: int) -> float:
     return 1.0 + cfg.drift_rate * block
 
 
-def _signal_state(cfg: ExperimentConfig, kind: str, scale: float) -> GaussianState:
-    if kind == KIND_BLOCKED_SIGNAL:
-        return vacuum(1)
-    return cfg.signal.state(scale)
-
-
 def segment_statistics(cfg: ExperimentConfig, spec: SegmentSpec):
     """Exact sampling covariance of one segment.
 
@@ -203,27 +221,44 @@ def segment_statistics(cfg: ExperimentConfig, spec: SegmentSpec):
     gain-scaled photocurrent covariance, sigma_total additionally carries the
     dark and LO-noise terms, and lo_flux is the detected mean LO photon flux
     per channel (drives the classical LO noise).
+
+    Closed form of gaussian.photocurrent_covariance: the detected outputs are
+    b_k = u_k a + w_k alpha_L, so their normal-ordered moments are u_j u_k
+    times the signal's M = (v_min - v_max) e^{2i angle}/4 and
+    N = (v_min + v_max - 2)/4.
     """
-    det = cfg.detector
+    det, bs, sig = cfg.detector, cfg.splitter, cfg.signal
     e_l = 0.0 if spec.kind in (KIND_BLOCKED_LO_A, KIND_BLOCKED_LO_B) else spec.e_l
-    state = _signal_state(cfg, spec.kind, drift_factor(cfg, spec.block))
-    lo = LocalOscillator(cfg.visibility * e_l, spec.phi)
-    joint = apply_loss(two_mode_output(state, lo, cfg.splitter), (det.eta1, det.eta2))
-    pcov = photocurrent_covariance(joint)
-    etas = np.array([det.eta1, det.eta2])
-    lo_ports = np.array([cfg.splitter.rl2, cfg.splitter.tl2])
-    # non-interfering LO remainder: independent coherent field, shot noise only
-    pcov[np.diag_indices(2)] += etas * (1.0 - cfg.visibility**2) * e_l**2 * lo_ports
-    lo_flux = etas * e_l**2 * lo_ports
-    gains = np.array([det.gain1, det.gain2])
-    sigma_q = np.outer(gains, gains) * pcov
-    sigma_total = sigma_q.copy()
-    sigma_total += det.dark_corr * np.outer(gains, gains)
-    sigma_total[np.diag_indices(2)] += gains**2 * np.array(
-        [det.dark_uncorr1, det.dark_uncorr2]
-    )
-    sigma_total += det.lo_excess * np.outer(gains * lo_flux, gains * lo_flux)
-    return sigma_q, sigma_total, lo_flux
+    a_sig, m, n = 0j, 0j, 0.0
+    if spec.kind != KIND_BLOCKED_SIGNAL:
+        a_sig = sig.alpha * drift_factor(cfg, spec.block)
+        m = 0.25 * (sig.v_min - sig.v_max) * cmath.exp(2j * sig.angle)
+        n = 0.25 * (sig.v_min + sig.v_max - 2.0)
+    a_lo = cfg.visibility * e_l * cmath.exp(1j * spec.phi)
+    etas, gains = (det.eta1, det.eta2), (det.gain1, det.gain2)
+    u = (math.sqrt(det.eta1) * bs.t_s, -math.sqrt(det.eta2) * bs.r_s)
+    w = (math.sqrt(det.eta1) * bs.r_l, math.sqrt(det.eta2) * bs.t_l)
+    amp = [u[k] * a_sig + w[k] * a_lo for k in range(2)]
+    lo_ports, darks = (bs.rl2, bs.tl2), (det.dark_uncorr1, det.dark_uncorr2)
+    lo_flux = [etas[k] * e_l**2 * lo_ports[k] for k in range(2)]
+    sigma_q, sigma_total = np.empty((2, 2)), np.empty((2, 2))
+    for j, k in ((0, 0), (0, 1), (1, 1)):
+        aj_bar, ak = amp[j].conjugate(), amp[k]
+        m_jk, n_jk = u[j] * u[k] * m, u[j] * u[k] * n
+        pcov = 2.0 * (aj_bar * ak.conjugate() * m_jk).real + 2.0 * (aj_bar * ak).real * n_jk
+        pcov = pcov + abs(m_jk) ** 2 + n_jk**2
+        if j == k:
+            pcov += abs(aj_bar) ** 2 + n_jk
+            # non-interfering LO remainder: independent coherent field, shot noise only
+            pcov += etas[j] * (1.0 - cfg.visibility**2) * e_l**2 * lo_ports[j]
+        g = gains[j] * gains[k]
+        total = g * pcov + det.dark_corr * g
+        if j == k:
+            total += gains[j] ** 2 * darks[j]
+        total += det.lo_excess * ((gains[j] * lo_flux[j]) * (gains[k] * lo_flux[k]))
+        sigma_q[j, k] = sigma_q[k, j] = g * pcov
+        sigma_total[j, k] = sigma_total[k, j] = total
+    return sigma_q, sigma_total, np.array(lo_flux)
 
 
 def _chol2(sigma: np.ndarray):

@@ -14,12 +14,14 @@ header lines ``segment.<i>.kind`` / ``.phi`` / ``.e_l`` / ``.block`` describe
 them for other readers.  Phases per segment always come from the data rows,
 so records with non-equidistant phase grids read back faithfully.
 
-stream_record is the one writer; read_record holds one segment at a time and
-reduces it to its correlation estimate, so both run in bounded memory.
+stream_record is the one writer and replaces its file atomically; read_record
+holds one segment at a time and reduces it to its correlation estimate, so
+both run in bounded memory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 from dataclasses import dataclass, replace
@@ -79,14 +81,30 @@ def _row_index(record_kind: str, position: int, spec: SegmentSpec) -> int:
     return _CAL_INDEX[spec.kind]
 
 
+@contextlib.contextmanager
+def atomic_open(path):
+    """Write a text file through a temporary file beside it: os.replace moves it
+    onto path when the block completes; on any exception it is removed."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def stream_record(cfg: ExperimentConfig, path, kind: str = "phase_scan") -> int:
     """Simulate and write a record segment-by-segment (bounded memory).
 
-    Returns the number of sample rows written.
+    The file appears at path only once every segment is written.  Returns
+    the number of sample rows written.
     """
     specs = scan_plan(cfg, kind)
     rows = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for line in _header_lines(kind, cfg, specs):
             fh.write(line + "\n")
         for position, spec in enumerate(specs):

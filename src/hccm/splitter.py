@@ -23,8 +23,8 @@ class BeamSplitter:
     """Intensity transmittances/reflectances |T_S|^2, |T_L|^2, |R_S|^2, |R_L|^2.
 
     Lossy splitters (per-beam sums below one) are allowed.  The coefficient
-    algebra needs only the intensity ratios; whether the canonical real-phase
-    amplitude map is passive is checked where that map is actually applied.
+    algebra needs only the intensity ratios; detector.ExperimentConfig and
+    gaussian.two_mode_output check that the amplitude map is passive.
     """
 
     ts2: float
@@ -101,7 +101,8 @@ def splitter_coefficients(bs: BeamSplitter) -> SplitterCoefficients:
     """Coefficients (t0, t1, t2, tt) for a general (asymmetric, lossy) splitter.
 
     t0 = (|R_S||T_S|)/(|R_L||T_L|), t1 = |R_S|/|T_L| - |T_L|/|R_S|, t2 = -1,
-    tt = |T_S||T_L||R_S||R_L|.
+    tt = |T_S||T_L||R_S||R_L|.  t1 is exact only for |T_S R_S| = |T_L R_L|; the
+    general order-1 term is |T_S||R_S|(|R_S||R_L| - |T_S||T_L|) E_L anom.
     """
     if bs.rs2 * bs.tl2 <= 0.0:
         raise DegenerateSplitterError("need rs2 > 0 and tl2 > 0")

@@ -137,6 +137,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "uncertainty" in err or "variance product" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "lo_field_strength",
+            "lo_power_uw",
+            "drift_rate",
+            "lo_scan_field_strengths",
+            "lo_scan_powers_uw",
+            "lo_scan_phase_rad",
+            "sig_threshold",
+            "gain1",
+            "gain2",
+            "dark_uncorr1",
+            "dark_uncorr2",
+            "dark_corr",
+            "lo_excess",
+        ],
+    )
+    def test_non_finite_value(self, tmp_path, capsys, key, bad):
+        value = f"0,{bad}" if key.startswith("lo_scan_") and key != "lo_scan_phase_rad" else bad
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"preset = paper-quick\n{key} = {value}\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_non_passive_splitter(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("splitter_ts2 = 0.9\nsplitter_rs2 = 0.1\nsplitter_tl2 = 0.1\nsplitter_rl2 = 0.9\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "passive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("totally_unknown = 1\n")

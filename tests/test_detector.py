@@ -17,7 +17,14 @@ from hccm.detector import (
     simulate_estimates,
 )
 from hccm.errors import ConfigError
-from hccm.splitter import symmetric_splitter
+from hccm.gaussian import (
+    LocalOscillator,
+    apply_loss,
+    photocurrent_covariance,
+    two_mode_output,
+    vacuum,
+)
+from hccm.splitter import BeamSplitter, symmetric_splitter
 
 from conftest import truth_correlation
 
@@ -62,6 +69,124 @@ class TestConfigValidation:
     def test_negative_seed(self):
         with pytest.raises(ConfigError):
             small_config(seed=-1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field", ["e_l", "drift_rate", "sig_threshold", "lo_scan_phi", "phases", "lo_scan_e_l"]
+    )
+    def test_non_finite_rejected(self, field, bad):
+        value = {"phases": (0.0, bad, 1.0), "lo_scan_e_l": (0.0, bad)}.get(field, bad)
+        with pytest.raises(ConfigError, match=field):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field", ["gain1", "gain2", "dark_uncorr1", "dark_uncorr2", "dark_corr", "lo_excess"]
+    )
+    def test_non_finite_detector_rejected(self, field, bad):
+        with pytest.raises(ConfigError, match=field):
+            DetectorConfig(**{field: bad})
+
+    def test_non_passive_splitter_rejected(self):
+        # a valid BeamSplitter whose amplitude map amplifies: no vacuum completion
+        bs = BeamSplitter(ts2=0.9, tl2=0.1, rs2=0.1, rl2=0.9)
+        with pytest.raises(ConfigError, match="passive"):
+            small_config(splitter=bs)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # finite rate, but the drift factor of the last block is not
+            dict(drift_rate=1e308),
+            dict(drift_rate=1e308, signal=SignalParams(1.0, 1.0, 0.0, 0j)),
+            # finite values whose squares overflow the covariance
+            dict(drift_rate=1e160),
+            dict(e_l=1e160),
+            dict(lo_scan_e_l=(0.0, 1e160)),
+            dict(detector=DetectorConfig(gain1=1e200)),
+            dict(detector=DetectorConfig(dark_corr=1e300, gain1=1e10)),
+        ],
+    )
+    def test_covariance_overflow_rejected(self, overrides):
+        with pytest.raises(ConfigError, match="overflows"):
+            small_config(**overrides)
+
+    def test_lo_grid_must_start_at_zero(self):
+        with pytest.raises(ConfigError, match="LO scan grid"):
+            small_config(lo_scan_e_l=(1.0, 2.0))
+        with pytest.raises(ConfigError, match="LO scan grid"):
+            small_config(lo_scan_e_l=(0.0, -1.0))
+
+
+def composed_statistics(cfg, spec):
+    """segment_statistics through validated Gaussian states: the reference."""
+    det = cfg.detector
+    e_l = 0.0 if spec.kind in ("blocked_lo_a", "blocked_lo_b") else spec.e_l
+    state = cfg.signal.state(drift_factor(cfg, spec.block))
+    if spec.kind == "blocked_signal":
+        state = vacuum()
+    lo = LocalOscillator(cfg.visibility * e_l, spec.phi)
+    joint = apply_loss(two_mode_output(state, lo, cfg.splitter), (det.eta1, det.eta2))
+    pcov = photocurrent_covariance(joint)
+    etas, gains = np.array([det.eta1, det.eta2]), np.array([det.gain1, det.gain2])
+    lo_ports = np.array([cfg.splitter.rl2, cfg.splitter.tl2])
+    pcov[np.diag_indices(2)] += etas * (1.0 - cfg.visibility**2) * e_l**2 * lo_ports
+    lo_flux = etas * e_l**2 * lo_ports
+    sigma_q = np.outer(gains, gains) * pcov
+    sigma_total = sigma_q + det.dark_corr * np.outer(gains, gains)
+    sigma_total[np.diag_indices(2)] += gains**2 * np.array([det.dark_uncorr1, det.dark_uncorr2])
+    sigma_total += det.lo_excess * np.outer(gains * lo_flux, gains * lo_flux)
+    return sigma_q, sigma_total, lo_flux
+
+
+def random_passive_splitter(rng):
+    """Random asymmetric lossy splitter with a passive amplitude map."""
+    while True:
+        ts2, tl2 = rng.uniform(0.05, 0.95, size=2)
+        rs2, rl2 = rng.uniform(0.02, 1.0 - ts2), rng.uniform(0.0, 1.0 - tl2)
+        bs = BeamSplitter(ts2=ts2, tl2=tl2, rs2=rs2, rl2=rl2)
+        amp = [[bs.t_s, bs.r_l], [-bs.r_s, bs.t_l]]
+        if np.linalg.svd(amp, compute_uv=False)[0] <= 1.0:
+            return bs
+
+
+def test_closed_form_matches_composed_states(rng):
+    kinds = set()
+    worst = 0.0
+    for _ in range(60):
+        r, extra = rng.uniform(0.0, 1.0), rng.uniform(1.0, 2.0)
+        cfg = small_config(
+            signal=SignalParams(
+                v_min=extra * np.exp(-2 * r),
+                v_max=extra * np.exp(2 * r),
+                angle=rng.uniform(0.0, 2 * np.pi),
+                alpha=complex(*rng.uniform(-3.0, 3.0, size=2)),
+            ),
+            e_l=rng.uniform(0.1, 4.0),
+            phases=tuple(rng.uniform(0.0, 2 * np.pi, size=4)),
+            drift_rate=rng.uniform(0.0, 0.05),
+            detector=DetectorConfig(
+                eta1=rng.uniform(0.3, 1.0),
+                eta2=rng.uniform(0.3, 1.0),
+                gain1=rng.uniform(0.2, 3.0),
+                gain2=rng.uniform(0.2, 3.0),
+                dark_uncorr1=rng.uniform(0.0, 2.0),
+                dark_uncorr2=rng.uniform(0.0, 2.0),
+                dark_corr=rng.uniform(0.0, 1.0),
+                lo_excess=rng.uniform(0.0, 0.1),
+            ),
+            splitter=random_passive_splitter(rng),
+            visibility=rng.uniform(0.5, 1.0),
+        )
+        grid = (0.0, *rng.uniform(0.1, 4.0, size=2))
+        for spec in phase_scan_plan(cfg) + lo_scan_plan(cfg, rng.uniform(0, 2 * np.pi), grid):
+            kinds.add(spec.kind)
+            for ours, ref in zip(segment_statistics(cfg, spec), composed_statistics(cfg, spec)):
+                scale = np.abs(ref).max()
+                assert np.abs(ours - ref).max() <= 1e-12 * scale
+                worst = max(worst, np.abs(ours - ref).max() / max(scale, 1e-300))
+    assert len(kinds) == 6
+    print(f"closed form vs composed states: worst relative difference {worst:.1e}")
 
 
 class TestDeterminism:

@@ -11,6 +11,7 @@ from hccm.detector import (
     scan_estimates,
     simulate_estimates,
 )
+from hccm import records
 from hccm.errors import DataError
 from hccm.records import read_record, stream_record
 from hccm.splitter import symmetric_splitter
@@ -141,6 +142,30 @@ class TestStreaming:
         expected = np.concatenate([np.full(spec.n, i) for i, spec in enumerate(plan)])
         np.testing.assert_array_equal(data_rows(path)[:, 0], expected)
         assert rows == sum(spec.n for spec in plan)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, existing):
+        # a draw that fails mid-stream leaves neither a partial record nor a
+        # temporary file, and an earlier record at the target stays as it was
+        path = tmp_path / "scan.txt"
+        if existing:
+            path.write_text("earlier record\n")
+        calls = []
+
+        def failing_draw(cfg, spec):
+            calls.append(spec)
+            if len(calls) == 3:
+                raise RuntimeError("draw failed")
+            return draw_segment(cfg, spec)
+
+        monkeypatch.setattr(records, "draw_segment", failing_draw)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            stream_record(tiny_config(), path)
+        assert len(calls) == 3
+        expected = ["scan.txt"] if existing else []
+        assert sorted(p.name for p in tmp_path.iterdir()) == expected
+        if existing:
+            assert path.read_text() == "earlier record\n"
 
 
 class TestErrors:
