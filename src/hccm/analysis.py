@@ -9,6 +9,7 @@ squares with exact first-order error propagation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -16,6 +17,8 @@ import numpy as np
 from .errors import DegenerateDesignError, InsufficientDataError
 
 DESIGN_COND_MAX = 1e8
+# pairs per chunk of sampling and reduction: a (CHUNK_ROWS, 2) buffer stays in cache
+CHUNK_ROWS = 1 << 15
 
 BY_PHASE = "by-phase"
 BY_LO = "by-lo-strength"
@@ -36,22 +39,50 @@ class CorrelationEstimate:
             raise ValueError(f"sample count must be >= 1, got {self.n}")
 
 
+class ProductMoments:
+    """Count, mean and M2 of the products c1*c2 of one segment's pairs, added in
+    consecutive (k, 2) chunks of CHUNK_ROWS rows from the segment start (only the
+    last may be shorter), so the estimate depends on the samples alone.  Each
+    chunk is reduced in two passes while in cache, then merged with the update
+    of Chan, Golub & LeVeque (1979)."""
+
+    def __init__(self):
+        self.n, self.mean, self.m2 = 0, 0.0, 0.0
+
+    def add(self, pairs: np.ndarray) -> None:
+        k = len(pairs)
+        if self.n % CHUNK_ROWS or k > CHUNK_ROWS:
+            raise ValueError(f"chunks must hold {CHUNK_ROWS} pairs; only the last may be shorter")
+        products = pairs[:, 0] * pairs[:, 1]
+        mean = float(products.mean())
+        products -= mean
+        products *= products
+        n, delta = self.n + k, mean - self.mean
+        self.mean += delta * (k / n)
+        self.m2 += float(products.sum()) + delta * delta * (self.n * k / n)
+        self.n = n
+
+    def estimate(self) -> CorrelationEstimate:
+        """Mean of the products and its standard error (sample std / sqrt(n))."""
+        if self.n < 2:
+            raise InsufficientDataError(f"need at least 2 sample pairs, got {self.n}")
+        stderr = math.sqrt(self.m2 / (self.n - 1)) / math.sqrt(self.n)
+        return CorrelationEstimate(value=self.mean, stderr=stderr, n=self.n)
+
+
 def estimate_correlation(samples) -> CorrelationEstimate:
     """Same-time correlation of paired fluctuation samples.
 
     samples is an (N, 2) array-like of (c1, c2) pairs; returns the mean of the
-    products and its standard error (sample std of products / sqrt(N)).
+    products and its standard error (ProductMoments over CHUNK_ROWS slices).
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected an (N, 2) array of pairs, got shape {arr.shape}")
-    n = arr.shape[0]
-    if n < 2:
-        raise InsufficientDataError(f"need at least 2 sample pairs, got {n}")
-    products = arr[:, 0] * arr[:, 1]
-    value = float(products.mean())
-    stderr = float(products.std(ddof=1) / np.sqrt(n))
-    return CorrelationEstimate(value=value, stderr=stderr, n=n)
+    moments = ProductMoments()
+    for start in range(0, len(arr), CHUNK_ROWS):
+        moments.add(arr[start : start + CHUNK_ROWS])
+    return moments.estimate()
 
 
 def drift_error(block_run_a: CorrelationEstimate, block_run_b: CorrelationEstimate) -> float:

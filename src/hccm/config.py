@@ -130,6 +130,14 @@ def _get_float(flat: dict, key: str) -> float:
         raise ConfigError(f"key {key!r}: not a number: {flat[key]!r}") from exc
 
 
+def _get_db(flat: dict, key: str) -> float:
+    """A variance given in dB as a linear factor."""
+    try:
+        return 10.0 ** (_get_float(flat, key) / 10.0)
+    except OverflowError as exc:
+        raise ConfigError(f"key {key!r}: {flat[key]} dB overflows") from exc
+
+
 def _get_int(flat: dict, key: str) -> int:
     try:
         return int(flat[key])
@@ -162,8 +170,7 @@ def build_config(flat: dict) -> ExperimentConfig:
         merged.pop("lo_scan_powers_uw", None)
     merged.update({k: v for k, v in flat.items() if k != "preset"})
 
-    v_min = 10.0 ** (_get_float(merged, "squeezing_db") / 10.0)
-    v_max = 10.0 ** (_get_float(merged, "antisqueezing_db") / 10.0)
+    v_min, v_max = _get_db(merged, "squeezing_db"), _get_db(merged, "antisqueezing_db")
     alpha = complex(_get_float(merged, "alpha_re"), _get_float(merged, "alpha_im"))
     try:
         signal = SignalParams(

@@ -16,9 +16,9 @@ reduces the interfering LO amplitude to v*E_L; the orthogonal LO remainder
 only adds shot noise.
 
 Analysis sees a segment only as a SegmentEstimate, its spec plus its
-correlation estimate.  simulate_segments yields them from draws and
-records.read_record from files; scan_estimates assembles either stream into
-PhaseScanEstimates or LoScanEstimates.
+correlation estimate.  simulate_segments yields them from chunked draws and
+records.read_record from files, both through analysis.ProductMoments;
+scan_estimates assembles either stream into PhaseScanEstimates or LoScanEstimates.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis
-from .analysis import CorrelationEstimate
+from .analysis import CHUNK_ROWS, CorrelationEstimate
 from .errors import ConfigError
 from .gaussian import from_quadrature_variances
 from .splitter import BeamSplitter, symmetric_splitter
@@ -274,34 +274,51 @@ def _segment_rng(cfg: ExperimentConfig, spec: SegmentSpec, source: int):
     return np.random.default_rng(seq)
 
 
-def draw_segment(cfg: ExperimentConfig, spec: SegmentSpec):
-    """Draw the (c1, c2) fluctuation samples of one segment."""
-    det = cfg.detector
+def segment_chunks(cfg: ExperimentConfig, spec: SegmentSpec):
+    """Yield one segment's (c1, c2) pairs as (k, 2) chunks of CHUNK_ROWS rows, the
+    last maybe shorter, each a view of one reused buffer that the next overwrites.
+    Each source draws into its own buffer from its own substream, chunk after
+    chunk, so the samples equal one whole-segment draw per substream bit for bit.
+    """
+    det, g1, g2 = cfg.detector, cfg.detector.gain1, cfg.detector.gain2
     sigma_q, _, lo_flux = segment_statistics(cfg, spec)
     a, b, c = _chol2(sigma_q)
+    rin = (g1 * lo_flux[0], g2 * lo_flux[1])
+    # extra noise sources: (substream, on, scale, weight on c1, weight on c2)
+    sources = (
+        (_SRC_DARK1, det.dark_uncorr1 > 0, g1 * np.sqrt(det.dark_uncorr1), 1.0, None),
+        (_SRC_DARK2, det.dark_uncorr2 > 0, g2 * np.sqrt(det.dark_uncorr2), None, 1.0),
+        (_SRC_DARK_CORR, det.dark_corr > 0, np.sqrt(det.dark_corr), g1, g2),
+        (_SRC_RIN, det.lo_excess > 0 and np.any(lo_flux > 0), np.sqrt(det.lo_excess), *rin),
+    )
+    rows = min(CHUNK_ROWS, spec.n)
+    buffer, scratch = np.empty((rows, 2)), np.empty(rows)
+    quantum = _segment_rng(cfg, spec, _SRC_QUANTUM)
+    noises = [(_segment_rng(cfg, spec, src), np.empty(rows), *w) for src, on, *w in sources if on]
+    for start in range(0, spec.n, rows):
+        k = min(rows, spec.n - start)
+        pairs, tmp = buffer[:k], scratch[:k]
+        quantum.standard_normal(out=pairs)
+        # in place, elementwise (no BLAS threads, no fused multiply-add): c1 = a*z0, c2 = b*z0 + c*z1
+        c1, c2 = pairs[:, 0], pairs[:, 1]
+        c2 *= c
+        c2 += np.multiply(c1, b, out=tmp)
+        c1 *= a
+        for rng, noise, scale, w1, w2 in noises:
+            z = rng.standard_normal(out=noise[:k])
+            z *= scale
+            for column, weight in ((c1, w1), (c2, w2)):
+                if weight is not None:
+                    column += np.multiply(z, weight, out=tmp)
+        yield pairs
 
-    def normal(source):
-        return _segment_rng(cfg, spec, source).standard_normal(spec.n)
 
-    # in place, elementwise (no BLAS threads, no fused multiply-add): c1 = a*z0, c2 = b*z0 + c*z1
-    z = _segment_rng(cfg, spec, _SRC_QUANTUM).standard_normal((spec.n, 2))
-    c1, c2 = z[:, 0], z[:, 1]
-    c2 *= c
-    c2 += b * c1
-    c1 *= a
-    if det.dark_uncorr1 > 0:
-        c1 += det.gain1 * np.sqrt(det.dark_uncorr1) * normal(_SRC_DARK1)
-    if det.dark_uncorr2 > 0:
-        c2 += det.gain2 * np.sqrt(det.dark_uncorr2) * normal(_SRC_DARK2)
-    if det.dark_corr > 0:
-        common = np.sqrt(det.dark_corr) * normal(_SRC_DARK_CORR)
-        c1 += common * det.gain1
-        c2 += common * det.gain2
-    if det.lo_excess > 0 and np.any(lo_flux > 0):
-        rin = np.sqrt(det.lo_excess) * normal(_SRC_RIN)
-        c1 += rin * (det.gain1 * lo_flux[0])
-        c2 += rin * (det.gain2 * lo_flux[1])
-    return c1, c2
+def draw_segment(cfg: ExperimentConfig, spec: SegmentSpec):
+    """Draw the (c1, c2) fluctuation samples of one segment: segment_chunks joined."""
+    pairs = np.empty((spec.n, 2))
+    for i, chunk in enumerate(segment_chunks(cfg, spec)):
+        pairs[i * CHUNK_ROWS : i * CHUNK_ROWS + len(chunk)] = chunk
+    return pairs[:, 0], pairs[:, 1]
 
 
 def phase_scan_plan(cfg: ExperimentConfig):
@@ -376,10 +393,12 @@ def scan_plan(cfg: ExperimentConfig, kind: str):
 
 
 def simulate_segments(cfg: ExperimentConfig, specs):
-    """Draw and reduce one segment at a time: a lazy SegmentEstimate stream."""
+    """Draw and reduce one segment at a time, chunk by chunk: a lazy SegmentEstimate stream."""
     for spec in specs:
-        pairs = np.column_stack(draw_segment(cfg, spec))
-        yield SegmentEstimate(spec, analysis.estimate_correlation(pairs))
+        moments = analysis.ProductMoments()
+        for pairs in segment_chunks(cfg, spec):
+            moments.add(pairs)
+        yield SegmentEstimate(spec, moments.estimate())
 
 
 def scan_estimates(kind: str, cfg: ExperimentConfig, segments):

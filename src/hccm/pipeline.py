@@ -81,16 +81,9 @@ def analyze_phase_estimates(est: PhaseScanEstimates) -> PhaseScanAnalysis:
     fit = fit_trig_poly(list(zip(est.phis, corrected)))
     fit = fit.shifted(0.0, offset.stderr**2)
     run_a, run_b = est.blocked_lo
-    sep = separate_by_phase(fit, run_a, drift=drift_error(run_a, run_b))
-    return PhaseScanAnalysis(
-        estimates=est,
-        offset=offset,
-        corrected=corrected,
-        c_block=run_a,
-        drift=drift_error(run_a, run_b),
-        fit=fit,
-        separation=sep,
-    )
+    drift = drift_error(run_a, run_b)
+    sep = separate_by_phase(fit, run_a, drift=drift)
+    return PhaseScanAnalysis(est, offset, corrected, run_a, drift, fit, sep)
 
 
 def analyze_lo_estimates(est: LoScanEstimates, e_ref: float | None = None) -> LoScanAnalysis:
@@ -104,19 +97,10 @@ def analyze_lo_estimates(est: LoScanEstimates, e_ref: float | None = None) -> Lo
     ref_cov[0, 0] += offset.stderr**2
     sep = replace(sep, ref_cov=ref_cov, c0_sigma=float(np.sqrt(ref_cov[0, 0])))
     used_ref = e_ref if e_ref is not None else float(np.max(est.e_values))
-    return LoScanAnalysis(
-        estimates=est,
-        offset=offset,
-        corrected_phi=corr_phi,
-        corrected_phi_pi=corr_pi,
-        separation=sep,
-        e_ref=used_ref,
-    )
+    return LoScanAnalysis(est, offset, corr_phi, corr_pi, sep, used_ref)
 
 
-def det_scan(
-    sep: SeparatedContributions, cfg: ExperimentConfig, phis=None
-) -> tuple:
+def det_scan(sep: SeparatedContributions, cfg: ExperimentConfig, phis=None) -> tuple:
     """Determinant results over a phase grid."""
     coeffs = splitter_coefficients(cfg.splitter)
     grid = np.asarray(cfg.phases if phis is None else phis, dtype=float)
@@ -144,12 +128,4 @@ def run_pipeline(cfg: ExperimentConfig, with_lo_scan: bool | None = None) -> Pip
         lo_det = det_with_error(
             build_L(lo.separation, coeffs, cfg.lo_scan_phi), threshold=cfg.sig_threshold
         )
-    return PipelineResult(
-        config=cfg,
-        phase=phase,
-        det_results=dets,
-        squeezed_flags=flags,
-        summary=summary,
-        lo=lo,
-        lo_det=lo_det,
-    )
+    return PipelineResult(cfg, phase, dets, flags, summary, lo, lo_det)

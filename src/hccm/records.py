@@ -14,9 +14,9 @@ header lines ``segment.<i>.kind`` / ``.phi`` / ``.e_l`` / ``.block`` describe
 them for other readers.  Phases per segment always come from the data rows,
 so records with non-equidistant phase grids read back faithfully.
 
-stream_record is the one writer and replaces its file atomically; read_record
-holds one segment at a time and reduces it to its correlation estimate, so
-both run in bounded memory.
+stream_record is the one writer and replaces its file atomically; it and
+read_record hold CHUNK_ROWS rows of a segment at a time (the reader reduces
+them with ProductMoments), so both run in bounded memory.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analysis
 from . import config as config_mod
+from .analysis import CHUNK_ROWS, ProductMoments
 from .detector import (
     KIND_BLOCKED_LO_A,
     KIND_BLOCKED_LO_B,
@@ -38,13 +38,12 @@ from .detector import (
     ExperimentConfig,
     SegmentEstimate,
     SegmentSpec,
-    draw_segment,
     scan_plan,
+    segment_chunks,
 )
 from .errors import DataError
 
 FORMAT_TAG = "HCCM1"
-BLOCK_ROWS = 1 << 16
 
 _CAL_INDEX = {KIND_BLOCKED_LO_A: -1, KIND_BLOCKED_LO_B: -2, KIND_BLOCKED_SIGNAL: -3}
 
@@ -108,16 +107,16 @@ def stream_record(cfg: ExperimentConfig, path, kind: str = "phase_scan") -> int:
         for line in _header_lines(kind, cfg, specs):
             fh.write(line + "\n")
         for position, spec in enumerate(specs):
-            c1, c2 = draw_segment(cfg, spec)
-            prefix = f"{_row_index(kind, position, spec)},{float(spec.phi)!r}"
-            for v1, v2 in zip(c1.tolist(), c2.tolist()):
-                fh.write(f"{prefix},{v1!r},{v2!r}\n")
+            row = f"{_row_index(kind, position, spec)},{float(spec.phi)!r},%r,%r\n"
+            for pairs in segment_chunks(cfg, spec):
+                # one write per chunk; %r formats a float as f"{v!r}" does
+                fh.write(row * len(pairs) % tuple(pairs.ravel().tolist()))
             rows += spec.n
     return rows
 
 
 def read_record(path) -> PhaseScanRecord:
-    """Read a record file one segment at a time (bounded memory).
+    """Read a record file one chunk of a segment at a time (bounded memory).
 
     Every segment is checked against the plan of the config in the header:
     a segment out of order, with rows that are not contiguous, with a row
@@ -164,7 +163,7 @@ def _config_from_meta(meta: dict) -> ExperimentConfig:
 
 
 class _Rows:
-    """The data rows, parsed BLOCK_ROWS lines at a time and consumed from the front."""
+    """The data rows, parsed CHUNK_ROWS lines at a time and consumed from the front."""
 
     def __init__(self, lines):
         self._lines = lines
@@ -173,7 +172,7 @@ class _Rows:
     def head(self):
         """phase_index of the next row, or None after the last row."""
         while len(self._block) == 0:
-            lines = list(itertools.islice(self._lines, BLOCK_ROWS))
+            lines = list(itertools.islice(self._lines, CHUNK_ROWS))
             if not lines:
                 return None
             try:
@@ -211,15 +210,19 @@ def _read_segments(rows: _Rows, kind: str, plan):
     """Reduce each segment of the plan, in order, to a SegmentEstimate."""
     indices = [_row_index(kind, position, spec) for position, spec in enumerate(plan)]
     names = {index: _segment_name(spec, index) for index, spec in zip(indices, plan)}
+    pairs = np.empty((CHUNK_ROWS, 2))  # the reducer's chunks, counted from each segment start
     for position, (index, spec) in enumerate(zip(indices, plan)):
         name = names[index]
-        pairs = np.empty((spec.n, 2))
+        moments = ProductMoments()
         filled, phi = 0, None
         while filled < spec.n and rows.head() == index:
-            chunk = rows.take(index, spec.n - filled)
+            start = filled % CHUNK_ROWS
+            chunk = rows.take(index, min(spec.n - filled, CHUNK_ROWS - start))
             phi = float(chunk[0, 1]) if phi is None else phi
-            pairs[filled : filled + len(chunk)] = chunk[:, 2:]
+            pairs[start : start + len(chunk)] = chunk[:, 2:]
             filled += len(chunk)
+            if filled % CHUNK_ROWS == 0 or filled == spec.n:
+                moments.add(pairs[: start + len(chunk)])
         # the row after the segment: the next segment's first, or none
         found = rows.head()
         if found is not None and not found.is_integer():
@@ -238,7 +241,7 @@ def _read_segments(rows: _Rows, kind: str, plan):
                 raise DataError(f"{name}: {filled} rows, the plan has {spec.n}")
             raise DataError(f"{name} is missing")
         try:
-            estimate = analysis.estimate_correlation(pairs)
+            estimate = moments.estimate()
         except ValueError as exc:
             raise DataError(f"{name}: {exc}") from exc
         yield SegmentEstimate(replace(spec, phi=phi), estimate)

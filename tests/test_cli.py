@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from hccm import config as config_mod
 from hccm.cli import main
 
 TINY = """
@@ -154,6 +159,8 @@ class TestExitCodes:
             "dark_uncorr2",
             "dark_corr",
             "lo_excess",
+            "squeezing_db",
+            "antisqueezing_db",
         ],
     )
     def test_non_finite_value(self, tmp_path, capsys, key, bad):
@@ -164,6 +171,18 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("bad", ["1e5", "1e308"])
+    @pytest.mark.parametrize("key", ["squeezing_db", "antisqueezing_db"])
+    def test_db_overflow(self, tmp_path, capsys, key, bad):
+        # 10 ** (dB / 10) overflows a float
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"preset = paper-quick\n{key} = {bad}\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: key '{key}'" in err and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
     def test_non_passive_splitter(self, tmp_path, capsys):
@@ -214,3 +233,50 @@ class TestExitCodes:
         assert code == 4
         err = capsys.readouterr().err
         assert "unbalanced" in err
+
+
+# a small config on which simulate, analyze and test all run in milliseconds
+FUZZ_BASE = {
+    "n_phases": "8",
+    "samples_per_phase": "200",
+    "blocked_samples": "400",
+    "seed": "3",
+    "lo_field_strength": "2.8",
+    "lo_scan_field_strengths": "0,1.4,2.8",
+}
+# keys that replace a FUZZ_BASE key given in another parametrization
+FUZZ_REPLACES = {
+    "lo_power_uw": "lo_field_strength",
+    "lo_amp_per_sqrt_uw": "lo_field_strength",
+    "lo_scan_powers_uw": "lo_scan_field_strengths",
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme values overflow on purpose
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    key=st.sampled_from(sorted(config_mod._ALL_KEYS)),
+    value=st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e5", "1e308"]),
+    after_zero=st.booleans(),
+)
+def test_cli_fuzz_exit_codes(key, value, after_zero):
+    """One config key set to an extreme value: every CLI step exits with a
+    documented code, raises nothing, and leaves no temporary or partial file."""
+    flat = {k: v for k, v in FUZZ_BASE.items() if k != FUZZ_REPLACES.get(key)}
+    flat[key] = f"0,{value}" if after_zero and key in config_mod._LIST_KEYS else value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "fuzz.cfg"), os.path.join(tmp, "run")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write("".join(f"{k} = {v}\n" for k, v in flat.items()))
+        written = set()
+        for args in (["simulate", "--config", cfg], ["analyze"], ["test"]):
+            code = main([*args, "--out", out])
+            event(f"{args[0]} {code}")
+            assert code in (0, 2, 3, 4), (args[0], code)
+            files = set(os.listdir(out)) if os.path.isdir(out) else set()
+            assert not any(name.endswith(".tmp") for name in files)
+            if code != 0:
+                # a failed step writes nothing
+                assert files == written, (args[0], files - written)
+                break
+            written = files

@@ -1,13 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hccm.analysis import estimate_correlation
+from hccm.analysis import CHUNK_ROWS, ProductMoments, estimate_correlation
 from hccm.detector import (
+    _SRC_DARK1,
+    _SRC_DARK2,
+    _SRC_DARK_CORR,
     _SRC_QUANTUM,
+    _SRC_RIN,
     KIND_PHASE,
     DetectorConfig,
     ExperimentConfig,
     SignalParams,
+    _chol2,
     _segment_rng,
     draw_segment,
     drift_factor,
@@ -15,6 +22,7 @@ from hccm.detector import (
     phase_scan_plan,
     segment_statistics,
     simulate_estimates,
+    simulate_segments,
 )
 from hccm.errors import ConfigError
 from hccm.gaussian import (
@@ -403,3 +411,83 @@ class TestLoScan:
         assert kinds.count("blocked_signal") == 1
         phis = {s.phi for s in plan if s.kind != "blocked_signal"}
         assert phis == {1.0, (1.0 + np.pi) % (2 * np.pi)}
+
+
+def whole_segment_draw(cfg, spec):
+    """The oracle of a chunked draw with every noise source on: one
+    whole-segment draw per substream, then the same elementwise operations."""
+    det = cfg.detector
+    sigma_q, _, lo_flux = segment_statistics(cfg, spec)
+    a, b, c = _chol2(sigma_q)
+
+    def normal(source):
+        return _segment_rng(cfg, spec, source).standard_normal(spec.n)
+
+    z = _segment_rng(cfg, spec, _SRC_QUANTUM).standard_normal((spec.n, 2))
+    c1, c2 = z[:, 0], z[:, 1]
+    c2 *= c
+    c2 += b * c1
+    c1 *= a
+    c1 += det.gain1 * np.sqrt(det.dark_uncorr1) * normal(_SRC_DARK1)
+    c2 += det.gain2 * np.sqrt(det.dark_uncorr2) * normal(_SRC_DARK2)
+    common = np.sqrt(det.dark_corr) * normal(_SRC_DARK_CORR)
+    c1 += common * det.gain1
+    c2 += common * det.gain2
+    rin = np.sqrt(det.lo_excess) * normal(_SRC_RIN)
+    c1 += rin * (det.gain1 * lo_flux[0])
+    c2 += rin * (det.gain2 * lo_flux[1])
+    return c1, c2
+
+
+class TestChunkBoundaries:
+    """Segments of 2 rows, one row either side of a chunk, and past two chunks."""
+
+    SIZES = (2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 7)
+
+    @pytest.fixture(params=SIZES)
+    def segment(self, request):
+        noisy = DetectorConfig(
+            eta1=0.9,
+            eta2=0.8,
+            gain1=1.3,
+            gain2=0.7,
+            dark_uncorr1=2.0,
+            dark_uncorr2=1.0,
+            dark_corr=0.5,
+            lo_excess=0.002,
+        )
+        cfg = small_config(detector=noisy)
+        return cfg, replace(phase_scan_plan(cfg)[3], n=request.param)
+
+    def test_draw_equals_whole_segment_draw(self, segment):
+        cfg, spec = segment
+        c1, c2 = draw_segment(cfg, spec)
+        o1, o2 = whole_segment_draw(cfg, spec)
+        np.testing.assert_array_equal(c1, o1)
+        np.testing.assert_array_equal(c2, o2)
+
+    def test_streamed_estimate_equals_estimate_correlation(self, segment):
+        cfg, spec = segment
+        [(_, streamed)] = simulate_segments(cfg, [spec])
+        assert streamed == estimate_correlation(np.column_stack(draw_segment(cfg, spec)))
+        assert streamed.n == spec.n
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_estimate_matches_numpy(self, segment, offset):
+        # offset 1e4: |mean| of the products is about 1e3 times their std
+        cfg, spec = segment
+        pairs = np.column_stack(draw_segment(cfg, spec)) + offset
+        products = pairs[:, 0] * pairs[:, 1]
+        est = estimate_correlation(pairs)
+        assert est.value == pytest.approx(products.mean(), rel=1e-12, abs=0)
+        stderr = products.std(ddof=1) / np.sqrt(spec.n)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
+
+
+def test_product_moments_take_whole_chunks():
+    moments = ProductMoments()
+    moments.add(np.ones((5, 2)))
+    with pytest.raises(ValueError, match="only the last may be shorter"):
+        moments.add(np.ones((5, 2)))
+    with pytest.raises(ValueError):
+        ProductMoments().add(np.ones((CHUNK_ROWS + 1, 2)))

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+from hccm.analysis import CHUNK_ROWS
 from hccm.detector import (
+    KIND_BLOCKED_LO_A,
+    KIND_BLOCKED_LO_B,
+    KIND_BLOCKED_SIGNAL,
+    KIND_PHASE,
     DetectorConfig,
     ExperimentConfig,
     SignalParams,
@@ -9,12 +14,18 @@ from hccm.detector import (
     lo_scan_plan,
     phase_scan_plan,
     scan_estimates,
+    segment_chunks,
     simulate_estimates,
+    simulate_segments,
 )
 from hccm import records
 from hccm.errors import DataError
 from hccm.records import read_record, stream_record
 from hccm.splitter import symmetric_splitter
+
+
+# phase_index of the calibration runs in a phase-scan record
+CAL_INDEX = {KIND_BLOCKED_LO_A: -1, KIND_BLOCKED_LO_B: -2, KIND_BLOCKED_SIGNAL: -3}
 
 
 def tiny_config(**overrides):
@@ -143,6 +154,25 @@ class TestStreaming:
         np.testing.assert_array_equal(data_rows(path)[:, 0], expected)
         assert rows == sum(spec.n for spec in plan)
 
+    def test_segments_across_chunks(self, tmp_path):
+        # segments of CHUNK_ROWS + 3 and + 5 rows span two chunks each, and the
+        # reader's parse blocks of CHUNK_ROWS lines start inside segments
+        cfg = tiny_config(
+            phases=(0.0, 2.5), samples_per_phase=CHUNK_ROWS + 3, blocked_samples=CHUNK_ROWS + 5
+        )
+        path = tmp_path / "scan.txt"
+        stream_record(cfg, path)
+        header, data = split_record(path)
+        expected = []
+        for spec in phase_scan_plan(cfg):
+            index = spec.index if spec.kind == KIND_PHASE else CAL_INDEX[spec.kind]
+            for v1, v2 in zip(*draw_segment(cfg, spec)):
+                expected.append(f"{index},{spec.phi!r},{float(v1)!r},{float(v2)!r}\n")
+        assert data == expected
+        assert header[:2] == ["# format=HCCM1\n", "# kind=phase_scan\n"]
+        simulated = simulate_segments(cfg, phase_scan_plan(cfg))
+        assert [s.estimate for s in read_record(path).segments] == [s.estimate for s in simulated]
+
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, existing):
         # a draw that fails mid-stream leaves neither a partial record nor a
@@ -156,9 +186,9 @@ class TestStreaming:
             calls.append(spec)
             if len(calls) == 3:
                 raise RuntimeError("draw failed")
-            return draw_segment(cfg, spec)
+            return segment_chunks(cfg, spec)
 
-        monkeypatch.setattr(records, "draw_segment", failing_draw)
+        monkeypatch.setattr(records, "segment_chunks", failing_draw)
         with pytest.raises(RuntimeError, match="draw failed"):
             stream_record(tiny_config(), path)
         assert len(calls) == 3
