@@ -63,7 +63,7 @@ from .nonclassicality import (
     squeezed_phases,
 )
 from .pipeline import run_pipeline
-from .records import PhaseScanRecord
+from .records import Record
 from .splitter import (
     BeamSplitter,
     Contributions,

@@ -169,15 +169,25 @@ class ExperimentConfig:
         smax = np.linalg.svd([[bs.t_s, bs.r_l], [-bs.r_s, bs.t_l]], compute_uv=False)[0]
         if smax > 1.0 + 1e-9:
             raise ConfigError(f"splitter amplitude map is not passive: singular value {smax:.6f}")
-        # the largest segment (last block of either scan, strongest LO) must not overflow
+        # the largest segment (last block of either scan, strongest LO) must not overflow, nor
+        # the estimator's sum of squared deviations of its products c1*c2, which have variance
+        # s11*s22 + s12**2 (margin 40**4 for the tails of the draws)
         last_block = max(len(self.phases) + len(SCHEDULE_DEFAULT) - 2, 2 * len(self.lo_scan_e_l))
         probe = SegmentSpec(KIND_PHASE, 0, 0.0, max((self.e_l, *self.lo_scan_e_l)), last_block, 2)
         try:
-            finite = bool(np.isfinite(segment_statistics(self, probe)[1]).all())
+            (s11, s12), (_, s22) = segment_statistics(self, probe)[1].tolist()
+            finite = all(map(math.isfinite, (s11, s12, s22)))
         except OverflowError:
             finite = False
         if not finite:
             raise ConfigError("sampling covariance overflows: drift, gain, LO or noise too large")
+        n_max = max(self.samples_per_phase, self.n_blocked)
+        if not math.isfinite(n_max * 40.0**4 * (s11 * s22 + s12 * s12)):
+            raise ConfigError("sample products overflow: drift, gain, LO or noise too large")
+        if self.lo_scan_e_l and len(set(self.lo_scan_e_l)) < 3:
+            raise ConfigError(
+                f"the LO scan grid needs at least 3 distinct field strengths, got {self.lo_scan_e_l}"
+            )
 
     @property
     def n_blocked(self) -> int:

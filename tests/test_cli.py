@@ -185,6 +185,38 @@ class TestExitCodes:
         assert f"config error: key '{key}'" in err and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["simulate", "reproduce-paper"])
+    @pytest.mark.parametrize("key", ["dark_uncorr1", "dark_uncorr2", "dark_corr"])
+    def test_product_overflow(self, tmp_path, capsys, key, command):
+        # a finite covariance whose products' squares, summed by the estimator, overflow
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"preset = paper-quick\n{key} = 1e308\n")
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: sample products overflow" in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "lo_scan_field_strengths = 0",
+            "lo_scan_field_strengths = 0,0",
+            "lo_scan_field_strengths = 0,1.4,1.4",
+            "lo_scan_powers_uw = 0,1e5",
+        ],
+    )
+    def test_short_lo_grid(self, tmp_path, capsys, grid):
+        # separate_by_lo needs 3 distinct strengths: refused before anything is written
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"preset = paper-quick\n{grid}\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: the LO scan grid needs at least 3 distinct" in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_non_passive_splitter(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("splitter_ts2 = 0.9\nsplitter_rs2 = 0.1\nsplitter_tl2 = 0.1\nsplitter_rl2 = 0.9\n")

@@ -1,12 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from hccm.analysis import CHUNK_ROWS
 from hccm.detector import (
     KIND_BLOCKED_LO_A,
-    KIND_BLOCKED_LO_B,
-    KIND_BLOCKED_SIGNAL,
-    KIND_PHASE,
     DetectorConfig,
     ExperimentConfig,
     SignalParams,
@@ -22,10 +21,6 @@ from hccm import records
 from hccm.errors import DataError
 from hccm.records import read_record, stream_record
 from hccm.splitter import symmetric_splitter
-
-
-# phase_index of the calibration runs in a phase-scan record
-CAL_INDEX = {KIND_BLOCKED_LO_A: -1, KIND_BLOCKED_LO_B: -2, KIND_BLOCKED_SIGNAL: -3}
 
 
 def tiny_config(**overrides):
@@ -46,9 +41,13 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def data_rows(path):
-    """The data rows of a record file as an (N, 4) array."""
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+def hex_rows(cfg, plan):
+    """The expected data lines of a record: one per-row struct oracle line per drawn pair."""
+    return [
+        struct.pack("<dd", v1, v2).hex() + "\n"
+        for spec in plan
+        for v1, v2 in zip(*draw_segment(cfg, spec))
+    ]
 
 
 def read_estimates(path):
@@ -69,15 +68,9 @@ class TestPhaseScanRoundTrip:
         plan = phase_scan_plan(cfg)
         path = tmp_path / "scan.txt"
         stream_record(cfg, path)
-        rows = data_rows(path)
-        start = 0
-        for spec in plan:
-            c1, c2 = draw_segment(cfg, spec)
-            seg_rows = rows[start : start + spec.n]
-            start += spec.n
-            np.testing.assert_array_equal(seg_rows[:, 2], c1)
-            np.testing.assert_array_equal(seg_rows[:, 3], c2)
-            assert np.all(seg_rows[:, 1] == spec.phi)
+        header, data = split_record(path)
+        assert data == hex_rows(cfg, plan)
+        assert f"# segment.0.kind={KIND_BLOCKED_LO_A}\n" in header
         back = read_record(path)
         assert back.kind == "phase_scan"
         assert len(back.segments) == len(plan)
@@ -111,7 +104,7 @@ class TestPhaseScanRoundTrip:
         assert est_a.blocked_signal.value == est_b.blocked_signal.value
 
     def test_non_equidistant_phases_read_back(self, tmp_path):
-        # the header stores only n_phases; the rows carry each segment's phase
+        # the config echo stores only n_phases; the segment lines carry each phase
         phases = (0.0, 0.3, 0.5, 1.9, 2.0, 3.5, 4.1, 6.0)
         path = tmp_path / "scan.txt"
         stream_record(tiny_config(phases=phases), path)
@@ -138,38 +131,36 @@ class TestStreaming:
         cfg = tiny_config()
         path = tmp_path / "b.txt"
         rows = stream_record(cfg, path, kind="phase_scan")
-        drawn = [draw_segment(cfg, spec) for spec in phase_scan_plan(cfg)]
-        data = data_rows(path)
-        np.testing.assert_array_equal(data[:, 2], np.concatenate([c1 for c1, _ in drawn]))
-        np.testing.assert_array_equal(data[:, 3], np.concatenate([c2 for _, c2 in drawn]))
+        _, data = split_record(path)
+        assert data == hex_rows(cfg, phase_scan_plan(cfg))
         assert rows == 8 * 50 + 3 * 60
         assert rows == len(data)
+        assert {len(line) for line in data} == {records.ROW_BYTES}
 
     def test_lo_rows_follow_plan(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "lo.txt"
         rows = stream_record(cfg, path, kind="lo_scan")
         plan = lo_scan_plan(cfg, cfg.lo_scan_phi, cfg.lo_scan_e_l)
-        expected = np.concatenate([np.full(spec.n, i) for i, spec in enumerate(plan)])
-        np.testing.assert_array_equal(data_rows(path)[:, 0], expected)
+        header, data = split_record(path)
+        assert data == hex_rows(cfg, plan)
         assert rows == sum(spec.n for spec in plan)
+        for i, spec in enumerate(plan):
+            assert f"# segment.{i}.kind={spec.kind}\n" in header
+            assert f"# segment.{i}.phi={spec.phi!r}\n" in header
+            assert f"# segment.{i}.e_l={spec.e_l!r}\n" in header
 
     def test_segments_across_chunks(self, tmp_path):
-        # segments of CHUNK_ROWS + 3 and + 5 rows span two chunks each, and the
-        # reader's parse blocks of CHUNK_ROWS lines start inside segments
+        # segments of CHUNK_ROWS + 3 and + 5 rows span two chunks each, in the
+        # writer and in the reader
         cfg = tiny_config(
             phases=(0.0, 2.5), samples_per_phase=CHUNK_ROWS + 3, blocked_samples=CHUNK_ROWS + 5
         )
         path = tmp_path / "scan.txt"
         stream_record(cfg, path)
         header, data = split_record(path)
-        expected = []
-        for spec in phase_scan_plan(cfg):
-            index = spec.index if spec.kind == KIND_PHASE else CAL_INDEX[spec.kind]
-            for v1, v2 in zip(*draw_segment(cfg, spec)):
-                expected.append(f"{index},{spec.phi!r},{float(v1)!r},{float(v2)!r}\n")
-        assert data == expected
-        assert header[:2] == ["# format=HCCM1\n", "# kind=phase_scan\n"]
+        assert data == hex_rows(cfg, phase_scan_plan(cfg))
+        assert header[:2] == ["# format=HCCM2\n", "# kind=phase_scan\n"]
         simulated = simulate_segments(cfg, phase_scan_plan(cfg))
         assert [s.estimate for s in read_record(path).segments] == [s.estimate for s in simulated]
 
@@ -210,17 +201,31 @@ class TestErrors:
             read_record(path)
 
     def test_malformed_row(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("# format=HCCM1\n0,0.0,1.0\n")
-        with pytest.raises(DataError):
-            read_record(path)
-
-    def test_missing_blocked_run_detected(self, tmp_path):
+        # a decimal row where a hex row belongs
         path = tmp_path / "scan.txt"
         stream_record(tiny_config(), path)
         header, data = split_record(path)
-        path.write_text("".join(header + [line for line in data if not line.startswith("-1,")]))
-        with pytest.raises(DataError, match="calibration run blocked_lo_a .* is missing"):
+        path.write_text("".join(header + data[:100] + ["0,0.0,1.0,2.0\n"] + data[101:]))
+        with pytest.raises(DataError, match="segment phase 0 .*row 41 is not 32 hex digits"):
+            read_record(path)
+
+    def test_hccm1_file_refused(self, tmp_path):
+        # the decimal format this one replaced: header, then phase_index,phase_rad,c1,c2 rows
+        path = tmp_path / "scan.txt"
+        stream_record(tiny_config(), path)
+        header, data = split_record(path)
+        header[0] = "# format=HCCM1\n"
+        path.write_text("".join(header + ["-1,0.0,0.5,-0.25\n"] * len(data)))
+        with pytest.raises(DataError, match="not a HCCM2 record file .*HCCM1"):
+            read_record(path)
+
+    def test_missing_blocked_run_detected(self, tmp_path):
+        # the file ends where the last calibration run would start
+        path = tmp_path / "scan.txt"
+        stream_record(tiny_config(), path)
+        header, data = split_record(path)
+        path.write_text("".join(header + data[:-60]))
+        with pytest.raises(DataError, match="calibration run blocked_signal .* is missing"):
             read_record(path)
 
 
@@ -237,23 +242,6 @@ class TestPlanChecks:
         header, data = split_record(path)
         path.write_text("".join(header + transform(data)))
 
-    def test_segment_out_of_order(self, record):
-        # plan order: blocked_lo_a (60 rows), 8 phases x 50, blocked_lo_b, blocked_signal
-        self.rewrite(record, lambda d: d[60:460] + d[:60] + d[460:])
-        with pytest.raises(DataError, match="blocked_lo_a .*out of order"):
-            read_record(record)
-
-    def test_rows_not_contiguous(self, record):
-        # one row of phase 2 moved behind phase 3
-        self.rewrite(record, lambda d: d[:170] + d[171:260] + [d[170]] + d[260:])
-        with pytest.raises(DataError, match="segment phase 2 .*not contiguous"):
-            read_record(record)
-
-    def test_phase_index_not_integer(self, record):
-        self.rewrite(record, lambda d: d[:100] + ["1.5" + d[100][1:]] + d[101:])
-        with pytest.raises(DataError, match="segment phase 0 .*not an integer"):
-            read_record(record)
-
     def test_row_count_differs_from_plan(self, record):
         self.rewrite(record, lambda d: d[:-10])
         with pytest.raises(DataError, match="blocked_signal .*50 rows, the plan has 60"):
@@ -264,12 +252,51 @@ class TestPlanChecks:
         with pytest.raises(DataError, match="blocked_signal .*more rows than the plan's 60"):
             read_record(record)
 
-    def test_index_outside_plan(self, record):
-        self.rewrite(record, lambda d: d[:100] + ["9" + d[100][1:]] + d[101:])
-        with pytest.raises(DataError, match="phase_index 9 is not in the plan"):
+    def test_truncated_mid_segment(self, record):
+        # plan order: blocked_lo_a (60 rows), 8 phases x 50, blocked_lo_b, blocked_signal
+        self.rewrite(record, lambda d: d[:80])
+        with pytest.raises(DataError, match="segment phase 0 .*20 rows, the plan has 50"):
+            read_record(record)
+
+    def test_truncated_mid_row(self, record):
+        self.rewrite(record, lambda d: d[:80] + [d[80][:10]])
+        with pytest.raises(DataError, match="segment phase 0 .*ends inside row 21 of 50"):
+            read_record(record)
+
+    def test_trailing_bytes(self, record):
+        self.rewrite(record, lambda d: d + ["0\n"])
+        with pytest.raises(DataError, match="blocked_signal .*2 trailing bytes after the plan's 60"):
+            read_record(record)
+
+    def test_non_hex_character(self, record):
+        self.rewrite(record, lambda d: d[:100] + ["g" + d[100][1:]] + d[101:])
+        with pytest.raises(DataError, match="segment phase 0 .*row 41 is not 32 hex digits"):
+            read_record(record)
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            lambda row, nxt: [row[1:], nxt],  # 31 digits
+            lambda row, nxt: ["0" + row, nxt],  # 33 digits
+            lambda row, nxt: [row[:30] + "  \n", nxt],  # 33 bytes, but fromhex skips the blanks
+            lambda row, nxt: [row[:16] + "\n" + row[17:], nxt],  # a newline inside the row
+            lambda row, nxt: [row[2:], "00" + nxt],  # 30 + 34 digits: whole bytes, shifted
+        ],
+    )
+    def test_row_of_wrong_width(self, record, wrong):
+        self.rewrite(record, lambda d: d[:100] + wrong(d[100], d[101]) + d[102:])
+        with pytest.raises(DataError, match="segment phase 0 .*row 41 is not 32 hex digits"):
             read_record(record)
 
     def test_non_finite_samples(self, record):
-        self.rewrite(record, lambda d: d[:100] + [d[100].rsplit(",", 1)[0] + ",nan\n"] + d[101:])
+        nan_row = struct.pack("<dd", float("nan"), 1.0).hex() + "\n"
+        self.rewrite(record, lambda d: d[:100] + [nan_row] + d[101:])
         with pytest.raises(DataError, match="segment phase 0 .*finite"):
+            read_record(record)
+
+    def test_header_without_segment_phase(self, record):
+        header, data = split_record(record)
+        header = [line for line in header if not line.startswith("# segment.3.phi=")]
+        record.write_text("".join(header + data))
+        with pytest.raises(DataError, match="segment phase 2 .*no phase"):
             read_record(record)
