@@ -32,15 +32,14 @@ from .errors import (
     DegenerateDesignError,
     InsufficientDataError,
 )
-from .nonclassicality import build_L, classify_phase_range, det_with_error, squeezed_phases
 from .pipeline import (
-    PipelineResult,
+    DetAnalysis,
+    PhaseScanAnalysis,
     analyze_lo_estimates,
     analyze_phase_estimates,
-    det_scan,
+    determinant_test,
     run_pipeline,
 )
-from .splitter import splitter_coefficients
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -119,9 +118,31 @@ class RunManifest:
         return os.path.join(self.out_dir, name)
 
 
-def _write(path: str, text: str) -> None:
-    with records.atomic_open(path) as fh:
-        fh.write(text)
+def _write_files(manifest: RunManifest, files: dict) -> None:
+    """Write each {file name: text} into the output directory, printing its path."""
+    for name, text in files.items():
+        with records.atomic_open(manifest.path(name)) as fh:
+            fh.write(text)
+        print(manifest.path(name))
+
+
+def _print_fit(phase: PhaseScanAnalysis) -> None:
+    print(f"chi2/dof = {phase.fit.chi2 / max(phase.fit.dof, 1):.4f}")
+
+
+def _print_verdict(det: DetAnalysis) -> None:
+    s = det.summary
+    print(
+        f"nonclassical fraction = {s.fraction_nonclassical:.3f} "
+        f"({s.n_nonclassical}/{s.n_total} phases); "
+        f"extends outside squeezed interval: {s.outside_squeezed}"
+    )
+    if det.lo_det is not None:
+        d = det.lo_det
+        print(
+            f"LO-scan point at phi={d.phi:.4f}: det = {d.det:.4e} "
+            f"({d.significance:.1f} sigma, {d.verdict})"
+        )
 
 
 def cmd_simulate(manifest: RunManifest) -> int:
@@ -147,87 +168,58 @@ def _read_estimates(path: str, kind: str):
 
 
 def cmd_analyze(manifest: RunManifest) -> int:
-    phase_analysis = analyze_phase_estimates(
-        _read_estimates(manifest.path(PHASE_RECORD), "phase_scan")
-    )
+    phase_path, lo_path = manifest.path(PHASE_RECORD), manifest.path(LO_RECORD)
+    phase_est = _read_estimates(phase_path, "phase_scan")
+    lo_est = _read_estimates(lo_path, "lo_scan") if os.path.exists(lo_path) else None
+    if lo_est is not None and lo_est.config != phase_est.config:
+        raise DataError(
+            f"{lo_path} and {phase_path} were simulated with different configs; "
+            f"simulate again or remove the stale {LO_RECORD}"
+        )
+    phase = analyze_phase_estimates(phase_est)
+    lo = None if lo_est is None else analyze_lo_estimates(lo_est)
 
-    lo_analysis = None
-    lo_path = manifest.path(LO_RECORD)
-    if os.path.exists(lo_path):
-        lo_analysis = analyze_lo_estimates(_read_estimates(lo_path, "lo_scan"))
-
-    if manifest.report_format == "structured":
-        doc = {
-            "fit": reports.fit_report_dict(phase_analysis),
-            "phase_table": reports.phase_table_rows(phase_analysis),
-        }
-        if lo_analysis is not None:
-            doc["lo_table"] = reports.lo_table_rows(lo_analysis)
-        _write(manifest.path("analyze_report.json"), json.dumps(doc, sort_keys=True, indent=1) + "\n")
-        print(manifest.path("analyze_report.json"))
-    else:
-        _write(manifest.path("fit_report.txt"), reports.fit_report_text(phase_analysis))
-        _write(manifest.path("phase_table.txt"), reports.phase_table_text(phase_analysis))
-        print(manifest.path("fit_report.txt"))
-        print(manifest.path("phase_table.txt"))
-        if lo_analysis is not None:
-            _write(manifest.path("lo_table.txt"), reports.lo_table_text(lo_analysis))
-            print(manifest.path("lo_table.txt"))
     payload = {
-        "config": config_mod.config_to_flat(phase_analysis.estimates.config),
-        "method": phase_analysis.separation.method,
-        **phase_analysis.separation.to_dict(),
-        "drift_error": phase_analysis.drift,
-        "phis": phase_analysis.estimates.phis.tolist(),
+        "config": config_mod.config_to_flat(phase.estimates.config),
+        "method": phase.separation.method,
+        **phase.separation.to_dict(),
+        "drift_error": phase.drift,
+        "phis": phase.estimates.phis.tolist(),
     }
-    if lo_analysis is not None:
-        payload["lo"] = lo_analysis.separation.to_dict()
-    _write(manifest.path(SEPARATION_FILE), json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    print(manifest.path(SEPARATION_FILE))
-    chi2_dof = phase_analysis.fit.chi2 / max(phase_analysis.fit.dof, 1)
-    print(f"chi2/dof = {chi2_dof:.4f}")
+    if lo is not None:
+        payload["lo"] = lo.separation.to_dict()
+    separation = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    files = reports.analyze_files(phase, lo, manifest.report_format)
+    _write_files(manifest, {**files, SEPARATION_FILE: separation})
+    _print_fit(phase)
     return EXIT_OK
 
 
-def cmd_test(manifest: RunManifest) -> int:
-    path = manifest.path(SEPARATION_FILE)
+def _read_separation(path: str):
+    """The config, separations and phase grid that analyze left in path."""
     if not os.path.exists(path):
         raise DataError(
             f"missing {path}; run `hccm analyze` first (the determinant test "
             "consumes the separated contributions)"
         )
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    cfg = config_mod.build_config(payload["config"])
-    sep = SeparatedContributions.from_dict(payload)
-    lo_sep = SeparatedContributions.from_dict(payload["lo"]) if "lo" in payload else None
-    phis = np.array(payload["phis"], dtype=float)
-    dets = det_scan(sep, cfg, phis)
-    flags = squeezed_phases(cfg.signal.state(), phis)
-    summary = classify_phase_range(dets, flags)
-    lo_det = None
-    if lo_sep is not None:
-        lo_det = det_with_error(
-            build_L(lo_sep, splitter_coefficients(cfg.splitter), lo_sep.phi_ref),
-            threshold=cfg.sig_threshold,
-        )
-    result = PipelineResult(cfg, None, dets, flags, summary, lo_det=lo_det)  # no phase analysis
-    if manifest.report_format == "structured":
-        doc = {"det_table": reports.det_table_rows(result), "summary": reports.det_summary_dict(result)}
-        _write(manifest.path("det_report.json"), json.dumps(doc, sort_keys=True, indent=1) + "\n")
-        print(manifest.path("det_report.json"))
-    else:
-        _write(manifest.path("det_table.txt"), reports.det_table_text(result))
-        print(manifest.path("det_table.txt"))
-    print(
-        f"nonclassical fraction = {summary.fraction_nonclassical:.3f} "
-        f"({summary.n_nonclassical}/{summary.n_total} phases)"
-    )
-    if lo_det is not None:
-        print(
-            f"LO-scan point at phi={lo_det.phi:.4f}: det = {lo_det.det:.4e} "
-            f"({lo_det.significance:.1f} sigma, {lo_det.verdict})"
-        )
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        cfg = config_mod.build_config(payload["config"])
+        sep = SeparatedContributions.from_dict(payload)
+        lo_sep = SeparatedContributions.from_dict(payload["lo"]) if "lo" in payload else None
+        phis = np.array(payload["phis"], dtype=float)
+    except ConfigError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
+    return cfg, sep, phis, lo_sep
+
+
+def cmd_test(manifest: RunManifest) -> int:
+    det = determinant_test(*_read_separation(manifest.path(SEPARATION_FILE)))
+    _write_files(manifest, reports.det_files(det, manifest.report_format))
+    _print_verdict(det)
     return EXIT_OK
 
 
@@ -235,28 +227,9 @@ def cmd_reproduce_paper(manifest: RunManifest) -> int:
     cfg = manifest.resolve_config(default_preset="paper")
     manifest.ensure_out_dir()
     result = run_pipeline(cfg)
-    if manifest.report_format == "structured":
-        _write(manifest.path("report.json"), reports.structured_report(result))
-        print(manifest.path("report.json"))
-    else:
-        _write(manifest.path("fit_report.txt"), reports.fit_report_text(result.phase))
-        _write(manifest.path("phase_table.txt"), reports.phase_table_text(result.phase))
-        _write(manifest.path("det_table.txt"), reports.det_table_text(result))
-        if result.lo is not None:
-            _write(manifest.path("lo_table.txt"), reports.lo_table_text(result.lo))
-        for name in ("fit_report.txt", "phase_table.txt", "det_table.txt", "lo_table.txt"):
-            print(manifest.path(name))
-    chi2_dof = result.phase.fit.chi2 / max(result.phase.fit.dof, 1)
-    print(f"chi2/dof = {chi2_dof:.4f}")
-    print(
-        f"nonclassical fraction = {result.summary.fraction_nonclassical:.3f}; "
-        f"extends outside squeezed interval: {result.summary.outside_squeezed}"
-    )
-    if result.lo_det is not None:
-        print(
-            f"LO-scan point: det = {result.lo_det.det:.4e} "
-            f"({result.lo_det.significance:.1f} sigma, {result.lo_det.verdict})"
-        )
+    _write_files(manifest, reports.pipeline_files(result, manifest.report_format))
+    _print_fit(result.phase)
+    _print_verdict(result)
     return EXIT_OK
 
 

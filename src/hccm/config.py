@@ -10,41 +10,13 @@ scale with the square root of power.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 from .detector import SCHEDULE_DEFAULT, DetectorConfig, ExperimentConfig, SignalParams
 from .errors import ConfigError
 from .splitter import BeamSplitter
 
-_FLOAT_KEYS = {
-    "squeezing_db",
-    "antisqueezing_db",
-    "squeeze_angle_rad",
-    "alpha_re",
-    "alpha_im",
-    "lo_field_strength",
-    "lo_power_uw",
-    "lo_amp_per_sqrt_uw",
-    "drift_rate",
-    "splitter_ts2",
-    "splitter_tl2",
-    "splitter_rs2",
-    "splitter_rl2",
-    "visibility",
-    "eta1",
-    "eta2",
-    "gain1",
-    "gain2",
-    "dark_uncorr1",
-    "dark_uncorr2",
-    "dark_corr",
-    "lo_excess",
-    "sig_threshold",
-    "lo_scan_phase_rad",
-}
-_INT_KEYS = {"n_phases", "samples_per_phase", "blocked_samples", "seed"}
 _LIST_KEYS = {"lo_scan_field_strengths", "lo_scan_powers_uw"}
-_STR_KEYS = {"preset", "schedule"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS | _STR_KEYS
 
 _BASE = {
     "squeezing_db": "-2.7",
@@ -77,6 +49,10 @@ _BASE = {
     "lo_scan_phase_rad": repr(0.75 * math.pi),
     "schedule": ",".join(SCHEDULE_DEFAULT),
 }
+
+# every key a config file may give: the preset values, plus the alternatives to
+# the LO power parametrization and the preset name
+_ALL_KEYS = set(_BASE) | {"lo_field_strength", "lo_scan_field_strengths", "preset"}
 
 _QUICK = {"n_phases": "60", "samples_per_phase": "20000", "blocked_samples": "200000"}
 
@@ -177,20 +153,10 @@ def build_config(flat: dict) -> ExperimentConfig:
             v_min=v_min, v_max=v_max, angle=_get_float(merged, "squeeze_angle_rad"), alpha=alpha
         )
         splitter = BeamSplitter(
-            ts2=_get_float(merged, "splitter_ts2"),
-            tl2=_get_float(merged, "splitter_tl2"),
-            rs2=_get_float(merged, "splitter_rs2"),
-            rl2=_get_float(merged, "splitter_rl2"),
+            **{f.name: _get_float(merged, f"splitter_{f.name}") for f in fields(BeamSplitter)}
         )
         detector = DetectorConfig(
-            eta1=_get_float(merged, "eta1"),
-            eta2=_get_float(merged, "eta2"),
-            gain1=_get_float(merged, "gain1"),
-            gain2=_get_float(merged, "gain2"),
-            dark_uncorr1=_get_float(merged, "dark_uncorr1"),
-            dark_uncorr2=_get_float(merged, "dark_uncorr2"),
-            dark_corr=_get_float(merged, "dark_corr"),
-            lo_excess=_get_float(merged, "lo_excess"),
+            **{f.name: _get_float(merged, f.name) for f in fields(DetectorConfig)}
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -246,7 +212,7 @@ def build_config(flat: dict) -> ExperimentConfig:
 
 def config_to_flat(cfg: ExperimentConfig) -> dict:
     """Canonical flat echo of a config (field strengths resolved)."""
-    det, bs = cfg.detector, cfg.splitter
+    bs, det = cfg.splitter, cfg.detector
     flat = {
         "squeezing_db": repr(10.0 * math.log10(cfg.signal.v_min)),
         "antisqueezing_db": repr(10.0 * math.log10(cfg.signal.v_max)),
@@ -259,23 +225,13 @@ def config_to_flat(cfg: ExperimentConfig) -> dict:
         "blocked_samples": str(cfg.n_blocked),
         "seed": str(cfg.seed),
         "drift_rate": repr(cfg.drift_rate),
-        "splitter_ts2": repr(bs.ts2),
-        "splitter_tl2": repr(bs.tl2),
-        "splitter_rs2": repr(bs.rs2),
-        "splitter_rl2": repr(bs.rl2),
         "visibility": repr(cfg.visibility),
-        "eta1": repr(det.eta1),
-        "eta2": repr(det.eta2),
-        "gain1": repr(det.gain1),
-        "gain2": repr(det.gain2),
-        "dark_uncorr1": repr(det.dark_uncorr1),
-        "dark_uncorr2": repr(det.dark_uncorr2),
-        "dark_corr": repr(det.dark_corr),
-        "lo_excess": repr(det.lo_excess),
         "sig_threshold": repr(cfg.sig_threshold),
         "lo_scan_phase_rad": repr(cfg.lo_scan_phi),
         "schedule": ",".join(cfg.schedule),
     }
+    flat.update({f"splitter_{f.name}": repr(getattr(bs, f.name)) for f in fields(bs)})
+    flat.update({f.name: repr(getattr(det, f.name)) for f in fields(det)})
     if cfg.lo_scan_e_l:
         flat["lo_scan_field_strengths"] = ",".join(repr(e) for e in cfg.lo_scan_e_l)
     return flat

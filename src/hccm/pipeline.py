@@ -1,5 +1,6 @@
-"""End-to-end orchestration: scan -> offset correction -> fit -> separation ->
-determinant test.
+"""End-to-end orchestration in three stages: analyze (offset correction, fit,
+separation), determinant test, then reports (``hccm.reports``).  run_pipeline
+and every CLI command call the same stage functions.
 
 The blocked-signal offset (LO classical noise plus correlated dark noise) is
 subtracted from every unblocked correlation before fitting; the subtraction is
@@ -58,14 +59,22 @@ class LoScanAnalysis:
 
 
 @dataclass(frozen=True)
-class PipelineResult:
+class DetAnalysis:
+    """The determinant test over a phase scan (and at the LO-scan point)."""
+
     config: ExperimentConfig
-    phase: PhaseScanAnalysis
     det_results: tuple
     squeezed_flags: np.ndarray
     summary: PhaseRangeSummary
-    lo: LoScanAnalysis | None = None
     lo_det: DetResult | None = None
+
+
+@dataclass(frozen=True, kw_only=True)
+class PipelineResult(DetAnalysis):
+    """The determinant test with the analyses it was computed from."""
+
+    phase: PhaseScanAnalysis
+    lo: LoScanAnalysis | None = None
 
 
 def _subtract_offset(est: CorrelationEstimate, offset: CorrelationEstimate) -> CorrelationEstimate:
@@ -100,13 +109,19 @@ def analyze_lo_estimates(est: LoScanEstimates, e_ref: float | None = None) -> Lo
     return LoScanAnalysis(est, offset, corr_phi, corr_pi, sep, used_ref)
 
 
-def det_scan(sep: SeparatedContributions, cfg: ExperimentConfig, phis=None) -> tuple:
-    """Determinant results over a phase grid."""
+def determinant_test(cfg: ExperimentConfig, sep, phis, lo_sep=None) -> DetAnalysis:
+    """The classical determinant inequality at every scanned phase, and at
+    the LO-scan phase when the LO-strength separation is given."""
     coeffs = splitter_coefficients(cfg.splitter)
-    grid = np.asarray(cfg.phases if phis is None else phis, dtype=float)
-    return tuple(
-        det_with_error(build_L(sep, coeffs, p), threshold=cfg.sig_threshold) for p in grid
-    )
+
+    def det_at(separation: SeparatedContributions, phi: float) -> DetResult:
+        return det_with_error(build_L(separation, coeffs, phi), threshold=cfg.sig_threshold)
+
+    phis = np.asarray(phis, dtype=float)
+    dets = tuple(det_at(sep, p) for p in phis)
+    flags = squeezed_phases(cfg.signal.state(), phis)
+    lo_det = None if lo_sep is None else det_at(lo_sep, lo_sep.phi_ref)
+    return DetAnalysis(cfg, dets, flags, classify_phase_range(dets, flags), lo_det)
 
 
 def run_pipeline(cfg: ExperimentConfig, with_lo_scan: bool | None = None) -> PipelineResult:
@@ -117,15 +132,7 @@ def run_pipeline(cfg: ExperimentConfig, with_lo_scan: bool | None = None) -> Pip
     """
     est = simulate_estimates(cfg, "phase_scan")
     phase = analyze_phase_estimates(est)
-    dets = det_scan(phase.separation, cfg, est.phis)
-    flags = squeezed_phases(cfg.signal.state(), est.phis)
-    summary = classify_phase_range(dets, flags)
-    lo = lo_det = None
     do_lo = bool(cfg.lo_scan_e_l) if with_lo_scan is None else with_lo_scan
-    if do_lo:
-        lo = analyze_lo_estimates(simulate_estimates(cfg, "lo_scan"))
-        coeffs = splitter_coefficients(cfg.splitter)
-        lo_det = det_with_error(
-            build_L(lo.separation, coeffs, cfg.lo_scan_phi), threshold=cfg.sig_threshold
-        )
-    return PipelineResult(cfg, phase, dets, flags, summary, lo, lo_det)
+    lo = analyze_lo_estimates(simulate_estimates(cfg, "lo_scan")) if do_lo else None
+    det = determinant_test(cfg, phase.separation, est.phis, None if lo is None else lo.separation)
+    return PipelineResult(**vars(det), phase=phase, lo=lo)

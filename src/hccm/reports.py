@@ -2,8 +2,10 @@
 
 Every report exists in two equivalent forms: a plain-text table with
 ``# key=value`` header lines, and a structured JSON document mirroring the
-same content.  Rendering is purely a function of the inputs, so identical
-configs and seeds give byte-identical reports.
+same content.  analyze_files, det_files and pipeline_files (both stages, one
+merged JSON document) map each stage's file names to their text.  Rendering is
+purely a function of the inputs, so identical configs and seeds give
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -12,11 +14,22 @@ import json
 
 import numpy as np
 
-from .pipeline import LoScanAnalysis, PhaseScanAnalysis, PipelineResult
+from .nonclassicality import DetResult
+from .pipeline import DetAnalysis, LoScanAnalysis, PhaseScanAnalysis, PipelineResult
+
+STRUCTURED = "structured"  # the JSON report format; any other is text
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".9e")
+
+
+def _table_text(header: list, rows: list, footer=()) -> str:
+    """Header lines, a columns line naming the rows' keys, one line per row."""
+    lines = [*header, "# columns=" + ",".join(rows[0])]
+    for row in rows:
+        lines.append(" ".join(str(v) if isinstance(v, (str, bool)) else _fmt(v) for v in row.values()))
+    return "\n".join([*lines, *footer]) + "\n"
 
 
 def fit_report_dict(phase: PhaseScanAnalysis) -> dict:
@@ -75,11 +88,7 @@ def phase_table_rows(phase: PhaseScanAnalysis):
 
 
 def phase_table_text(phase: PhaseScanAnalysis) -> str:
-    cols = ["phase_rad", "C", "stderr", "C_fit", "C0", "C1", "C2"]
-    lines = ["# per-phase correlation table (offset-corrected)", "# columns=" + ",".join(cols)]
-    for row in phase_table_rows(phase):
-        lines.append(" ".join(_fmt(row[c]) for c in cols))
-    return "\n".join(lines) + "\n"
+    return _table_text(["# per-phase correlation table (offset-corrected)"], phase_table_rows(phase))
 
 
 def lo_table_rows(lo: LoScanAnalysis):
@@ -105,35 +114,31 @@ def lo_table_rows(lo: LoScanAnalysis):
 
 
 def lo_table_text(lo: LoScanAnalysis) -> str:
-    cols = ["e_l", "C_phi", "stderr_phi", "C_phi_pi", "stderr_phi_pi", "fit_phi", "fit_phi_pi"]
-    lines = [
+    header = [
         "# LO-strength scan table (offset-corrected)",
         f"# phi={lo.estimates.phi!r}",
         f"# e_ref={lo.e_ref!r}",
-        "# columns=" + ",".join(cols),
     ]
-    for row in lo_table_rows(lo):
-        lines.append(" ".join(_fmt(row[c]) for c in cols))
-    return "\n".join(lines) + "\n"
+    return _table_text(header, lo_table_rows(lo))
 
 
-def det_table_rows(result: PipelineResult):
-    rows = []
-    for det, squeezed in zip(result.det_results, result.squeezed_flags):
-        rows.append(
-            {
-                "phase_rad": det.phi,
-                "detL": det.det,
-                "sigma": det.sigma,
-                "significance": det.significance,
-                "verdict": det.verdict,
-                "squeezed_flag": bool(squeezed),
-            }
-        )
-    return rows
+def _det_values(det: DetResult) -> dict:
+    return {
+        "detL": det.det,
+        "sigma": det.sigma,
+        "significance": det.significance,
+        "verdict": det.verdict,
+    }
 
 
-def det_summary_dict(result: PipelineResult) -> dict:
+def det_table_rows(result: DetAnalysis):
+    return [
+        {"phase_rad": det.phi, **_det_values(det), "squeezed_flag": bool(squeezed)}
+        for det, squeezed in zip(result.det_results, result.squeezed_flags)
+    ]
+
+
+def det_summary_dict(result: DetAnalysis) -> dict:
     s = result.summary
     out = {
         "fraction_nonclassical": s.fraction_nonclassical,
@@ -144,40 +149,54 @@ def det_summary_dict(result: PipelineResult) -> dict:
         "threshold_sigma": result.config.sig_threshold,
     }
     if result.lo_det is not None:
-        out["lo_scan_point"] = {
-            "phi": result.lo_det.phi,
-            "detL": result.lo_det.det,
-            "sigma": result.lo_det.sigma,
-            "significance": result.lo_det.significance,
-            "verdict": result.lo_det.verdict,
-        }
+        out["lo_scan_point"] = {"phi": result.lo_det.phi, **_det_values(result.lo_det)}
     return out
 
 
-def det_table_text(result: PipelineResult) -> str:
-    cols = ["phase_rad", "detL", "sigma", "significance", "verdict", "squeezed_flag"]
-    lines = ["# determinant test table", "# columns=" + ",".join(cols)]
-    for row in det_table_rows(result):
-        lines.append(
-            " ".join(
-                _fmt(row[c]) if c not in ("verdict", "squeezed_flag") else str(row[c])
-                for c in cols
-            )
-        )
-    lines.append("# summary")
+def det_table_text(result: DetAnalysis) -> str:
     summary = det_summary_dict(result)
-    for key in sorted(summary):
-        lines.append(f"# {key}={json.dumps(summary[key], sort_keys=True)}")
-    return "\n".join(lines) + "\n"
+    footer = [f"# {k}={json.dumps(summary[k], sort_keys=True)}" for k in sorted(summary)]
+    return _table_text(["# determinant test table"], det_table_rows(result), ["# summary", *footer])
+
+
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def _analyze_document(phase: PhaseScanAnalysis, lo: LoScanAnalysis | None) -> dict:
+    doc = {"fit": fit_report_dict(phase), "phase_table": phase_table_rows(phase)}
+    if lo is not None:
+        doc["lo_table"] = lo_table_rows(lo)
+    return doc
+
+
+def _det_document(result: DetAnalysis) -> dict:
+    return {"det_table": det_table_rows(result), "summary": det_summary_dict(result)}
 
 
 def structured_report(result: PipelineResult) -> str:
-    doc = {
-        "fit": fit_report_dict(result.phase),
-        "phase_table": phase_table_rows(result.phase),
-        "det_table": det_table_rows(result),
-        "summary": det_summary_dict(result),
-    }
-    if result.lo is not None:
-        doc["lo_table"] = lo_table_rows(result.lo)
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    return _dumps({**_analyze_document(result.phase, result.lo), **_det_document(result)})
+
+
+def analyze_files(phase: PhaseScanAnalysis, lo: LoScanAnalysis | None, report_format: str) -> dict:
+    """The analyze stage's report files."""
+    if report_format == STRUCTURED:
+        return {"analyze_report.json": _dumps(_analyze_document(phase, lo))}
+    files = {"fit_report.txt": fit_report_text(phase), "phase_table.txt": phase_table_text(phase)}
+    if lo is not None:
+        files["lo_table.txt"] = lo_table_text(lo)
+    return files
+
+
+def det_files(result: DetAnalysis, report_format: str) -> dict:
+    """The determinant-test stage's report files."""
+    if report_format == STRUCTURED:
+        return {"det_report.json": _dumps(_det_document(result))}
+    return {"det_table.txt": det_table_text(result)}
+
+
+def pipeline_files(result: PipelineResult, report_format: str) -> dict:
+    """Both stages' report files; in structured form, one merged report.json."""
+    if report_format == STRUCTURED:
+        return {"report.json": structured_report(result)}
+    return {**analyze_files(result.phase, result.lo, report_format), **det_files(result, report_format)}

@@ -74,14 +74,22 @@ class TestChain:
 
 
     def test_two_step_matches_reproduce(self, tmp_path, tiny_config_path):
-        # the record round trip changes no report byte
-        two, one = str(tmp_path / "two"), str(tmp_path / "one")
-        assert main(["simulate", "--config", tiny_config_path, "--out", two]) == 0
-        assert main(["analyze", "--out", two]) == 0
-        assert main(["test", "--out", two]) == 0
-        assert main(["reproduce-paper", "--config", tiny_config_path, "--out", one]) == 0
+        # the record round trip changes no report byte, in either format
+        two = tmp_path / "two"
+        assert main(["simulate", "--config", tiny_config_path, "--out", str(two)]) == 0
+        for fmt in ("text", "structured"):
+            one = tmp_path / f"one-{fmt}"
+            assert main(["analyze", "--out", str(two), "--format", fmt]) == 0
+            assert main(["test", "--out", str(two), "--format", fmt]) == 0
+            args = ["reproduce-paper", "--config", tiny_config_path, "--out", str(one)]
+            assert main([*args, "--format", fmt]) == 0
         for name in ("fit_report.txt", "phase_table.txt", "lo_table.txt", "det_table.txt"):
-            assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+            assert (two / name).read_bytes() == (tmp_path / "one-text" / name).read_bytes()
+        # reproduce-paper's report.json merges the two steps' JSON documents
+        analyze_doc = json.loads((two / "analyze_report.json").read_text())
+        det_doc = json.loads((two / "det_report.json").read_text())
+        merged = json.dumps({**analyze_doc, **det_doc}, sort_keys=True, indent=1) + "\n"
+        assert merged.encode() == (tmp_path / "one-structured" / "report.json").read_bytes()
 
 
 class TestDeterminism:
@@ -249,6 +257,40 @@ class TestExitCodes:
     def test_test_requires_analyze_output(self, tmp_path, capsys):
         assert main(["test", "--out", str(tmp_path)]) == 3
         assert "analyze" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, code, message",
+        [
+            ("{not json", 3, "data error: malformed"),
+            ('{"config": {}}', 3, "data error: malformed"),
+            ("[1,2]", 3, "data error: malformed"),
+            # the embedded config is checked like a config file
+            ('{"config": {"seed": "-1"}}', 2, "config error: seed"),
+        ],
+        ids=["not-json", "no-separation", "not-an-object", "bad-config"],
+    )
+    def test_malformed_separation(self, tmp_path, capsys, content, code, message):
+        (tmp_path / "separation.json").write_text(content)
+        for fmt in ("text", "structured"):
+            assert main(["test", "--out", str(tmp_path), "--format", fmt]) == code
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["separation.json"]
+
+    def test_stale_lo_record(self, tmp_path, tiny_config_path, capsys):
+        # a second simulate without an LO grid leaves the first run's lo_scan.txt behind
+        out = tmp_path / "run"
+        args = ["simulate", "--out", str(out), "--config"]
+        assert main([*args, tiny_config_path, "--seed", "1"]) == 0
+        no_lo = tmp_path / "no_lo.cfg"
+        no_lo.write_text(TINY.replace("lo_scan_field_strengths = 0.0,1.4,2.0,2.8", "lo_scan_powers_uw ="))
+        assert main([*args, str(no_lo), "--seed", "2"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "lo_scan.txt" in err and "phase_scan.txt" in err and "different configs" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["lo_scan.txt", "phase_scan.txt"]
 
     def test_balanced_splitter_precondition(self, tmp_path, capsys):
         cfg = tmp_path / "balanced.cfg"
