@@ -122,7 +122,7 @@ def _weights(variances: np.ndarray) -> np.ndarray:
         return 1.0 / variances
     if np.all(variances == 0):
         return np.ones_like(variances)
-    raise ValueError("per-point standard errors must be all positive or all zero")
+    raise DegenerateDesignError("per-point standard errors must be all positive or all zero")
 
 
 def fit_trig_poly(points) -> TrigFit:
@@ -130,7 +130,8 @@ def fit_trig_poly(points) -> TrigFit:
 
     points is a sequence of (phi, CorrelationEstimate); weights are
     1/stderr^2.  Raises DegenerateDesignError when the weighted design matrix
-    has condition number above 1e8 (e.g. all phases equal mod pi).
+    has condition number above 1e8 (e.g. all phases equal mod pi), or when
+    some stderrs are zero and others not (e.g. a constant segment).
     """
     phis = np.array([float(p) for p, _ in points])
     ests = [e for _, e in points]
@@ -161,7 +162,9 @@ class SeparatedContributions:
     method is "by-phase" (full Fourier payload) or "by-lo-strength" (values
     pinned to the scanned phase pair).  contributions_at evaluates the triple
     (C0, C1(phi), C2(phi)) with its joint 3x3 covariance.  to_dict/from_dict
-    convert to and from plain JSON values; the method follows from the payload.
+    convert to and from plain JSON values; the method follows from the payload,
+    and from_dict raises ValueError or TypeError when a number is not a finite
+    float or an array has the wrong shape.
     """
 
     method: str
@@ -187,12 +190,21 @@ class SeparatedContributions:
     @classmethod
     def from_dict(cls, payload: dict) -> "SeparatedContributions":
         kw = {f.name: payload[f.name] for f in fields(cls) if f.name in payload}
-        for name in ("coeffs", "coeff_cov", "ref_values", "ref_cov"):
-            if name in kw:
-                kw[name] = np.array(kw[name], dtype=float)
+        kw["method"] = BY_PHASE if "coeffs" in kw else BY_LO
+        scalars, shapes = ["c0_value", "c0_sigma"], {"coeffs": (5,), "coeff_cov": (5, 5)}
+        if kw["method"] == BY_LO:
+            scalars, shapes = [*scalars, "phi_ref"], {"ref_values": (3,), "ref_cov": (3, 3)}
+        for name in scalars:
+            kw[name] = float(kw[name])
+        for name, shape in shapes.items():
+            kw[name] = np.array(kw.get(name, []), dtype=float)
+            if kw[name].shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {kw[name].shape}")
+        for name in (*scalars, *shapes):
+            if not np.all(np.isfinite(kw[name])):
+                raise ValueError(f"{name} must be finite")
         if "c_block" in kw:
             kw["c_block"] = CorrelationEstimate(**kw["c_block"])
-        kw["method"] = BY_PHASE if "coeffs" in kw else BY_LO
         return cls(**kw)
 
     def contributions_at(self, phi: float):

@@ -209,6 +209,8 @@ def _read_separation(path: str):
         sep = SeparatedContributions.from_dict(payload)
         lo_sep = SeparatedContributions.from_dict(payload["lo"]) if "lo" in payload else None
         phis = np.array(payload["phis"], dtype=float)
+        if phis.ndim != 1 or phis.size == 0 or not np.all(np.isfinite(phis)):
+            raise ValueError("phis must be a non-empty list of finite phases")
     except ConfigError:
         raise
     except (ValueError, KeyError, TypeError, AttributeError) as exc:

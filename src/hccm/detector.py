@@ -10,8 +10,9 @@ mode-mismatch) scaled by the gains, plus additive electronic noise:
 * classical LO intensity noise, common to both channels and proportional to
   the mean LO flux on each detector.
 
-Every segment draws from its own seed-derived substream, so segments are
-reproducible independently of evaluation order.  Mode mismatch (visibility v)
+Every segment and noise source draws from its own seed-derived substream, an
+SFC64 generator (numpy's cheapest per normal), so segments are reproducible
+independently of evaluation order.  Mode mismatch (visibility v)
 reduces the interfering LO amplitude to v*E_L; the orthogonal LO remainder
 only adds shot noise.
 
@@ -280,8 +281,11 @@ def _chol2(sigma: np.ndarray):
 
 
 def _segment_rng(cfg: ExperimentConfig, spec: SegmentSpec, source: int):
+    """The substream of one (segment, noise source): SFC64 seeded by
+    SeedSequence([seed, kind, index, source]).  Sampling is RNG-bound, and SFC64
+    takes about 15 % less time per normal than numpy's default PCG64."""
     seq = np.random.SeedSequence([cfg.seed, _KIND_IDS[spec.kind], spec.index, source])
-    return np.random.default_rng(seq)
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def segment_chunks(cfg: ExperimentConfig, spec: SegmentSpec):

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -40,6 +41,16 @@ def tiny_config_path(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_separation(tmp_path_factory):
+    """The separation.json document that analyze writes for TINY."""
+    out = tmp_path_factory.mktemp("tiny")
+    (out / "tiny.cfg").write_text(TINY)
+    assert main(["simulate", "--config", str(out / "tiny.cfg"), "--out", str(out)]) == 0
+    assert main(["analyze", "--out", str(out)]) == 0
+    return json.loads((out / "separation.json").read_text())
 
 
 class TestChain:
@@ -266,10 +277,31 @@ class TestExitCodes:
             ("[1,2]", 3, "data error: malformed"),
             # the embedded config is checked like a config file
             ('{"config": {"seed": "-1"}}', 2, "config error: seed"),
+            # edits of the file analyze writes for TINY: valid JSON, bad contents
+            (lambda doc: doc.update(phis=[]), 3, "data error: malformed"),
+            (lambda doc: doc.update(coeffs=doc["coeffs"][:3]), 3, "data error: malformed"),
+            (lambda doc: doc["lo"].pop("phi_ref"), 3, "data error: malformed"),
+            (lambda doc: doc.update(c0_sigma="x"), 3, "data error: malformed"),
+            (lambda doc: doc.update(coeff_cov=[[math.nan] * 5] * 5), 3, "data error: malformed"),
         ],
-        ids=["not-json", "no-separation", "not-an-object", "bad-config"],
+        ids=[
+            "not-json",
+            "no-separation",
+            "not-an-object",
+            "bad-config",
+            "empty-phis",
+            "short-coeffs",
+            "lo-without-phi-ref",
+            "c0-sigma-not-a-number",
+            "nan-coeff-cov",
+        ],
     )
-    def test_malformed_separation(self, tmp_path, capsys, content, code, message):
+    def test_malformed_separation(self, tmp_path, capsys, request, content, code, message):
+        if callable(content):
+            doc = copy.deepcopy(request.getfixturevalue("tiny_separation"))
+            content(doc)
+            content = json.dumps(doc)
+            capsys.readouterr()
         (tmp_path / "separation.json").write_text(content)
         for fmt in ("text", "structured"):
             assert main(["test", "--out", str(tmp_path), "--format", fmt]) == code
@@ -290,6 +322,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "lo_scan.txt" in err and "phase_scan.txt" in err and "different configs" in err
         assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["lo_scan.txt", "phase_scan.txt"]
+
+    def test_constant_segment(self, tmp_path, tiny_config_path, capsys):
+        # segment.1, the first phase after the 9 000 rows of blocked_lo_a, made all zero:
+        # its zero stderr among positive ones leaves the fit without weights
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", tiny_config_path, "--out", str(out)]) == 0
+        record = out / "phase_scan.txt"
+        lines = record.read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 9000
+        lines[first : first + 3000] = ["0" * 32 + "\n"] * 3000
+        record.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "all positive or all zero" in err and "Traceback" not in err
         assert sorted(p.name for p in out.iterdir()) == ["lo_scan.txt", "phase_scan.txt"]
 
     def test_balanced_splitter_precondition(self, tmp_path, capsys):

@@ -225,6 +225,38 @@ class TestDeterminism:
         assert not np.array_equal(r1[0][0], r2[0][0])
 
 
+class TestSubstreams:
+    """Pin the substream generator: a change of bit generator, of its seeding or of
+    numpy's normal sampler changes every record of a seed, and must do so loudly."""
+
+    def test_generator_is_sfc64(self):
+        cfg = small_config()
+        rng = _segment_rng(cfg, phase_scan_plan(cfg)[1], _SRC_QUANTUM)
+        assert isinstance(rng.bit_generator, np.random.SFC64)
+
+    def test_first_draws_pinned(self):
+        # seed 77, kind "phase" (id 0), index 0, the quantum source
+        cfg = small_config()
+        spec = phase_scan_plan(cfg)[1]
+        assert (spec.kind, spec.index) == (KIND_PHASE, 0)
+        draws = _segment_rng(cfg, spec, _SRC_QUANTUM).standard_normal(4)
+        assert [float(z).hex() for z in draws] == [
+            "0x1.dbed2e6284967p-1",
+            "-0x1.1f2fe4004fc36p+1",
+            "-0x1.4fe9551a648a7p-3",
+            "0x1.bd153edb05f37p-2",
+        ]
+
+    def test_sources_and_segments_differ(self):
+        cfg = small_config()
+        first, second = phase_scan_plan(cfg)[1:3]
+        sources = (_SRC_QUANTUM, _SRC_DARK1, _SRC_DARK2, _SRC_DARK_CORR, _SRC_RIN)
+        by_source = {_segment_rng(cfg, first, src).standard_normal() for src in sources}
+        assert len(by_source) == 5
+        by_segment = {_segment_rng(cfg, s, _SRC_QUANTUM).standard_normal() for s in (first, second)}
+        assert len(by_segment) == 2
+
+
 class TestSamplingStatistics:
     def test_degenerate_blocked_vacuum(self):
         cfg = small_config(
