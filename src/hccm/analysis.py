@@ -54,7 +54,7 @@ class ProductMoments:
         if self.n % CHUNK_ROWS or k > CHUNK_ROWS:
             raise ValueError(f"chunks must hold {CHUNK_ROWS} pairs; only the last may be shorter")
         products = pairs[:, 0] * pairs[:, 1]
-        mean = float(products.mean())
+        mean = float(products.sum()) / k
         products -= mean
         products *= products
         n, delta = self.n + k, mean - self.mean

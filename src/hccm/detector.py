@@ -12,7 +12,12 @@ mode-mismatch) scaled by the gains, plus additive electronic noise:
 
 Every segment and noise source draws from its own seed-derived substream, an
 SFC64 generator (numpy's cheapest per normal), so segments are reproducible
-independently of evaluation order.  Mode mismatch (visibility v)
+independently of evaluation order: substream (segment, source) is
+SFC64(SeedSequence([seed, kind id, index, source])).  plan_seeds, the one
+seeding path of every sampler, computes the SeedSequence words of a whole plan
+in one vectorised pass of numpy's hash (seed_sequence_words), which gives the
+same words, so the same samples, at a fraction of the cost of one SeedSequence
+per substream.  Mode mismatch (visibility v)
 reduces the interfering LO amplitude to v*E_L; the orthogonal LO remainder
 only adds shot noise.
 
@@ -25,6 +30,7 @@ scan_estimates assembles either stream into PhaseScanEstimates or LoScanEstimate
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -60,7 +66,8 @@ _KIND_IDS = {
 
 # independent noise sources get their own substreams so that switching one
 # on or off never perturbs the draws of the others (paired-seed tests)
-_SRC_QUANTUM, _SRC_DARK1, _SRC_DARK2, _SRC_DARK_CORR, _SRC_RIN = range(5)
+_N_SOURCES = 5
+_SRC_QUANTUM, _SRC_DARK1, _SRC_DARK2, _SRC_DARK_CORR, _SRC_RIN = range(_N_SOURCES)
 
 
 def _require_finite(obj, *names):
@@ -273,42 +280,167 @@ def segment_statistics(cfg: ExperimentConfig, spec: SegmentSpec):
 
 
 def _chol2(sigma: np.ndarray):
-    """Entries (a, b, c) of the lower Cholesky factor [[a, 0], [b, c]]."""
-    a = np.sqrt(max(sigma[0, 0], 0.0))
-    b = sigma[1, 0] / a if a > 0 else 0.0
-    c = np.sqrt(max(sigma[1, 1] - b * b, 0.0))
+    """Entries (a, b, c) of the lower Cholesky factor [[a, 0], [b, c]], as Python floats."""
+    (s11, _), (s21, s22) = sigma.tolist()
+    a = math.sqrt(max(s11, 0.0))
+    b = s21 / a if a > 0 else 0.0
+    c = math.sqrt(max(s22 - b * b, 0.0))
     return a, b, c
 
 
-def _segment_rng(cfg: ExperimentConfig, spec: SegmentSpec, source: int):
-    """The substream of one (segment, noise source): SFC64 seeded by
-    SeedSequence([seed, kind, index, source]).  Sampling is RNG-bound, and SFC64
-    takes about 15 % less time per normal than numpy's default PCG64."""
-    seq = np.random.SeedSequence([cfg.seed, _KIND_IDS[spec.kind], spec.index, source])
-    return np.random.Generator(np.random.SFC64(seq))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of 4 uint32 words
+_POOL, _MASK32 = 4, 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_XSHIFT, _MIX_MULT_L, _MIX_MULT_R = np.uint32(16), np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
-def segment_chunks(cfg: ExperimentConfig, spec: SegmentSpec):
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constants init * mult**i (mod 2**32) for i = 0 ... count, as uint32."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, np.uint32)
+
+
+@functools.lru_cache(maxsize=None)
+def _mix_constants(n_words: int):
+    """The (xor, multiplier) constants of mix_entropy's hashmix calls for n_words
+    entropy words, one (4, 1) column per step: the pool fill, the four all-pairs
+    steps (row i_src unused) and one step per word past the pool."""
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * (n_words - _POOL))
+    calls = iter(range(len(consts) - 1))
+    steps = [[next(calls) for _ in range(_POOL)]]
+    steps += [[0 if i == src else next(calls) for i in range(_POOL)] for src in range(_POOL)]
+    steps += [[next(calls) for _ in range(_POOL)] for _ in range(n_words - _POOL)]
+    index = np.array(steps)
+    return consts[index][..., None], consts[index + 1][..., None]
+
+
+# generate_state(3, uint64) hashes six pool words, cycling, into three uint64 words
+_STATE_CONSTS = _hash_constants(_INIT_B, _MULT_B, 6)[:, None]
+_STATE_XOR, _STATE_MUL = _STATE_CONSTS[:-1], _STATE_CONSTS[1:]
+
+
+def _int_words(value: int):
+    """The little-endian uint32 words of value >= 0 ([0] for 0), as SeedSequence splits it."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def seed_sequence_words(seed: int, keys) -> np.ndarray:
+    """SeedSequence([seed, *key]).generate_state(3, np.uint64) for every key of keys,
+    an (m, 3) integer array-like with entries in [0, 2**32), in one vectorised
+    pass: an (m, 3) uint64 array.
+
+    SeedSequence splits its entropy into uint32 words, hashes them into a pool of
+    4 words (mix_entropy) and hashes the pool out again (generate_state).  Each
+    step is a fixed sequence of uint32 operations whose hash constants evolve
+    with the number of words hashed, never with their values.  Every entropy
+    list here has the same number of words (those of seed, then one per key
+    entry), so the same numpy operations, on one column per key, hash every key
+    at once and give numpy's words bit for bit.
+    """
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+    if seed < 0 or (keys < 0).any() or (keys > _MASK32).any():
+        raise ValueError("seed must be >= 0 and every key entry in [0, 2**32)")
+    seed_words = _int_words(seed)
+    entropy = np.empty((len(seed_words) + 3, len(keys)), np.uint32)
+    entropy[: len(seed_words)] = np.array(seed_words, np.uint32)[:, None]
+    entropy[len(seed_words) :] = keys.T
+    xors, muls = _mix_constants(len(entropy))
+
+    def hashmix(values, step):
+        out = values ^ xors[step]
+        out *= muls[step]
+        out ^= out >> _XSHIFT
+        return out
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        result ^= result >> _XSHIFT
+        return result
+
+    pool = hashmix(entropy[:_POOL], 0)
+    # the all-pairs loop over i_dst != i_src leaves pool[i_src] as it is and
+    # updates every other pool word once: one step per i_src
+    for src in range(_POOL):
+        mixed = mix(pool, hashmix(pool[src], 1 + src))
+        mixed[src] = pool[src]
+        pool = mixed
+    for step, word in enumerate(entropy[_POOL:], start=1 + _POOL):
+        pool = mix(pool, hashmix(word, step))
+    state = np.concatenate((pool, pool[:2])) ^ _STATE_XOR
+    state *= _STATE_MUL
+    state ^= state >> _XSHIFT
+    # each uint64 word is two uint32 words, low word first
+    words = (state[1::2].astype(np.uint64) << np.uint64(32)) | state[0::2]
+    return np.ascontiguousarray(words.T)
+
+
+@functools.cache
+def _state_words_type():
+    """A seed sequence that hands SFC64 its state words, computed ahead: SFC64
+    seeds itself from generate_state(3, np.uint64) and nothing else.  Built on
+    first use, so that importing hccm does not import numpy.random (analyze and
+    test never draw)."""
+
+    class StateWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return StateWords
+
+
+def plan_seeds(cfg: ExperimentConfig, specs) -> np.ndarray:
+    """The seed words of every (segment, noise source) substream of a plan, an
+    (len(specs), 5, 3) uint64 array; substream(words[i, source]) is the generator.
+
+    The one seeding path for every sampler.  Substream (spec, source) is
+    SFC64(SeedSequence([seed, kind id, index, source])); seed_sequence_words
+    computes the SeedSequence words of the whole plan in one pass, which costs
+    about as much as seeding five substreams one by one.
+    """
+    keys = np.empty((len(specs), _N_SOURCES, 3), np.int64)
+    keys[..., :2] = np.array([(_KIND_IDS[s.kind], s.index) for s in specs]).reshape(-1, 1, 2)
+    keys[..., 2] = range(_N_SOURCES)
+    return seed_sequence_words(cfg.seed, keys).reshape(len(specs), _N_SOURCES, 3)
+
+
+def substream(words: np.ndarray) -> np.random.Generator:
+    """The SFC64 generator whose seed sequence yields words (a row of plan_seeds);
+    its state equals that of SFC64(SeedSequence(...)) of the same key."""
+    return np.random.Generator(np.random.SFC64(_state_words_type()(words)))
+
+
+def segment_chunks(cfg: ExperimentConfig, spec: SegmentSpec, seeds: np.ndarray):
     """Yield one segment's (c1, c2) pairs as (k, 2) chunks of CHUNK_ROWS rows, the
     last maybe shorter, each a view of one reused buffer that the next overwrites.
-    Each source draws into its own buffer from its own substream, chunk after
-    chunk, so the samples equal one whole-segment draw per substream bit for bit.
+    seeds is the segment's row of plan_seeds.  Each source draws into its own
+    buffer from its own substream, chunk after chunk, so the samples equal one
+    whole-segment draw per substream bit for bit.
     """
     det, g1, g2 = cfg.detector, cfg.detector.gain1, cfg.detector.gain2
     sigma_q, _, lo_flux = segment_statistics(cfg, spec)
     a, b, c = _chol2(sigma_q)
-    rin = (g1 * lo_flux[0], g2 * lo_flux[1])
+    flux1, flux2 = lo_flux.tolist()
+    rin = (g1 * flux1, g2 * flux2)
     # extra noise sources: (substream, on, scale, weight on c1, weight on c2)
     sources = (
-        (_SRC_DARK1, det.dark_uncorr1 > 0, g1 * np.sqrt(det.dark_uncorr1), 1.0, None),
-        (_SRC_DARK2, det.dark_uncorr2 > 0, g2 * np.sqrt(det.dark_uncorr2), None, 1.0),
-        (_SRC_DARK_CORR, det.dark_corr > 0, np.sqrt(det.dark_corr), g1, g2),
-        (_SRC_RIN, det.lo_excess > 0 and np.any(lo_flux > 0), np.sqrt(det.lo_excess), *rin),
+        (_SRC_DARK1, det.dark_uncorr1 > 0, g1 * math.sqrt(det.dark_uncorr1), 1.0, None),
+        (_SRC_DARK2, det.dark_uncorr2 > 0, g2 * math.sqrt(det.dark_uncorr2), None, 1.0),
+        (_SRC_DARK_CORR, det.dark_corr > 0, math.sqrt(det.dark_corr), g1, g2),
+        (_SRC_RIN, det.lo_excess > 0 and max(flux1, flux2) > 0, math.sqrt(det.lo_excess), *rin),
     )
     rows = min(CHUNK_ROWS, spec.n)
     buffer, scratch = np.empty((rows, 2)), np.empty(rows)
-    quantum = _segment_rng(cfg, spec, _SRC_QUANTUM)
-    noises = [(_segment_rng(cfg, spec, src), np.empty(rows), *w) for src, on, *w in sources if on]
+    quantum = substream(seeds[_SRC_QUANTUM])
+    noises = [(substream(seeds[src]), np.empty(rows), *w) for src, on, *w in sources if on]
     for start in range(0, spec.n, rows):
         k = min(rows, spec.n - start)
         pairs, tmp = buffer[:k], scratch[:k]
@@ -330,7 +462,7 @@ def segment_chunks(cfg: ExperimentConfig, spec: SegmentSpec):
 def draw_segment(cfg: ExperimentConfig, spec: SegmentSpec):
     """Draw the (c1, c2) fluctuation samples of one segment: segment_chunks joined."""
     pairs = np.empty((spec.n, 2))
-    for i, chunk in enumerate(segment_chunks(cfg, spec)):
+    for i, chunk in enumerate(segment_chunks(cfg, spec, plan_seeds(cfg, [spec])[0])):
         pairs[i * CHUNK_ROWS : i * CHUNK_ROWS + len(chunk)] = chunk
     return pairs[:, 0], pairs[:, 1]
 
@@ -408,9 +540,10 @@ def scan_plan(cfg: ExperimentConfig, kind: str):
 
 def simulate_segments(cfg: ExperimentConfig, specs):
     """Draw and reduce one segment at a time, chunk by chunk: a lazy SegmentEstimate stream."""
-    for spec in specs:
+    specs = list(specs)
+    for spec, seeds in zip(specs, plan_seeds(cfg, specs)):
         moments = analysis.ProductMoments()
-        for pairs in segment_chunks(cfg, spec):
+        for pairs in segment_chunks(cfg, spec, seeds):
             moments.add(pairs)
         yield SegmentEstimate(spec, moments.estimate())
 

@@ -8,6 +8,7 @@ determinant certifies nonclassicality without any quantum assumptions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,9 @@ def det_with_error(lmat: LMatrix, threshold: float = 3.0) -> DetResult:
     """Determinant with first-order (delta-method) error propagation.
 
     The verdict is nonclassical iff the determinant is negative by at least
-    `threshold` standard deviations.
+    `threshold` standard deviations.  A non-finite sigma (a NaN or infinite
+    variance) measures nothing: its significance is NaN and its verdict
+    classical-consistent.
     """
     m = lmat.matrix
     det = float(m[0, 0] * m[1, 1] - m[0, 1] ** 2)
@@ -93,7 +96,9 @@ def det_with_error(lmat: LMatrix, threshold: float = 3.0) -> DetResult:
     )
     var = float(jac @ lmat.c_cov @ jac)
     sigma = float(np.sqrt(max(var, 0.0)))
-    if det < 0:
+    if not math.isfinite(sigma):
+        significance = math.nan
+    elif det < 0:
         significance = -det / sigma if sigma > 0 else np.inf
     else:
         significance = 0.0

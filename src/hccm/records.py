@@ -33,6 +33,7 @@ from .detector import (
     ExperimentConfig,
     SegmentEstimate,
     SegmentSpec,
+    plan_seeds,
     scan_plan,
     segment_chunks,
 )
@@ -90,8 +91,8 @@ def stream_record(cfg: ExperimentConfig, path, kind: str = "phase_scan") -> int:
     specs = scan_plan(cfg, kind)
     with atomic_open(path) as fh:
         fh.write("".join(line + "\n" for line in _header_lines(kind, cfg, specs)))
-        for spec in specs:
-            for pairs in segment_chunks(cfg, spec):
+        for spec, seeds in zip(specs, plan_seeds(cfg, specs)):
+            for pairs in segment_chunks(cfg, spec, seeds):
                 # one hex line of 16 bytes per (c1, c2) row, one write per chunk
                 fh.write(pairs.astype("<f8", copy=False).tobytes().hex("\n", 16) + "\n")
     return sum(spec.n for spec in specs)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import os
@@ -150,6 +151,20 @@ class TestDeterminism:
             )
             outs.append((tmp_path / name / "report.json").read_bytes())
         assert outs[0] != outs[1]
+
+    def test_tiny_outputs_golden(self, tmp_path, tiny_config_path):
+        # SHA-256 of what simulate -> analyze writes for TINY (seed 42): any change of
+        # the sampler, of the substream seeding or of the reducer shows here
+        golden = {
+            "phase_scan.txt": "7bc5a3b810a96003c4d3e8f6b459bb1261337b5f18ce4d66a85f59c9f4ec05af",
+            "lo_scan.txt": "3b1d91ebc88c846c9e186c0f61244377349d2430a7e7fd1e78abdd7f3df42a75",
+            "separation.json": "b4a51e4a0421818e1747456b2d477481d58d8556fe186ff41e4af9480cbb00d8",
+        }
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", tiny_config_path, "--out", str(out)]) == 0
+        assert main(["analyze", "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in golden}
+        assert digests == golden
 
 
 class TestExitCodes:

@@ -10,19 +10,22 @@ from hccm.detector import (
     _SRC_DARK_CORR,
     _SRC_QUANTUM,
     _SRC_RIN,
+    _KIND_IDS,
     KIND_PHASE,
     DetectorConfig,
     ExperimentConfig,
     SignalParams,
     _chol2,
-    _segment_rng,
     draw_segment,
     drift_factor,
     lo_scan_plan,
     phase_scan_plan,
+    plan_seeds,
+    seed_sequence_words,
     segment_statistics,
     simulate_estimates,
     simulate_segments,
+    substream,
 )
 from hccm.errors import ConfigError
 from hccm.gaussian import (
@@ -39,6 +42,29 @@ from conftest import truth_correlation
 
 def draw_plan(cfg, specs):
     return [draw_segment(cfg, spec) for spec in specs]
+
+
+def _segment_rng(cfg, spec, source):
+    """The generator of one (segment, noise source) substream, as every sampler seeds it."""
+    return substream(plan_seeds(cfg, [spec])[0, source])
+
+
+def seed_sequence_rng(cfg, spec, source):
+    """The oracle of _segment_rng: SFC64 seeded by numpy's SeedSequence of the key."""
+    key = [cfg.seed, _KIND_IDS[spec.kind], spec.index, source]
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
+
+
+NOISY = DetectorConfig(
+    eta1=0.9,
+    eta2=0.8,
+    gain1=1.3,
+    gain2=0.7,
+    dark_uncorr1=2.0,
+    dark_uncorr2=1.0,
+    dark_corr=0.5,
+    lo_excess=0.002,
+)
 
 
 def small_config(**overrides):
@@ -247,6 +273,76 @@ class TestSubstreams:
             "0x1.bd153edb05f37p-2",
         ]
 
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            (
+                _SRC_DARK_CORR,
+                [
+                    "-0x1.29f5ae04849f0p+0",
+                    "-0x1.35cf090691dd3p-4",
+                    "0x1.0b9c61338fd83p-2",
+                    "-0x1.c667c56243dabp-2",
+                ],
+            ),
+            (
+                _SRC_RIN,
+                [
+                    "-0x1.98b30d67524a2p+0",
+                    "-0x1.68ec0632d833dp+0",
+                    "-0x1.513bc524b54e5p-1",
+                    "0x1.9e3dff372b853p-1",
+                ],
+            ),
+        ],
+    )
+    def test_noise_draws_pinned(self, source, expected):
+        # seed 77, kind "blocked_signal" (id 3), index 0 of a noisy config: the LO is
+        # on, so the sampler draws both sources
+        cfg = small_config(detector=NOISY)
+        spec = phase_scan_plan(cfg)[-1]
+        assert (spec.kind, spec.index, cfg.seed) == ("blocked_signal", 0, 77)
+        draws = _segment_rng(cfg, spec, source).standard_normal(4)
+        assert [float(z).hex() for z in draws] == expected
+
+    def test_seed_words_match_seed_sequence(self):
+        # 1 200 random keys: one- to three-word seeds, including the word boundaries
+        rng = np.random.default_rng(20261018)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 12345, 2**95 + 7]
+        seeds += [int(s) for s in rng.integers(0, 2**63, 4)]
+        n_keys = 100
+        for seed in seeds:
+            kinds, sources = rng.integers(0, 6, n_keys), rng.integers(0, 5, n_keys)
+            keys = np.column_stack([kinds, rng.integers(0, 2**32, n_keys), sources])
+            keys[:3] = [(0, 0, 0), (5, 2**32 - 1, 4), (1, 2**31, 2)]
+            words = seed_sequence_words(seed, keys)
+            assert words.shape == (n_keys, 3) and words.dtype == np.uint64
+            for key, row in zip(keys.tolist(), words):
+                seq = np.random.SeedSequence([seed, *key])
+                np.testing.assert_array_equal(row, seq.generate_state(3, np.uint64))
+                assert np.array_equal(
+                    substream(row).bit_generator.state["state"]["state"],
+                    np.random.SFC64(seq).state["state"]["state"],
+                )
+
+    def test_seed_words_refuse_wide_keys(self):
+        with pytest.raises(ValueError):
+            seed_sequence_words(1, [(0, 2**32, 0)])
+        with pytest.raises(ValueError):
+            seed_sequence_words(-1, [(0, 0, 0)])
+
+    def test_plan_seeds_follow_the_keys(self):
+        cfg = small_config(seed=2**64 + 3)
+        specs = phase_scan_plan(cfg) + lo_scan_plan(cfg, 1.0, [0.0, 1.0, 2.0])
+        seeds = plan_seeds(cfg, specs)
+        assert seeds.shape == (len(specs), 5, 3)
+        for spec, rows in zip(specs, seeds):
+            for source, row in enumerate(rows):
+                key = [cfg.seed, _KIND_IDS[spec.kind], spec.index, source]
+                np.testing.assert_array_equal(
+                    row, np.random.SeedSequence(key).generate_state(3, np.uint64)
+                )
+
     def test_sources_and_segments_differ(self):
         cfg = small_config()
         first, second = phase_scan_plan(cfg)[1:3]
@@ -447,15 +543,16 @@ class TestLoScan:
 
 def whole_segment_draw(cfg, spec):
     """The oracle of a chunked draw with every noise source on: one
-    whole-segment draw per substream, then the same elementwise operations."""
+    whole-segment draw per substream, each seeded by numpy's SeedSequence, then
+    the same elementwise operations."""
     det = cfg.detector
     sigma_q, _, lo_flux = segment_statistics(cfg, spec)
     a, b, c = _chol2(sigma_q)
 
     def normal(source):
-        return _segment_rng(cfg, spec, source).standard_normal(spec.n)
+        return seed_sequence_rng(cfg, spec, source).standard_normal(spec.n)
 
-    z = _segment_rng(cfg, spec, _SRC_QUANTUM).standard_normal((spec.n, 2))
+    z = seed_sequence_rng(cfg, spec, _SRC_QUANTUM).standard_normal((spec.n, 2))
     c1, c2 = z[:, 0], z[:, 1]
     c2 *= c
     c2 += b * c1
@@ -478,17 +575,7 @@ class TestChunkBoundaries:
 
     @pytest.fixture(params=SIZES)
     def segment(self, request):
-        noisy = DetectorConfig(
-            eta1=0.9,
-            eta2=0.8,
-            gain1=1.3,
-            gain2=0.7,
-            dark_uncorr1=2.0,
-            dark_uncorr2=1.0,
-            dark_corr=0.5,
-            lo_excess=0.002,
-        )
-        cfg = small_config(detector=noisy)
+        cfg = small_config(detector=NOISY)
         return cfg, replace(phase_scan_plan(cfg)[3], n=request.param)
 
     def test_draw_equals_whole_segment_draw(self, segment):

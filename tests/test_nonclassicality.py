@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,17 @@ class TestDetWithError:
         assert res.det < 0
         assert np.isinf(res.significance)
         assert res.verdict == "nonclassical"
+
+
+    def test_nan_variance_is_never_nonclassical(self):
+        # det < 0 as in the noiseless case, but a covariance that measures nothing
+        coeffs = splitter_coefficients(symmetric_splitter(0.14))
+        lmat = build_L(_sep([1.0, 1.5, -0.5], np.zeros((3, 3))), coeffs, 0.5)
+        res = det_with_error(replace(lmat, c_cov=np.full((3, 3), np.nan)))
+        assert res.det < 0
+        assert np.isnan(res.sigma)
+        assert np.isnan(res.significance)
+        assert res.verdict == "classical-consistent"
 
 
 class TestClassify:

@@ -13,11 +13,13 @@ from hccm.detector import (
     lo_scan_plan,
     phase_scan_plan,
     scan_estimates,
+    scan_plan,
     segment_chunks,
     simulate_estimates,
     simulate_segments,
 )
 from hccm import records
+from hccm.config import preset_config
 from hccm.errors import DataError
 from hccm.records import read_record, stream_record
 from hccm.splitter import symmetric_splitter
@@ -173,11 +175,11 @@ class TestStreaming:
             path.write_text("earlier record\n")
         calls = []
 
-        def failing_draw(cfg, spec):
+        def failing_draw(cfg, spec, seeds):
             calls.append(spec)
             if len(calls) == 3:
                 raise RuntimeError("draw failed")
-            return segment_chunks(cfg, spec)
+            return segment_chunks(cfg, spec, seeds)
 
         monkeypatch.setattr(records, "segment_chunks", failing_draw)
         with pytest.raises(RuntimeError, match="draw failed"):
@@ -187,6 +189,19 @@ class TestStreaming:
         assert sorted(p.name for p in tmp_path.iterdir()) == expected
         if existing:
             assert path.read_text() == "earlier record\n"
+
+
+    @pytest.mark.parametrize("kind", ["phase_scan", "lo_scan"])
+    def test_no_seed_sequence_per_substream(self, tmp_path, monkeypatch, kind):
+        # both plan walkers seed a whole paper-quick plan without numpy's SeedSequence
+        def no_seed_sequence(*args, **kwargs):
+            raise AssertionError("np.random.SeedSequence called")
+
+        cfg = preset_config("paper-quick")
+        plan = scan_plan(cfg, kind)
+        monkeypatch.setattr(np.random, "SeedSequence", no_seed_sequence)
+        assert len(list(simulate_segments(cfg, plan))) == len(plan)
+        assert stream_record(cfg, tmp_path / "scan.txt", kind) == sum(spec.n for spec in plan)
 
 
 class TestErrors:
