@@ -35,6 +35,7 @@ from .errors import (
     DegenerateSplitterError,
     HccmError,
     InsufficientDataError,
+    PreconditionError,
     TruncationError,
     UnphysicalStateError,
 )

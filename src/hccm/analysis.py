@@ -102,14 +102,6 @@ class TrigFit:
     def predict(self, phi) -> np.ndarray:
         return _design(np.atleast_1d(np.asarray(phi, dtype=float))) @ self.coeffs
 
-    def shifted(self, offset_value: float, offset_var: float) -> "TrigFit":
-        """Fit of y - offset: only the constant coefficient and its variance move."""
-        coeffs = self.coeffs.copy()
-        coeffs[0] -= offset_value
-        cov = self.cov.copy()
-        cov[0, 0] += offset_var
-        return TrigFit(coeffs=coeffs, cov=cov, chi2=self.chi2, dof=self.dof)
-
 
 def _design(phi: np.ndarray) -> np.ndarray:
     return np.column_stack(
@@ -278,18 +270,17 @@ def separate_by_phase(
     )
 
 
-def separate_by_lo(points, phi: float, e_ref: float | None = None) -> SeparatedContributions:
+def separate_by_lo(points, phi: float) -> SeparatedContributions:
     """Separate the contributions by their scaling with the LO field strength.
 
-    points maps E_L -> (estimate at phi, estimate at phi + pi) and must hold at
-    least three distinct field strengths including 0 (blocked LO).  The odd
-    part in E_L is fitted linearly through the origin, the even part as
-    alpha + beta*E_L^2; contributions are reported at e_ref (largest grid
-    value when omitted).
+    points is a sequence of (E_L, estimate at phi, estimate at phi + pi) and
+    must hold at least three distinct field strengths including 0 (blocked
+    LO).  The odd part in E_L is fitted linearly through the origin, the even
+    part as alpha + beta*E_L^2; contributions are reported at the largest
+    field strength, e_ref.
     """
-    raw = points.items() if hasattr(points, "items") else points
-    items = _normalize_lo_points(sorted(raw, key=lambda item: float(item[0])))
-    e_vals = np.array([e for e, *_ in items])
+    items = sorted(points, key=lambda item: item[0])
+    e_vals = np.array([float(e) for e, _, _ in items])
     pairs = [(a, b) for _, a, b in items]
     if np.unique(e_vals).size < 3:
         raise InsufficientDataError(
@@ -297,8 +288,7 @@ def separate_by_lo(points, phi: float, e_ref: float | None = None) -> SeparatedC
         )
     if not np.any(e_vals == 0.0):
         raise InsufficientDataError("the LO grid must include 0 (blocked LO)")
-    if e_ref is None:
-        e_ref = float(e_vals.max())
+    e_ref = float(e_vals.max())
 
     d_vals = np.array([(a.value - b.value) / 2.0 for a, b in pairs])
     e_even = np.array([(a.value + b.value) / 2.0 for a, b in pairs])
@@ -341,13 +331,3 @@ def separate_by_lo(points, phi: float, e_ref: float | None = None) -> SeparatedC
         ref_cov=cov,
     )
 
-
-def _normalize_lo_points(items):
-    out = []
-    for item in items:
-        if len(item) == 2:
-            e, (a, b) = item
-        else:
-            e, a, b = item
-        out.append((float(e), a, b))
-    return out

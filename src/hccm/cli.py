@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +24,7 @@ from . import config as config_mod
 from . import records, reports
 from .analysis import SeparatedContributions
 from .detector import scan_estimates
-from .errors import (
-    AnomalousTermInaccessibleError,
-    ConfigError,
-    DataError,
-    DegenerateDesignError,
-    InsufficientDataError,
-)
+from .errors import ConfigError, DataError, PreconditionError
 from .pipeline import (
     DetAnalysis,
     PhaseScanAnalysis,
@@ -78,56 +71,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What one CLI invocation is asked to do."""
-
-    command: str
-    out_dir: str
-    config_path: str | None
-    preset: str | None
-    seed_override: int | None
-    report_format: str  # "text" | "structured"
-
-    @classmethod
-    def from_args(cls, args) -> "RunManifest":
-        return cls(args.command, args.out, args.config, args.preset, args.seed, args.format)
-
-    def resolve_config(self, default_preset: str | None = None):
-        if self.config_path and self.preset:
-            raise ConfigError("give either --config or --preset, not both")
-        if self.config_path:
-            cfg = config_mod.load_config(self.config_path)
-        elif self.preset:
-            cfg = config_mod.preset_config(self.preset)
-        elif default_preset:
-            cfg = config_mod.preset_config(default_preset)
-        else:
-            raise ConfigError("one of --config or --preset is required")
-        if self.seed_override is not None:
-            cfg = cfg.with_seed(self.seed_override)  # ExperimentConfig rejects a negative seed
-        return cfg
-
-    def ensure_out_dir(self) -> None:
-        try:
-            os.makedirs(self.out_dir, exist_ok=True)
-        except OSError as exc:
-            raise DataError(f"output directory not writable: {exc}") from exc
-
-    def path(self, name: str) -> str:
-        return os.path.join(self.out_dir, name)
+def _config(args, default_preset: str):
+    """The config of --config or --preset (default_preset when neither gives
+    one) with --seed applied; creates the --out directory."""
+    if args.config and args.preset:
+        raise ConfigError("give either --config or --preset, not both")
+    if args.config:
+        cfg = config_mod.load_config(args.config)
+    else:
+        cfg = config_mod.preset_config(args.preset or default_preset)
+    if args.seed is not None:
+        cfg = cfg.with_seed(args.seed)  # ExperimentConfig rejects a negative seed
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"output directory not writable: {exc}") from exc
+    return cfg
 
 
-def _write_files(manifest: RunManifest, files: dict) -> None:
-    """Write each {file name: text} into the output directory, printing its path."""
+def _write_files(out_dir: str, files: dict) -> None:
+    """Write each {file name: text} into out_dir, printing its path."""
     for name, text in files.items():
-        with records.atomic_open(manifest.path(name)) as fh:
+        with records.atomic_open(os.path.join(out_dir, name)) as fh:
             fh.write(text)
-        print(manifest.path(name))
+        print(os.path.join(out_dir, name))
 
 
 def _print_fit(phase: PhaseScanAnalysis) -> None:
-    print(f"chi2/dof = {phase.fit.chi2 / max(phase.fit.dof, 1):.4f}")
+    print(f"chi2/dof = {phase.fit.chi2 / phase.fit.dof:.4f}")
 
 
 def _print_verdict(det: DetAnalysis) -> None:
@@ -145,14 +116,13 @@ def _print_verdict(det: DetAnalysis) -> None:
         )
 
 
-def cmd_simulate(manifest: RunManifest) -> int:
-    cfg = manifest.resolve_config(default_preset="paper-quick")
-    manifest.ensure_out_dir()
-    phase_path = manifest.path(PHASE_RECORD)
+def cmd_simulate(args) -> int:
+    cfg = _config(args, default_preset="paper-quick")
+    phase_path = os.path.join(args.out, PHASE_RECORD)
     rows = records.stream_record(cfg, phase_path, kind="phase_scan")
     print(f"wrote {phase_path}: {len(cfg.phases)} phases x {cfg.samples_per_phase} samples")
     if cfg.lo_scan_e_l:
-        lo_path = manifest.path(LO_RECORD)
+        lo_path = os.path.join(args.out, LO_RECORD)
         lo_rows = records.stream_record(cfg, lo_path, kind="lo_scan")
         print(f"wrote {lo_path}: {len(cfg.lo_scan_e_l)} LO strengths x 2 phases")
         rows += lo_rows
@@ -167,8 +137,8 @@ def _read_estimates(path: str, kind: str):
     return scan_estimates(kind, record.config, record.segments)
 
 
-def cmd_analyze(manifest: RunManifest) -> int:
-    phase_path, lo_path = manifest.path(PHASE_RECORD), manifest.path(LO_RECORD)
+def cmd_analyze(args) -> int:
+    phase_path, lo_path = os.path.join(args.out, PHASE_RECORD), os.path.join(args.out, LO_RECORD)
     phase_est = _read_estimates(phase_path, "phase_scan")
     lo_est = _read_estimates(lo_path, "lo_scan") if os.path.exists(lo_path) else None
     if lo_est is not None and lo_est.config != phase_est.config:
@@ -189,8 +159,8 @@ def cmd_analyze(manifest: RunManifest) -> int:
     if lo is not None:
         payload["lo"] = lo.separation.to_dict()
     separation = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    files = reports.analyze_files(phase, lo, manifest.report_format)
-    _write_files(manifest, {**files, SEPARATION_FILE: separation})
+    files = reports.analyze_files(phase, lo, args.format)
+    _write_files(args.out, {**files, SEPARATION_FILE: separation})
     _print_fit(phase)
     return EXIT_OK
 
@@ -218,18 +188,17 @@ def _read_separation(path: str):
     return cfg, sep, phis, lo_sep
 
 
-def cmd_test(manifest: RunManifest) -> int:
-    det = determinant_test(*_read_separation(manifest.path(SEPARATION_FILE)))
-    _write_files(manifest, reports.det_files(det, manifest.report_format))
+def cmd_test(args) -> int:
+    det = determinant_test(*_read_separation(os.path.join(args.out, SEPARATION_FILE)))
+    _write_files(args.out, reports.det_files(det, args.format))
     _print_verdict(det)
     return EXIT_OK
 
 
-def cmd_reproduce_paper(manifest: RunManifest) -> int:
-    cfg = manifest.resolve_config(default_preset="paper")
-    manifest.ensure_out_dir()
+def cmd_reproduce_paper(args) -> int:
+    cfg = _config(args, default_preset="paper")
     result = run_pipeline(cfg)
-    _write_files(manifest, reports.pipeline_files(result, manifest.report_format))
+    _write_files(args.out, reports.pipeline_files(result, args.format))
     _print_fit(result.phase)
     _print_verdict(result)
     return EXIT_OK
@@ -245,16 +214,15 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    manifest = RunManifest.from_args(args)
     try:
-        return _COMMANDS[manifest.command](manifest)
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (AnomalousTermInaccessibleError, InsufficientDataError, DegenerateDesignError) as exc:
+    except PreconditionError as exc:
         print(f"test precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

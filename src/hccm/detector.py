@@ -13,11 +13,11 @@ mode-mismatch) scaled by the gains, plus additive electronic noise:
 Every segment and noise source draws from its own seed-derived substream, an
 SFC64 generator (numpy's cheapest per normal), so segments are reproducible
 independently of evaluation order: substream (segment, source) is
-SFC64(SeedSequence([seed, kind id, index, source])).  plan_seeds, the one
-seeding path of every sampler, computes the SeedSequence words of a whole plan
-in one vectorised pass of numpy's hash (seed_sequence_words), which gives the
-same words, so the same samples, at a fraction of the cost of one SeedSequence
-per substream.  Mode mismatch (visibility v)
+SFC64(SeedSequence([seed, kind id, index, source])).  plan_chunks, the one
+seeding path of every sampler, seeds a whole plan with plan_seeds, which
+computes the SeedSequence words in one vectorised pass of numpy's hash
+(seed_sequence_words): the same words, so the same samples, at a fraction of
+the cost of one SeedSequence per substream.  Mode mismatch (visibility v)
 reduces the interfering LO amplitude to v*E_L; the orthogonal LO remainder
 only adds shot noise.
 
@@ -163,6 +163,8 @@ class ExperimentConfig:
             raise ConfigError("the LO scan grid must start with 0 (blocked LO) and be >= 0")
         if self.drift_rate < 0:
             raise ConfigError("drift_rate must be >= 0")
+        if self.sig_threshold <= 0:
+            raise ConfigError("sig_threshold must be > 0")
         if not 0.0 < self.visibility <= 1.0:
             raise ConfigError("visibility must lie in (0, 1]")
         if self.seed < 0:
@@ -401,7 +403,7 @@ def plan_seeds(cfg: ExperimentConfig, specs) -> np.ndarray:
     """The seed words of every (segment, noise source) substream of a plan, an
     (len(specs), 5, 3) uint64 array; substream(words[i, source]) is the generator.
 
-    The one seeding path for every sampler.  Substream (spec, source) is
+    Samplers reach it through plan_chunks.  Substream (spec, source) is
     SFC64(SeedSequence([seed, kind id, index, source])); seed_sequence_words
     computes the SeedSequence words of the whole plan in one pass, which costs
     about as much as seeding five substreams one by one.
@@ -459,10 +461,19 @@ def segment_chunks(cfg: ExperimentConfig, spec: SegmentSpec, seeds: np.ndarray):
         yield pairs
 
 
+def plan_chunks(cfg: ExperimentConfig, specs):
+    """Yield (spec, segment_chunks of spec) for each segment of a plan, in order:
+    the one place that pairs a segment with its row of plan_seeds."""
+    specs = list(specs)
+    for spec, seeds in zip(specs, plan_seeds(cfg, specs)):
+        yield spec, segment_chunks(cfg, spec, seeds)
+
+
 def draw_segment(cfg: ExperimentConfig, spec: SegmentSpec):
     """Draw the (c1, c2) fluctuation samples of one segment: segment_chunks joined."""
     pairs = np.empty((spec.n, 2))
-    for i, chunk in enumerate(segment_chunks(cfg, spec, plan_seeds(cfg, [spec])[0])):
+    [(_, chunks)] = plan_chunks(cfg, [spec])
+    for i, chunk in enumerate(chunks):
         pairs[i * CHUNK_ROWS : i * CHUNK_ROWS + len(chunk)] = chunk
     return pairs[:, 0], pairs[:, 1]
 
@@ -540,10 +551,9 @@ def scan_plan(cfg: ExperimentConfig, kind: str):
 
 def simulate_segments(cfg: ExperimentConfig, specs):
     """Draw and reduce one segment at a time, chunk by chunk: a lazy SegmentEstimate stream."""
-    specs = list(specs)
-    for spec, seeds in zip(specs, plan_seeds(cfg, specs)):
+    for spec, chunks in plan_chunks(cfg, specs):
         moments = analysis.ProductMoments()
-        for pairs in segment_chunks(cfg, spec, seeds):
+        for pairs in chunks:
             moments.add(pairs)
         yield SegmentEstimate(spec, moments.estimate())
 

@@ -9,19 +9,23 @@ class UnphysicalStateError(HccmError, ValueError):
     """A requested Gaussian state violates the uncertainty relation."""
 
 
-class DegenerateSplitterError(HccmError, ValueError):
+class PreconditionError(HccmError, ValueError):
+    """The splitter or the data cannot support the requested estimate or test."""
+
+
+class DegenerateSplitterError(PreconditionError):
     """Beam splitter coefficients make the coefficient algebra singular."""
 
 
-class AnomalousTermInaccessibleError(HccmError, ValueError):
+class AnomalousTermInaccessibleError(PreconditionError):
     """The splitter is balanced, so the mixed field-intensity moment cancels."""
 
 
-class InsufficientDataError(HccmError, ValueError):
+class InsufficientDataError(PreconditionError):
     """Too few samples or grid points for the requested estimator."""
 
 
-class DegenerateDesignError(HccmError, ValueError):
+class DegenerateDesignError(PreconditionError):
     """Regression design matrix is (numerically) rank deficient."""
 
 

@@ -88,25 +88,25 @@ def analyze_phase_estimates(est: PhaseScanEstimates) -> PhaseScanAnalysis:
     offset = est.blocked_signal
     corrected = tuple(_subtract_offset(e, offset) for e in est.estimates)
     fit = fit_trig_poly(list(zip(est.phis, corrected)))
-    fit = fit.shifted(0.0, offset.stderr**2)
+    cov = fit.cov.copy()
+    cov[0, 0] += offset.stderr**2
+    fit = replace(fit, cov=cov)
     run_a, run_b = est.blocked_lo
     drift = drift_error(run_a, run_b)
     sep = separate_by_phase(fit, run_a, drift=drift)
     return PhaseScanAnalysis(est, offset, corrected, run_a, drift, fit, sep)
 
 
-def analyze_lo_estimates(est: LoScanEstimates, e_ref: float | None = None) -> LoScanAnalysis:
+def analyze_lo_estimates(est: LoScanEstimates) -> LoScanAnalysis:
     """Offset-correct the LO scan and separate by LO-strength scaling."""
     offset = est.blocked_signal
     corr_phi = tuple(_subtract_offset(e, offset) for e in est.at_phi)
     corr_pi = tuple(_subtract_offset(e, offset) for e in est.at_phi_pi)
-    points = list(zip(est.e_values, corr_phi, corr_pi))
-    sep = separate_by_lo(points, est.phi, e_ref=e_ref)
+    sep = separate_by_lo(list(zip(est.e_values, corr_phi, corr_pi)), est.phi)
     ref_cov = sep.ref_cov.copy()
     ref_cov[0, 0] += offset.stderr**2
     sep = replace(sep, ref_cov=ref_cov, c0_sigma=float(np.sqrt(ref_cov[0, 0])))
-    used_ref = e_ref if e_ref is not None else float(np.max(est.e_values))
-    return LoScanAnalysis(est, offset, corr_phi, corr_pi, sep, used_ref)
+    return LoScanAnalysis(est, offset, corr_phi, corr_pi, sep, float(np.max(est.e_values)))
 
 
 def determinant_test(cfg: ExperimentConfig, sep, phis, lo_sep=None) -> DetAnalysis:

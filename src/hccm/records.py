@@ -33,9 +33,8 @@ from .detector import (
     ExperimentConfig,
     SegmentEstimate,
     SegmentSpec,
-    plan_seeds,
+    plan_chunks,
     scan_plan,
-    segment_chunks,
 )
 from .errors import DataError
 
@@ -91,8 +90,8 @@ def stream_record(cfg: ExperimentConfig, path, kind: str = "phase_scan") -> int:
     specs = scan_plan(cfg, kind)
     with atomic_open(path) as fh:
         fh.write("".join(line + "\n" for line in _header_lines(kind, cfg, specs)))
-        for spec, seeds in zip(specs, plan_seeds(cfg, specs)):
-            for pairs in segment_chunks(cfg, spec, seeds):
+        for _, chunks in plan_chunks(cfg, specs):
+            for pairs in chunks:
                 # one hex line of 16 bytes per (c1, c2) row, one write per chunk
                 fh.write(pairs.astype("<f8", copy=False).tobytes().hex("\n", 16) + "\n")
     return sum(spec.n for spec in specs)
@@ -113,7 +112,7 @@ def read_record(path) -> Record:
         if meta.get("format") != FORMAT_TAG:
             found = meta.get("format")
             raise DataError(f"not a {FORMAT_TAG} record file (format {found!r}): {path}")
-        kind = meta.get("kind", "phase_scan")
+        kind = meta.get("kind")
         cfg = _config_from_meta(meta)
         try:
             plan = scan_plan(cfg, kind)

@@ -41,7 +41,7 @@ def fit_report_dict(phase: PhaseScanAnalysis) -> dict:
         "covariance": [[float(v) for v in row] for row in fit.cov],
         "chi2": float(fit.chi2),
         "dof": int(fit.dof),
-        "chi2_per_dof": float(fit.chi2 / fit.dof) if fit.dof > 0 else None,
+        "chi2_per_dof": float(fit.chi2 / fit.dof),
         "c_block": {
             "value": phase.c_block.value,
             "stderr": phase.c_block.stderr,
@@ -92,13 +92,11 @@ def phase_table_text(phase: PhaseScanAnalysis) -> str:
 
 
 def lo_table_rows(lo: LoScanAnalysis):
-    sep = lo.separation
-    c0, c1_ref, c2_ref = sep.ref_values
-    e_ref = lo.e_ref
+    c0, c1_ref, c2_ref = lo.separation.ref_values
     rows = []
     for e, est_a, est_b in zip(lo.estimates.e_values, lo.corrected_phi, lo.corrected_phi_pi):
-        odd = c1_ref * (e / e_ref) if e_ref > 0 else 0.0
-        even = c0 + c2_ref * (e / e_ref) ** 2 if e_ref > 0 else c0
+        odd = c1_ref * (e / lo.e_ref)
+        even = c0 + c2_ref * (e / lo.e_ref) ** 2
         rows.append(
             {
                 "e_l": float(e),

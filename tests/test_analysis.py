@@ -203,17 +203,17 @@ class TestSeparateByPhase:
 class TestSeparateByLo:
     def _points(self, c0, c1_unit, c2_unit, grid, stderr=0.0):
         # C(phi, E) = c0 + c1_unit*E + c2_unit*E^2; at phi+pi the odd part flips
-        pts = {}
+        pts = []
         for e in grid:
             up = c0 + c1_unit * e + c2_unit * e**2
             dn = c0 - c1_unit * e + c2_unit * e**2
-            pts[e] = (_est(up, stderr), _est(dn, stderr))
+            pts.append((e, _est(up, stderr), _est(dn, stderr)))
         return pts
 
     def test_exact_recovery(self):
         grid = [0.0, 1.0, 1.5, 2.0]
         pts = self._points(0.7, -0.5, 0.3, grid)
-        sep = separate_by_lo(pts, phi=0.9, e_ref=2.0)
+        sep = separate_by_lo(pts, phi=0.9)
         assert sep.method == BY_LO
         vals, _ = sep.contributions_at(0.9)
         assert vals[0] == pytest.approx(0.7, abs=1e-12)
@@ -222,7 +222,7 @@ class TestSeparateByLo:
 
     def test_pi_shift_flips_odd_part(self):
         grid = [0.0, 1.0, 2.0]
-        sep = separate_by_lo(self._points(0.7, -0.5, 0.3, grid), phi=0.9, e_ref=2.0)
+        sep = separate_by_lo(self._points(0.7, -0.5, 0.3, grid), phi=0.9)
         up, _ = sep.contributions_at(0.9)
         dn, _ = sep.contributions_at(0.9 + np.pi)
         assert dn[1] == pytest.approx(-up[1], abs=1e-12)
@@ -249,12 +249,12 @@ class TestSeparateByLo:
         sigma = 0.02
         pulls = []
         for _ in range(400):
-            pts = {}
+            pts = []
             for e in grid:
                 up = truth[0] + truth[1] * e + truth[2] * e**2 + rng.normal(0, sigma)
                 dn = truth[0] - truth[1] * e + truth[2] * e**2 + rng.normal(0, sigma)
-                pts[e] = (_est(up, sigma), _est(dn, sigma))
-            sep = separate_by_lo(pts, phi=0.0, e_ref=2.0)
+                pts.append((e, _est(up, sigma), _est(dn, sigma)))
+            sep = separate_by_lo(pts, phi=0.0)
             vals, cov = sep.contributions_at(0.0)
             expect = np.array([truth[0], truth[1] * 2.0, truth[2] * 4.0])
             pulls.append((vals - expect) / np.sqrt(np.diag(cov)))

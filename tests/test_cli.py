@@ -259,6 +259,16 @@ class TestExitCodes:
         assert "passive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threshold", ["0", "-1"])
+    def test_non_positive_sig_threshold(self, tmp_path, capsys, threshold):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"sig_threshold = {threshold}\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: sig_threshold must be > 0" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("totally_unknown = 1\n")
@@ -370,6 +380,30 @@ class TestExitCodes:
         assert code == 4
         err = capsys.readouterr().err
         assert "unbalanced" in err
+
+    def test_degenerate_splitter_precondition(self, tmp_path, capsys):
+        # passive but lossy, with R_L = 0: the coefficient algebra has no finite solution
+        cfg = tmp_path / "degenerate.cfg"
+        cfg.write_text(
+            TINY.replace("splitter_ts2 = 0.86", "splitter_ts2 = 0.5")
+            .replace("splitter_tl2 = 0.86", "splitter_tl2 = 0.5")
+            .replace("splitter_rs2 = 0.14", "splitter_rs2 = 0.1")
+            .replace("splitter_rl2 = 0.14", "splitter_rl2 = 0")
+        )
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["analyze", "--out", str(out)]) == 0
+        before = sorted(p.name for p in out.iterdir())
+        capsys.readouterr()
+        assert main(["test", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "test precondition error: need rl2 > 0 and ts2 > 0" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == before
+        repro = tmp_path / "repro"
+        assert main(["reproduce-paper", "--config", str(cfg), "--out", str(repro)]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+        assert not any(repro.iterdir())
 
 
 # a small config on which simulate, analyze and test all run in milliseconds

@@ -104,6 +104,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(seed=-1)
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_non_positive_sig_threshold(self, threshold):
+        # with a threshold <= 0 a classical null would read as nonclassical
+        with pytest.raises(ConfigError, match="sig_threshold must be > 0"):
+            small_config(sig_threshold=threshold)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
         "field", ["e_l", "drift_rate", "sig_threshold", "lo_scan_phi", "phases", "lo_scan_e_l"]

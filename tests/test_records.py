@@ -18,7 +18,7 @@ from hccm.detector import (
     simulate_estimates,
     simulate_segments,
 )
-from hccm import records
+from hccm import detector, records
 from hccm.config import preset_config
 from hccm.errors import DataError
 from hccm.records import read_record, stream_record
@@ -181,7 +181,7 @@ class TestStreaming:
                 raise RuntimeError("draw failed")
             return segment_chunks(cfg, spec, seeds)
 
-        monkeypatch.setattr(records, "segment_chunks", failing_draw)
+        monkeypatch.setattr(detector, "segment_chunks", failing_draw)
         with pytest.raises(RuntimeError, match="draw failed"):
             stream_record(tiny_config(), path)
         assert len(calls) == 3
@@ -314,4 +314,11 @@ class TestPlanChecks:
         header = [line for line in header if not line.startswith("# segment.3.phi=")]
         record.write_text("".join(header + data))
         with pytest.raises(DataError, match="segment phase 2 .*no phase"):
+            read_record(record)
+
+    def test_header_without_kind(self, record):
+        # the writer always names the kind: a header without it is no record of either scan
+        header, data = split_record(record)
+        record.write_text("".join(line for line in header + data if line != "# kind=phase_scan\n"))
+        with pytest.raises(DataError, match="unknown record kind None"):
             read_record(record)
