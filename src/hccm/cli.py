@@ -77,7 +77,10 @@ def _config(args, default_preset: str):
     if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
     if args.config:
-        cfg = config_mod.load_config(args.config)
+        try:
+            cfg = config_mod.load_config(args.config)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read --config: {exc}") from exc
     else:
         cfg = config_mod.preset_config(args.preset or default_preset)
     if args.seed is not None:
@@ -87,6 +90,16 @@ def _config(args, default_preset: str):
     except OSError as exc:
         raise DataError(f"output directory not writable: {exc}") from exc
     return cfg
+
+
+def _check_config(args, cfg, source: str) -> None:
+    """analyze and test read cfg from source: --config, --preset and --seed,
+    when any is given, must name that config (resolved as simulate does)."""
+    if args.config or args.preset or args.seed is not None:
+        named, actual = (config_mod.config_to_flat(c) for c in (_config(args, "paper-quick"), cfg))
+        keys = ", ".join(sorted(k for k in named if named[k] != actual[k]))
+        if keys:
+            raise ConfigError(f"--config/--preset/--seed name another config than {source}: {keys}")
 
 
 def _write_files(out_dir: str, files: dict) -> None:
@@ -140,6 +153,7 @@ def _read_estimates(path: str, kind: str):
 def cmd_analyze(args) -> int:
     phase_path, lo_path = os.path.join(args.out, PHASE_RECORD), os.path.join(args.out, LO_RECORD)
     phase_est = _read_estimates(phase_path, "phase_scan")
+    _check_config(args, phase_est.config, phase_path)
     lo_est = _read_estimates(lo_path, "lo_scan") if os.path.exists(lo_path) else None
     if lo_est is not None and lo_est.config != phase_est.config:
         raise DataError(
@@ -165,8 +179,9 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _read_separation(path: str):
-    """The config, separations and phase grid that analyze left in path."""
+def _read_separation(args):
+    """The config, separations and phase grid that analyze left in --out."""
+    path = os.path.join(args.out, SEPARATION_FILE)
     if not os.path.exists(path):
         raise DataError(
             f"missing {path}; run `hccm analyze` first (the determinant test "
@@ -185,11 +200,12 @@ def _read_separation(path: str):
         raise
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
+    _check_config(args, cfg, path)
     return cfg, sep, phis, lo_sep
 
 
 def cmd_test(args) -> int:
-    det = determinant_test(*_read_separation(os.path.join(args.out, SEPARATION_FILE)))
+    det = determinant_test(*_read_separation(args))
     _write_files(args.out, reports.det_files(det, args.format))
     _print_verdict(det)
     return EXIT_OK

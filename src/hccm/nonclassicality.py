@@ -4,32 +4,34 @@ From the separated contributions one builds a 2x2 matrix whose determinant is
 non-negative for every classically correlated field, independent of detector
 efficiencies, gains, and the LO strength.  A significantly negative
 determinant certifies nonclassicality without any quantum assumptions.
+
+Phase axis: build_L, det_with_error and squeezed_phases follow phi, numpy-style.
+A scalar phi gives one matrix, DetResult and flag; a (P,) array of phases gives
+a (P, ...) stack, a tuple of P DetResults and P flags, all in one array pass.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import SeparatedContributions
+from .detector import SignalParams
 from .errors import AnomalousTermInaccessibleError
-from .gaussian import GaussianState, normal_ordered_signal_moments, quadrature_variance
+from .gaussian import GaussianState, normal_ordered_signal_moments
 from .splitter import SplitterCoefficients
 
 VERDICT_NONCLASSICAL = "nonclassical"
 VERDICT_CLASSICAL = "classical-consistent"
 
-TWO_PI = 2.0 * np.pi
-
 
 @dataclass(frozen=True)
 class LMatrix:
-    """Measured moment matrix [[C0/t0, C1/t1], [C1/t1, C2/t2]] at one phase,
-    with the covariance of the underlying contribution triple."""
+    """Measured moment matrix [[C0/t0, C1/t1], [C1/t1, C2/t2]] with the
+    covariance of the contribution triple, at a phase or a (P,) array of them."""
 
-    phi: float
+    phi: np.ndarray
     matrix: np.ndarray
     c_cov: np.ndarray
     coeffs: SplitterCoefficients
@@ -57,9 +59,7 @@ class PhaseRangeSummary:
     outside_squeezed: bool | None
 
 
-def build_L(
-    sep: SeparatedContributions, coeffs: SplitterCoefficients, phi: float
-) -> LMatrix:
+def build_L(sep: SeparatedContributions, coeffs: SplitterCoefficients, phi) -> LMatrix:
     """Assemble the measured moment matrix from the separated contributions."""
     if coeffs.is_balanced:
         raise AnomalousTermInaccessibleError(
@@ -67,49 +67,36 @@ def build_L(
             "use an unbalanced intensity partition"
         )
     values, cov = sep.contributions_at(phi)
-    c0, c1, c2 = values
-    matrix = np.array(
-        [
-            [c0 / coeffs.t0, c1 / coeffs.t1],
-            [c1 / coeffs.t1, c2 / coeffs.t2],
-        ]
-    )
-    return LMatrix(phi=float(phi), matrix=matrix, c_cov=cov, coeffs=coeffs)
+    scaled = values / np.array([coeffs.t0, coeffs.t1, coeffs.t2])
+    matrix = scaled[..., [0, 1, 1, 2]].reshape(values.shape[:-1] + (2, 2))
+    return LMatrix(np.asarray(phi, dtype=float), matrix, cov, coeffs)
 
 
-def det_with_error(lmat: LMatrix, threshold: float = 3.0) -> DetResult:
-    """Determinant with first-order (delta-method) error propagation.
+def det_with_error(lmat: LMatrix, threshold: float = 3.0):
+    """Determinant with first-order (delta-method) error propagation: one
+    DetResult for an LMatrix at one phase, a tuple of them for P phases.
 
     The verdict is nonclassical iff the determinant is negative by at least
     `threshold` standard deviations.  A non-finite sigma (a NaN or infinite
     variance) measures nothing: its significance is NaN and its verdict
     classical-consistent.
     """
-    m = lmat.matrix
-    det = float(m[0, 0] * m[1, 1] - m[0, 1] ** 2)
-    jac = np.array(
-        [
-            m[1, 1] / lmat.coeffs.t0,
-            -2.0 * m[0, 1] / lmat.coeffs.t1,
-            m[0, 0] / lmat.coeffs.t2,
-        ]
-    )
-    var = float(jac @ lmat.c_cov @ jac)
-    sigma = float(np.sqrt(max(var, 0.0)))
-    if not math.isfinite(sigma):
-        significance = math.nan
-    elif det < 0:
-        significance = -det / sigma if sigma > 0 else np.inf
-    else:
-        significance = 0.0
-    verdict = (
-        VERDICT_NONCLASSICAL
-        if det < 0 and significance >= threshold
-        else VERDICT_CLASSICAL
-    )
-    return DetResult(
-        phi=lmat.phi, det=det, sigma=sigma, significance=float(significance), verdict=verdict
-    )
+    m, coeffs = lmat.matrix.reshape(-1, 2, 2), lmat.coeffs
+    m00, m01, m11 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 1]
+    # a float's x ** 2 is libm pow, as for a NumPy scalar; array x * x can move the last bit
+    det = m00 * m11 - np.array([x**2 for x in m01.tolist()])
+    jac = np.stack([m11 / coeffs.t0, -2.0 * m01 / coeffs.t1, m00 / coeffs.t2], axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # batched (1, 3) @ (3, 3) @ (3, 1): the same products and sums as a 1-D jac @ cov @ jac
+        var = ((jac[:, None, :] @ lmat.c_cov.reshape(-1, 3, 3)) @ jac[:, :, None])[:, 0, 0]
+        sigma = np.sqrt(np.where(var < 0, 0.0, var))
+        strength = np.where(det < 0, np.where(sigma > 0, -det / sigma, np.inf), 0.0)
+        significance = np.where(np.isfinite(sigma), strength, np.nan)
+    nonclassical = (det < 0) & (significance >= threshold)
+    verdicts = np.where(nonclassical, VERDICT_NONCLASSICAL, VERDICT_CLASSICAL)
+    columns = (np.atleast_1d(lmat.phi), det, sigma, significance, verdicts)
+    results = tuple(DetResult(*row) for row in zip(*(c.tolist() for c in columns)))
+    return results if np.ndim(lmat.phi) else results[0]
 
 
 def classify_phase_range(results, squeezed=None) -> PhaseRangeSummary:
@@ -161,9 +148,11 @@ def _runs_to_intervals(phis: np.ndarray, flags: np.ndarray):
     return intervals
 
 
-def squeezed_phases(state: GaussianState, phis) -> np.ndarray:
-    """Flags per phase whether the field variance is below vacuum."""
-    return np.array([quadrature_variance(state, p) < 1.0 for p in np.atleast_1d(phis)])
+def squeezed_phases(signal: SignalParams, phis) -> np.ndarray:
+    """Flags per phase whether the signal's field variance is below vacuum:
+    V(phi) = (v_min + v_max)/2 + (v_min - v_max)/2 cos 2(phi - angle) < 1."""
+    mid, half = (signal.v_min + signal.v_max) / 2.0, (signal.v_min - signal.v_max) / 2.0
+    return mid + half * np.cos(2.0 * (np.asarray(phis, dtype=float) - signal.angle)) < 1.0
 
 
 def quantum_condition_analytic(state: GaussianState, phi: float):

@@ -113,14 +113,12 @@ def determinant_test(cfg: ExperimentConfig, sep, phis, lo_sep=None) -> DetAnalys
     """The classical determinant inequality at every scanned phase, and at
     the LO-scan phase when the LO-strength separation is given."""
     coeffs = splitter_coefficients(cfg.splitter)
-
-    def det_at(separation: SeparatedContributions, phi: float) -> DetResult:
-        return det_with_error(build_L(separation, coeffs, phi), threshold=cfg.sig_threshold)
-
     phis = np.asarray(phis, dtype=float)
-    dets = tuple(det_at(sep, p) for p in phis)
-    flags = squeezed_phases(cfg.signal.state(), phis)
-    lo_det = None if lo_sep is None else det_at(lo_sep, lo_sep.phi_ref)
+    dets = det_with_error(build_L(sep, coeffs, phis), threshold=cfg.sig_threshold)
+    flags = squeezed_phases(cfg.signal, phis)
+    lo_det = None
+    if lo_sep is not None:
+        lo_det = det_with_error(build_L(lo_sep, coeffs, lo_sep.phi_ref), cfg.sig_threshold)
     return DetAnalysis(cfg, dets, flags, classify_phase_range(dets, flags), lo_det)
 
 

@@ -153,18 +153,59 @@ class TestDeterminism:
         assert outs[0] != outs[1]
 
     def test_tiny_outputs_golden(self, tmp_path, tiny_config_path):
-        # SHA-256 of what simulate -> analyze writes for TINY (seed 42): any change of
-        # the sampler, of the substream seeding or of the reducer shows here
+        # SHA-256 of what simulate -> analyze -> test writes for TINY (seed 42): any
+        # change of the sampler, of the substream seeding, of the reducer or of the
+        # determinant stage shows here
         golden = {
             "phase_scan.txt": "7bc5a3b810a96003c4d3e8f6b459bb1261337b5f18ce4d66a85f59c9f4ec05af",
             "lo_scan.txt": "3b1d91ebc88c846c9e186c0f61244377349d2430a7e7fd1e78abdd7f3df42a75",
             "separation.json": "b4a51e4a0421818e1747456b2d477481d58d8556fe186ff41e4af9480cbb00d8",
+            "det_table.txt": "de3960eda2079c24f76523f9ef73d1f8234d09df39017d44080e4ce603c6e5c3",
         }
         out = tmp_path / "run"
         assert main(["simulate", "--config", tiny_config_path, "--out", str(out)]) == 0
         assert main(["analyze", "--out", str(out)]) == 0
+        assert main(["test", "--out", str(out)]) == 0
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in golden}
         assert digests == golden
+
+
+class TestConfigCheck:
+    """analyze and test read their config from their input; --config, --preset
+    and --seed given to them must name that config."""
+
+    def test_benchmark_invocation(self, tmp_path):
+        # the flags that the benchmark's cli-records workload passes to every command
+        args = ["--preset", "paper-quick", "--seed", "301", "--out", str(tmp_path)]
+        for command in ("simulate", "analyze", "test"):
+            assert main([command, *args]) == 0, command
+
+    @pytest.mark.parametrize("command", ["analyze", "test"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--config", "tiny.cfg", "--seed", "43"], "name another config than"),
+            (["--seed", "42"], "name another config than"),  # the default preset, as in simulate
+            (["--preset", "paper-quick"], "name another config than"),
+            (["--config", "missing.cfg"], "cannot read --config"),
+        ],
+    )
+    def test_other_config_refused(self, tmp_path, tiny_config_path, capsys, command, flags, message):
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", tiny_config_path, "--out", str(out)]) == 0
+        if command == "test":
+            assert main(["analyze", "--out", str(out)]) == 0
+        before = sorted(p.name for p in out.iterdir())
+        flags = [str(tmp_path / f) if f.endswith(".cfg") else f for f in flags]
+        capsys.readouterr()
+        assert main([command, *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        if "43" in flags:
+            assert err.rstrip().endswith(": seed")
+        assert sorted(p.name for p in out.iterdir()) == before
+        # the flags that name the record's own config pass
+        assert main([command, "--config", tiny_config_path, "--seed", "42", "--out", str(out)]) == 0
 
 
 class TestExitCodes:

@@ -1,9 +1,13 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hccm.analysis import BY_LO, SeparatedContributions
+from hccm import gaussian, pipeline
+from hccm.analysis import BY_LO, BY_PHASE, SeparatedContributions
+from hccm.config import build_config, preset_config
+from hccm.detector import SignalParams
 from hccm.errors import AnomalousTermInaccessibleError
 from hccm.gaussian import squeezed_coherent, thermal_state
 from hccm.nonclassicality import (
@@ -151,12 +155,170 @@ class TestClassify:
         assert summary2.outside_squeezed is True
 
     def test_squeezed_phases_definition(self):
-        state = squeezed_coherent(0.3, np.pi / 2, 2.0)
+        state = SignalParams(np.exp(-0.6), np.exp(0.6), np.pi / 2, 2.0)
         phis = np.linspace(0, np.pi, 50)
         flags = squeezed_phases(state, phis)
         # squeezed axis at pi/2: squeezing present near phi = pi/2 only
         assert flags[np.argmin(np.abs(phis - np.pi / 2))]
         assert not flags[0] and not flags[-1]
+
+
+    def test_vacuum_level_signal_is_never_squeezed(self):
+        # V(phi) = 1 exactly when v_min = v_max = 1; cos^2 + sin^2 rounding must not flag it
+        phis = np.linspace(0.0, 2.0 * np.pi, 2000)
+        for name in ("coherent", "thermal"):
+            assert not squeezed_phases(preset_config(name).signal, phis).any(), name
+        for theta in (0.0, 0.3, np.pi / 2, 2.0, 5.9):
+            assert not squeezed_phases(SignalParams(1.0, 1.0, theta, 3.0), phis).any()
+
+    @pytest.mark.parametrize("name, n_squeezed", [("paper", 30), ("paper-quick", 14)])
+    def test_preset_squeezed_counts(self, name, n_squeezed):
+        cfg = preset_config(name)
+        assert squeezed_phases(cfg.signal, cfg.phases).sum() == n_squeezed
+
+
+def _random_by_phase(rng, coeff_cov=None):
+    # a large first harmonic (C1) makes det L negative at some phases
+    a = rng.standard_normal((5, 5))
+    return SeparatedContributions(
+        method=BY_PHASE,
+        c0_value=float(rng.uniform(0.5, 3.0)),
+        c0_sigma=float(rng.uniform(0.0, 0.1)),
+        coeffs=rng.standard_normal(5) * [1.0, 3.0, 3.0, 1.0, 1.0],
+        coeff_cov=a @ a.T * 1e-3 if coeff_cov is None else coeff_cov,
+    )
+
+
+def _bits(res: DetResult):
+    return (res.phi.hex(), res.det.hex(), res.sigma.hex(), res.significance.hex(), res.verdict)
+
+
+def _reference_det(sep, coeffs, phi: float) -> DetResult:
+    """The determinant stage as one phase at a time with NumPy scalars: the
+    reference that the array pass must match bit for bit."""
+    if sep.method == BY_PHASE:
+        a0, a1, b1, a2, b2 = sep.coeffs
+        c, s = np.cos(phi), np.sin(phi)
+        c2, s2 = np.cos(2 * phi), np.sin(2 * phi)
+        values = np.array([sep.c0_value, a1 * c + b1 * s, a2 * c2 + b2 * s2 + a0 - sep.c0_value])
+        jac = np.array(
+            [[0.0, 0.0, 0.0, 0.0, 0.0, 1.0], [0.0, c, s, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, c2, s2, -1.0]]
+        )
+        big = np.zeros((6, 6))
+        big[:5, :5] = sep.coeff_cov
+        big[5, 5] = sep.c0_sigma**2
+        cov = jac @ big @ jac.T
+    else:
+        delta = (phi - sep.phi_ref) % (2.0 * np.pi)
+        flip = np.diag([1.0, 1.0 if min(delta, 2.0 * np.pi - delta) < 1e-9 else -1.0, 1.0])
+        values, cov = flip @ sep.ref_values, flip @ sep.ref_cov @ flip
+    c0, c1, c2 = values
+    m = np.array([[c0 / coeffs.t0, c1 / coeffs.t1], [c1 / coeffs.t1, c2 / coeffs.t2]])
+    det = float(m[0, 0] * m[1, 1] - m[0, 1] ** 2)
+    jac = np.array([m[1, 1] / coeffs.t0, -2.0 * m[0, 1] / coeffs.t1, m[0, 0] / coeffs.t2])
+    with np.errstate(invalid="ignore"):
+        sigma = float(np.sqrt(max(float(jac @ cov @ jac), 0.0)))
+    if not np.isfinite(sigma):
+        significance = np.nan
+    elif det < 0:
+        significance = -det / sigma if sigma > 0 else np.inf
+    else:
+        significance = 0.0
+    verdict = "nonclassical" if det < 0 and significance >= 3.0 else "classical-consistent"
+    return DetResult(float(phi), det, sigma, float(significance), verdict)
+
+
+class TestPhaseAxis:
+    """One array call over P phases equals P scalar calls, and the per-phase
+    reference, bit for bit."""
+
+    def _check_batch(self, sep, coeffs, phis):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lmat = build_L(sep, coeffs, phis)
+            batch = det_with_error(lmat)
+        assert lmat.matrix.shape == (phis.size, 2, 2)
+        assert lmat.c_cov.shape == (phis.size, 3, 3)
+        assert isinstance(batch, tuple) and len(batch) == phis.size
+        values, cov = sep.contributions_at(phis)
+        for i, phi in enumerate(phis):
+            one = det_with_error(build_L(sep, coeffs, phi))
+            assert isinstance(one, DetResult)
+            assert _bits(batch[i]) == _bits(one) == _bits(_reference_det(sep, coeffs, phi))
+            v1, c1 = sep.contributions_at(phi)
+            assert v1.shape == (3,) and c1.shape == (3, 3)
+            assert values[i].tobytes() == v1.tobytes() and cov[i].tobytes() == c1.tobytes()
+        return batch
+
+    def test_random_by_phase(self, rng):
+        coeffs = splitter_coefficients(symmetric_splitter(0.14))
+        phis = rng.uniform(0.0, 2.0 * np.pi, 37)
+        for _ in range(20):
+            self._check_batch(_random_by_phase(rng), coeffs, phis)
+
+    def test_many_phases_match_reference(self, rng):
+        # m01 ** 2 of a NumPy scalar (libm pow) and m01 * m01 differ in the last
+        # bit for about 1 value in 1 000, so the array pass must square as the reference does
+        coeffs = splitter_coefficients(symmetric_splitter(0.14))
+        sep = _random_by_phase(rng)
+        phis = rng.uniform(0.0, 2.0 * np.pi, 5000)
+        batch = det_with_error(build_L(sep, coeffs, phis))
+        assert [_bits(r) for r in batch] == [_bits(_reference_det(sep, coeffs, p)) for p in phis]
+
+    def test_by_lo_phase_pair(self):
+        coeffs = splitter_coefficients(symmetric_splitter(0.14))
+        sep = _sep([1.0, 1.5, -0.5], np.diag([1e-4, 2e-4, 3e-4]) + 1e-5, phi=0.5)
+        batch = self._check_batch(sep, coeffs, np.array([0.5, 0.5 + np.pi, 0.5 - np.pi]))
+        assert batch[0].det == batch[1].det
+        with pytest.raises(ValueError):
+            sep.contributions_at(np.array([0.5, 1.0]))
+
+    def test_zero_covariance_is_infinitely_significant(self, rng):
+        coeffs = splitter_coefficients(symmetric_splitter(0.14))
+        sep = replace(_random_by_phase(rng, np.zeros((5, 5))), c0_sigma=0.0)
+        batch = self._check_batch(sep, coeffs, np.linspace(0.0, 2.0 * np.pi, 24))
+        negative = [r for r in batch if r.det < 0]
+        assert 0 < len(negative) < len(batch)
+        assert all(np.isinf(r.significance) for r in negative)
+        assert all(r.verdict == "nonclassical" for r in negative)
+
+    def test_nan_covariance_is_never_nonclassical(self, rng):
+        coeffs = splitter_coefficients(symmetric_splitter(0.14))
+        sep = _random_by_phase(rng, np.full((5, 5), np.nan))
+        batch = self._check_batch(sep, coeffs, np.linspace(0.0, 2.0 * np.pi, 24))
+        assert any(r.det < 0 for r in batch)
+        assert all(np.isnan(r.sigma) and np.isnan(r.significance) for r in batch)
+        assert all(r.verdict == "classical-consistent" for r in batch)
+
+
+@pytest.mark.parametrize("with_lo_scan, calls", [(False, 1), (True, 2)])
+def test_determinant_stage_is_one_pass(monkeypatch, with_lo_scan, calls):
+    # a prebuilt config: the stage itself builds no GaussianState and makes one
+    # build_L and one det_with_error call for the scan, plus one for the LO point
+    cfg = build_config(
+        {"preset": "paper-quick", "samples_per_phase": "400", "blocked_samples": "800"}
+    )
+    counts = {"GaussianState": 0, "build_L": 0, "det_with_error": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        gaussian.GaussianState,
+        "__post_init__",
+        counted("GaussianState", gaussian.GaussianState.__post_init__),
+    )
+    monkeypatch.setattr(pipeline, "build_L", counted("build_L", pipeline.build_L))
+    monkeypatch.setattr(
+        pipeline, "det_with_error", counted("det_with_error", pipeline.det_with_error)
+    )
+    result = pipeline.run_pipeline(cfg, with_lo_scan=with_lo_scan)
+    assert len(result.det_results) == len(cfg.phases)
+    assert counts == {"GaussianState": 0, "build_L": calls, "det_with_error": calls}
 
 
 class TestQuantumCondition:
