@@ -36,7 +36,6 @@ from .errors import (
     HccmError,
     InsufficientDataError,
     PreconditionError,
-    TruncationError,
     UnphysicalStateError,
 )
 from .gaussian import (

@@ -100,7 +100,9 @@ class TrigFit:
     dof: int
 
     def predict(self, phi) -> np.ndarray:
-        return _design(np.atleast_1d(np.asarray(phi, dtype=float))) @ self.coeffs
+        # one row product per phase: an array of phases gives the bits of one call per phase
+        design = _design(np.atleast_1d(np.asarray(phi, dtype=float)))
+        return (design[:, None, :] @ self.coeffs)[:, 0]
 
 
 def _design(phi: np.ndarray) -> np.ndarray:

@@ -29,10 +29,6 @@ class DegenerateDesignError(PreconditionError):
     """Regression design matrix is (numerically) rank deficient."""
 
 
-class TruncationError(HccmError, ValueError):
-    """Fock-space truncation leaks more probability than allowed."""
-
-
 class ConfigError(HccmError, ValueError):
     """Invalid or unparsable experiment configuration."""
 

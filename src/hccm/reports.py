@@ -70,21 +70,21 @@ def fit_report_text(phase: PhaseScanAnalysis) -> str:
 
 
 def phase_table_rows(phase: PhaseScanAnalysis):
-    rows = []
-    for phi, est in zip(phase.estimates.phis, phase.corrected):
-        values, _ = phase.separation.contributions_at(phi)
-        rows.append(
-            {
-                "phase_rad": float(phi),
-                "C": est.value,
-                "stderr": est.stderr,
-                "C_fit": float(phase.fit.predict(phi)[0]),
-                "C0": float(values[0]),
-                "C1": float(values[1]),
-                "C2": float(values[2]),
-            }
-        )
-    return rows
+    phis = phase.estimates.phis
+    values, _ = phase.separation.contributions_at(phis)
+    columns = zip(phis, phase.corrected, phase.fit.predict(phis), values)
+    return [
+        {
+            "phase_rad": float(phi),
+            "C": est.value,
+            "stderr": est.stderr,
+            "C_fit": float(c_fit),
+            "C0": float(c0),
+            "C1": float(c1),
+            "C2": float(c2),
+        }
+        for phi, est, c_fit, (c0, c1, c2) in columns
+    ]
 
 
 def phase_table_text(phase: PhaseScanAnalysis) -> str:

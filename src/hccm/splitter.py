@@ -57,12 +57,6 @@ class BeamSplitter:
     def r_l(self) -> float:
         return float(np.sqrt(self.rl2))
 
-    @property
-    def is_lossless(self) -> bool:
-        return (
-            abs(self.ts2 + self.rs2 - 1.0) <= 1e-9 and abs(self.tl2 + self.rl2 - 1.0) <= 1e-9
-        )
-
 
 def symmetric_splitter(r2: float) -> BeamSplitter:
     """Lossless splitter with the same intensity reflectance r2 for both beams."""

@@ -15,11 +15,14 @@ from scipy.linalg import expm
 from scipy.sparse import diags, kron
 from scipy.sparse.linalg import expm_multiply
 
-from .errors import TruncationError
-from .gaussian import MomentTriple
-from .splitter import BeamSplitter
+from hccm.gaussian import MomentTriple
+from hccm.splitter import BeamSplitter
 
 DEFAULT_LEAK_BOUND = 1e-8
+
+
+class TruncationError(ValueError):
+    """Fock-space truncation leaks more probability than allowed."""
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -141,7 +144,8 @@ def joint_photon_statistics(
     on the reflected signal.  Only lossless (hence symmetric) splitters admit
     a two-mode unitary; anything else is rejected.
     """
-    if not bs.is_lossless or abs(bs.ts2 - bs.tl2) > 1e-9 or abs(bs.rs2 - bs.rl2) > 1e-9:
+    lossless = abs(bs.ts2 + bs.rs2 - 1.0) <= 1e-9 and abs(bs.tl2 + bs.rl2 - 1.0) <= 1e-9
+    if not lossless or abs(bs.ts2 - bs.tl2) > 1e-9 or abs(bs.rs2 - bs.rl2) > 1e-9:
         raise ValueError("the Fock oracle supports lossless symmetric splitters only")
     dim = signal.dim
     lo = coherent_fock(lo_alpha, dim, leak_bound)

@@ -17,7 +17,6 @@ from hccm.detector import (
     segment_statistics,
     simulate_estimates,
 )
-from hccm.fock import fock_squeezed_coherent, joint_photon_statistics, oracle_moments
 from hccm.gaussian import (
     LocalOscillator,
     normal_ordered_signal_moments,
@@ -35,6 +34,7 @@ from hccm.splitter import (
 )
 
 from conftest import analytic_truth, random_physical_state
+from oracles.fock import fock_squeezed_coherent, joint_photon_statistics, oracle_moments
 
 
 @pytest.fixture(scope="module")

@@ -102,6 +102,12 @@ class TestTrigFit:
             pull = (fit.coeffs[k] - truth[k]) / np.sqrt(fit.cov[k, k])
             assert abs(pull) < 5
 
+    def test_predict_matches_one_call_per_phase(self, rng):
+        phis = rng.uniform(0.0, 2 * np.pi, 60)
+        fit = fit_trig_poly(synthetic_points((1.0, -0.7, 0.3, 0.2, 0.05), phis))
+        one_by_one = [float(fit.predict(phi)[0]) for phi in phis]
+        assert fit.predict(phis).tolist() == one_by_one
+
     def test_too_few_phases(self):
         phis = 2 * np.pi * np.arange(5) / 5
         with pytest.raises(InsufficientDataError):

@@ -2,15 +2,6 @@ import numpy as np
 import pytest
 from scipy.special import factorial
 
-from hccm.errors import TruncationError
-from hccm.fock import (
-    FockState,
-    coherent_fock,
-    fock_squeezed_coherent,
-    joint_photon_statistics,
-    oracle_mean_photon,
-    oracle_moments,
-)
 from hccm.gaussian import (
     LocalOscillator,
     normal_ordered_signal_moments,
@@ -19,6 +10,16 @@ from hccm.gaussian import (
     two_mode_output,
 )
 from hccm.splitter import BeamSplitter, symmetric_splitter
+
+from oracles.fock import (
+    FockState,
+    TruncationError,
+    coherent_fock,
+    fock_squeezed_coherent,
+    joint_photon_statistics,
+    oracle_mean_photon,
+    oracle_moments,
+)
 
 
 class TestStateConstruction:
@@ -46,7 +47,7 @@ class TestStateConstruction:
 
 
 def _quad_second_moment(st: FockState) -> float:
-    from hccm.fock import annihilation
+    from oracles.fock import annihilation
 
     a = annihilation(st.dim)
     x = a + a.conj().T

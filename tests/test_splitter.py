@@ -19,7 +19,7 @@ class TestBeamSplitter:
     def test_symmetric_constructor(self):
         bs = symmetric_splitter(0.14)
         assert bs.ts2 == pytest.approx(0.86)
-        assert bs.is_lossless
+        assert abs(bs.ts2 + bs.rs2 - 1.0) <= 1e-9 and abs(bs.tl2 + bs.rl2 - 1.0) <= 1e-9
 
     def test_invalid_coefficients(self):
         with pytest.raises(ValueError):
