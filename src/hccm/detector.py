@@ -10,16 +10,20 @@ mode-mismatch) scaled by the gains, plus additive electronic noise:
 * classical LO intensity noise, common to both channels and proportional to
   the mean LO flux on each detector.
 
-Every segment and noise source draws from its own seed-derived substream, an
-SFC64 generator (numpy's cheapest per normal), so segments are reproducible
-independently of evaluation order: substream (segment, source) is
-SFC64(SeedSequence([seed, kind id, index, source])).  plan_chunks, the one
-seeding path of every sampler, seeds a whole plan with plan_seeds, which
-computes the SeedSequence words in one vectorised pass of numpy's hash
-(seed_sequence_words): the same words, so the same samples, at a fraction of
-the cost of one SeedSequence per substream.  Mode mismatch (visibility v)
-reduces the interfering LO amplitude to v*E_L; the orthogonal LO remainder
-only adds shot noise.
+The noise sources are independent Gaussians, so their sum with the quantum
+fluctuations is a Gaussian of the summed covariance, sigma_total of
+segment_statistics: a segment draws (c1, c2) = chol(sigma_total) z, two
+standard normals z per pair, whatever noise is on.  Each segment draws z from
+its own seed-derived substream, an SFC64 generator (numpy's cheapest per
+normal), so segments are reproducible independently of evaluation order:
+the substream of a segment is SFC64(SeedSequence([seed, kind id, index, 0])),
+and one seed gives the same z for every noise setting (paired-seed tests).
+plan_chunks, the one seeding path of every sampler, seeds a whole plan with
+plan_seeds, which computes the SeedSequence words in one vectorised pass of
+numpy's hash (seed_sequence_words): the same words, so the same samples, at a
+fraction of the cost of one SeedSequence per substream.  Mode mismatch
+(visibility v) reduces the interfering LO amplitude to v*E_L; the orthogonal
+LO remainder only adds shot noise.
 
 Analysis sees a segment only as a SegmentEstimate, its spec plus its
 correlation estimate.  simulate_segments yields them from chunked draws and
@@ -64,10 +68,10 @@ _KIND_IDS = {
     KIND_LO_PHASE_PI: 5,
 }
 
-# independent noise sources get their own substreams so that switching one
-# on or off never perturbs the draws of the others (paired-seed tests)
-_N_SOURCES = 5
-_SRC_QUANTUM, _SRC_DARK1, _SRC_DARK2, _SRC_DARK_CORR, _SRC_RIN = range(_N_SOURCES)
+# the last entry of every segment's substream key: one stream draws the sum of all
+# noise sources; 0 is the key of the quantum stream of versions that drew each
+# noise source from its own stream, so noise-free configs keep their samples
+_STREAM_ID = 0
 
 
 def _require_finite(obj, *names):
@@ -400,18 +404,15 @@ def _state_words_type():
 
 
 def plan_seeds(cfg: ExperimentConfig, specs) -> np.ndarray:
-    """The seed words of every (segment, noise source) substream of a plan, an
-    (len(specs), 5, 3) uint64 array; substream(words[i, source]) is the generator.
+    """The seed words of every segment's substream of a plan, a (len(specs), 3)
+    uint64 array; substream(words[i]) is the generator of segment i.
 
-    Samplers reach it through plan_chunks.  Substream (spec, source) is
-    SFC64(SeedSequence([seed, kind id, index, source])); seed_sequence_words
-    computes the SeedSequence words of the whole plan in one pass, which costs
-    about as much as seeding five substreams one by one.
+    Samplers reach it through plan_chunks.  The substream of a spec is
+    SFC64(SeedSequence([seed, kind id, index, 0])); seed_sequence_words
+    computes the SeedSequence words of the whole plan in one pass.
     """
-    keys = np.empty((len(specs), _N_SOURCES, 3), np.int64)
-    keys[..., :2] = np.array([(_KIND_IDS[s.kind], s.index) for s in specs]).reshape(-1, 1, 2)
-    keys[..., 2] = range(_N_SOURCES)
-    return seed_sequence_words(cfg.seed, keys).reshape(len(specs), _N_SOURCES, 3)
+    keys = [(_KIND_IDS[s.kind], s.index, _STREAM_ID) for s in specs]
+    return seed_sequence_words(cfg.seed, keys)
 
 
 def substream(words: np.ndarray) -> np.random.Generator:
@@ -423,41 +424,23 @@ def substream(words: np.ndarray) -> np.random.Generator:
 def segment_chunks(cfg: ExperimentConfig, spec: SegmentSpec, seeds: np.ndarray):
     """Yield one segment's (c1, c2) pairs as (k, 2) chunks of CHUNK_ROWS rows, the
     last maybe shorter, each a view of one reused buffer that the next overwrites.
-    seeds is the segment's row of plan_seeds.  Each source draws into its own
-    buffer from its own substream, chunk after chunk, so the samples equal one
-    whole-segment draw per substream bit for bit.
+    seeds is the segment's row of plan_seeds.  The pairs are chol(sigma_total) z
+    for normals z drawn chunk after chunk from the segment's substream, so they
+    equal one whole-segment draw bit for bit.
     """
-    det, g1, g2 = cfg.detector, cfg.detector.gain1, cfg.detector.gain2
-    sigma_q, _, lo_flux = segment_statistics(cfg, spec)
-    a, b, c = _chol2(sigma_q)
-    flux1, flux2 = lo_flux.tolist()
-    rin = (g1 * flux1, g2 * flux2)
-    # extra noise sources: (substream, on, scale, weight on c1, weight on c2)
-    sources = (
-        (_SRC_DARK1, det.dark_uncorr1 > 0, g1 * math.sqrt(det.dark_uncorr1), 1.0, None),
-        (_SRC_DARK2, det.dark_uncorr2 > 0, g2 * math.sqrt(det.dark_uncorr2), None, 1.0),
-        (_SRC_DARK_CORR, det.dark_corr > 0, math.sqrt(det.dark_corr), g1, g2),
-        (_SRC_RIN, det.lo_excess > 0 and max(flux1, flux2) > 0, math.sqrt(det.lo_excess), *rin),
-    )
+    a, b, c = _chol2(segment_statistics(cfg, spec)[1])
     rows = min(CHUNK_ROWS, spec.n)
     buffer, scratch = np.empty((rows, 2)), np.empty(rows)
-    quantum = substream(seeds[_SRC_QUANTUM])
-    noises = [(substream(seeds[src]), np.empty(rows), *w) for src, on, *w in sources if on]
+    rng = substream(seeds)
     for start in range(0, spec.n, rows):
         k = min(rows, spec.n - start)
         pairs, tmp = buffer[:k], scratch[:k]
-        quantum.standard_normal(out=pairs)
+        rng.standard_normal(out=pairs)
         # in place, elementwise (no BLAS threads, no fused multiply-add): c1 = a*z0, c2 = b*z0 + c*z1
         c1, c2 = pairs[:, 0], pairs[:, 1]
         c2 *= c
         c2 += np.multiply(c1, b, out=tmp)
         c1 *= a
-        for rng, noise, scale, w1, w2 in noises:
-            z = rng.standard_normal(out=noise[:k])
-            z *= scale
-            for column, weight in ((c1, w1), (c2, w2)):
-                if weight is not None:
-                    column += np.multiply(z, weight, out=tmp)
         yield pairs
 
 

@@ -37,6 +37,21 @@ lo_scan_phase_rad = {three_quarter_pi}
 """.format(half_pi=repr(math.pi / 2), three_quarter_pi=repr(0.75 * math.pi))
 
 
+NOISY_TINY = TINY + """dark_uncorr1 = 2.0
+dark_uncorr2 = 1.0
+dark_corr = 0.5
+lo_excess = 0.01
+"""
+
+
+def chain_digests(out, config_path, names):
+    """SHA-256 of each named file that simulate -> analyze -> test write to out."""
+    assert main(["simulate", "--config", config_path, "--out", str(out)]) == 0
+    assert main(["analyze", "--out", str(out)]) == 0
+    assert main(["test", "--out", str(out)]) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
 @pytest.fixture
 def tiny_config_path(tmp_path):
     path = tmp_path / "tiny.cfg"
@@ -162,12 +177,20 @@ class TestDeterminism:
             "separation.json": "b4a51e4a0421818e1747456b2d477481d58d8556fe186ff41e4af9480cbb00d8",
             "det_table.txt": "de3960eda2079c24f76523f9ef73d1f8234d09df39017d44080e4ce603c6e5c3",
         }
-        out = tmp_path / "run"
-        assert main(["simulate", "--config", tiny_config_path, "--out", str(out)]) == 0
-        assert main(["analyze", "--out", str(out)]) == 0
-        assert main(["test", "--out", str(out)]) == 0
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in golden}
-        assert digests == golden
+        assert chain_digests(tmp_path / "run", tiny_config_path, golden) == golden
+
+    def test_noisy_tiny_outputs_golden(self, tmp_path):
+        # the same for TINY with dark noise and LO noise on: pins the noisy sampler,
+        # which draws each segment from the Cholesky factor of its total covariance
+        golden = {
+            "phase_scan.txt": "d9f37dd32c7b57df738ae676c20734a98fcff3c72fa46ba2c73750b0f64da176",
+            "lo_scan.txt": "83d7cb91e89175ea613bd3346cbd29ea105f85cd537270f487cb8df30ee1f271",
+            "separation.json": "d614f33dd79c9857543f9e2b0e9230aa1444eda07083398c8bf685f57c775624",
+            "det_table.txt": "67b41332b6b590f07a8ce36b04eb4ba289136ea44f5f5478d743d34d8e227c67",
+        }
+        path = tmp_path / "noisy.cfg"
+        path.write_text(NOISY_TINY)
+        assert chain_digests(tmp_path / "run", str(path), golden) == golden
 
 
 class TestConfigCheck:

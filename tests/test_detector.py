@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,11 +6,6 @@ import pytest
 
 from hccm.analysis import CHUNK_ROWS, ProductMoments, estimate_correlation
 from hccm.detector import (
-    _SRC_DARK1,
-    _SRC_DARK2,
-    _SRC_DARK_CORR,
-    _SRC_QUANTUM,
-    _SRC_RIN,
     _KIND_IDS,
     KIND_PHASE,
     DetectorConfig,
@@ -44,14 +40,14 @@ def draw_plan(cfg, specs):
     return [draw_segment(cfg, spec) for spec in specs]
 
 
-def _segment_rng(cfg, spec, source):
-    """The generator of one (segment, noise source) substream, as every sampler seeds it."""
-    return substream(plan_seeds(cfg, [spec])[0, source])
+def _segment_rng(cfg, spec):
+    """The generator of one segment's substream, as every sampler seeds it."""
+    return substream(plan_seeds(cfg, [spec])[0])
 
 
-def seed_sequence_rng(cfg, spec, source):
+def seed_sequence_rng(cfg, spec):
     """The oracle of _segment_rng: SFC64 seeded by numpy's SeedSequence of the key."""
-    key = [cfg.seed, _KIND_IDS[spec.kind], spec.index, source]
+    key = [cfg.seed, _KIND_IDS[spec.kind], spec.index, 0]
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
 
 
@@ -263,15 +259,15 @@ class TestSubstreams:
 
     def test_generator_is_sfc64(self):
         cfg = small_config()
-        rng = _segment_rng(cfg, phase_scan_plan(cfg)[1], _SRC_QUANTUM)
+        rng = _segment_rng(cfg, phase_scan_plan(cfg)[1])
         assert isinstance(rng.bit_generator, np.random.SFC64)
 
     def test_first_draws_pinned(self):
-        # seed 77, kind "phase" (id 0), index 0, the quantum source
+        # seed 77, kind "phase" (id 0), index 0
         cfg = small_config()
         spec = phase_scan_plan(cfg)[1]
         assert (spec.kind, spec.index) == (KIND_PHASE, 0)
-        draws = _segment_rng(cfg, spec, _SRC_QUANTUM).standard_normal(4)
+        draws = _segment_rng(cfg, spec).standard_normal(4)
         assert [float(z).hex() for z in draws] == [
             "0x1.dbed2e6284967p-1",
             "-0x1.1f2fe4004fc36p+1",
@@ -280,10 +276,10 @@ class TestSubstreams:
         ]
 
     @pytest.mark.parametrize(
-        "source, expected",
+        "last_word, expected",
         [
             (
-                _SRC_DARK_CORR,
+                3,
                 [
                     "-0x1.29f5ae04849f0p+0",
                     "-0x1.35cf090691dd3p-4",
@@ -292,7 +288,7 @@ class TestSubstreams:
                 ],
             ),
             (
-                _SRC_RIN,
+                4,
                 [
                     "-0x1.98b30d67524a2p+0",
                     "-0x1.68ec0632d833dp+0",
@@ -302,14 +298,29 @@ class TestSubstreams:
             ),
         ],
     )
-    def test_noise_draws_pinned(self, source, expected):
-        # seed 77, kind "blocked_signal" (id 3), index 0 of a noisy config: the LO is
-        # on, so the sampler draws both sources
+    def test_noise_draws_pinned(self, last_word, expected):
+        # seed 77, kind "blocked_signal" (id 3), index 0, with a nonzero last key word:
+        # the correlated-dark (3) and LO-noise (4) streams of versions that drew each
+        # noise source from its own stream; the seeding still gives them for any key
         cfg = small_config(detector=NOISY)
         spec = phase_scan_plan(cfg)[-1]
         assert (spec.kind, spec.index, cfg.seed) == ("blocked_signal", 0, 77)
-        draws = _segment_rng(cfg, spec, source).standard_normal(4)
+        words = seed_sequence_words(cfg.seed, [(_KIND_IDS[spec.kind], spec.index, last_word)])
+        draws = substream(words[0]).standard_normal(4)
         assert [float(z).hex() for z in draws] == expected
+
+    def test_noisy_pairs_pinned(self):
+        # seed 77, kind "blocked_signal" (id 3), index 0 of a noisy config: the LO is
+        # on, so dark noise and LO noise both enter the pairs, through sigma_total
+        cfg = small_config(detector=NOISY)
+        spec = phase_scan_plan(cfg)[-1]
+        assert (spec.kind, spec.index, cfg.seed) == ("blocked_signal", 0, 77)
+        c1, c2 = draw_segment(cfg, spec)
+        pairs = [(float(x).hex(), float(y).hex()) for x, y in zip(c1[:2], c2[:2])]
+        assert pairs == [
+            ("0x1.51979a34a97c6p-1", "0x1.3531b56c56545p+1"),
+            ("-0x1.27f0a9a8dcb08p+2", "0x1.08479f4cc2edep+2"),
+        ]
 
     def test_seed_words_match_seed_sequence(self):
         # 1 200 random keys: one- to three-word seeds, including the word boundaries
@@ -341,22 +352,21 @@ class TestSubstreams:
         cfg = small_config(seed=2**64 + 3)
         specs = phase_scan_plan(cfg) + lo_scan_plan(cfg, 1.0, [0.0, 1.0, 2.0])
         seeds = plan_seeds(cfg, specs)
-        assert seeds.shape == (len(specs), 5, 3)
-        for spec, rows in zip(specs, seeds):
-            for source, row in enumerate(rows):
-                key = [cfg.seed, _KIND_IDS[spec.kind], spec.index, source]
-                np.testing.assert_array_equal(
-                    row, np.random.SeedSequence(key).generate_state(3, np.uint64)
-                )
+        assert seeds.shape == (len(specs), 3)
+        for spec, row in zip(specs, seeds):
+            key = [cfg.seed, _KIND_IDS[spec.kind], spec.index, 0]
+            np.testing.assert_array_equal(
+                row, np.random.SeedSequence(key).generate_state(3, np.uint64)
+            )
 
-    def test_sources_and_segments_differ(self):
+    def test_kinds_and_segments_differ(self):
+        # blocked_lo_a, phases 0 and 1 (one kind, two indices), blocked_lo_b: index 0 of
+        # three kinds; and the lo_phase segments, whose indices repeat those of the phases
         cfg = small_config()
-        first, second = phase_scan_plan(cfg)[1:3]
-        sources = (_SRC_QUANTUM, _SRC_DARK1, _SRC_DARK2, _SRC_DARK_CORR, _SRC_RIN)
-        by_source = {_segment_rng(cfg, first, src).standard_normal() for src in sources}
-        assert len(by_source) == 5
-        by_segment = {_segment_rng(cfg, s, _SRC_QUANTUM).standard_normal() for s in (first, second)}
-        assert len(by_segment) == 2
+        specs = phase_scan_plan(cfg)[:4] + lo_scan_plan(cfg, 1.0, [0.0, 1.0])[:3]
+        assert len({(s.kind, s.index) for s in specs}) == len(specs)
+        firsts = {_segment_rng(cfg, s).standard_normal() for s in specs}
+        assert len(firsts) == len(specs)
 
 
 class TestSamplingStatistics:
@@ -395,16 +405,54 @@ class TestSamplingStatistics:
         np.testing.assert_allclose(emp / scale, sigma_total / scale, atol=0.02)
 
     def test_draws_match_matrix_product(self):
-        # the elementwise Cholesky product equals z @ L.T up to rounding
-        cfg = small_config()
-        spec = phase_scan_plan(cfg)[3]
-        sigma_q, _, _ = segment_statistics(cfg, spec)
-        z = _segment_rng(cfg, spec, _SRC_QUANTUM).standard_normal((spec.n, 2))
-        expected = z @ np.linalg.cholesky(sigma_q).T
-        c1, c2 = draw_segment(cfg, spec)
-        scale = np.sqrt(np.diag(sigma_q))
-        np.testing.assert_allclose(c1, expected[:, 0], rtol=0, atol=1e-12 * scale[0])
-        np.testing.assert_allclose(c2, expected[:, 1], rtol=0, atol=1e-12 * scale[1])
+        # the elementwise Cholesky product equals z @ L.T up to rounding, with L the
+        # factor of sigma_total (sigma_q when no noise is on)
+        for detector in (DetectorConfig(eta1=0.94, eta2=0.94), NOISY):
+            cfg = small_config(detector=detector)
+            spec = phase_scan_plan(cfg)[3]
+            sigma_q, sigma_total, _ = segment_statistics(cfg, spec)
+            assert (detector is NOISY) != np.array_equal(sigma_q, sigma_total)
+            z = _segment_rng(cfg, spec).standard_normal((spec.n, 2))
+            expected = z @ np.linalg.cholesky(sigma_total).T
+            c1, c2 = draw_segment(cfg, spec)
+            scale = np.sqrt(np.diag(sigma_total))
+            np.testing.assert_allclose(c1, expected[:, 0], rtol=0, atol=1e-12 * scale[0])
+            np.testing.assert_allclose(c2, expected[:, 1], rtol=0, atol=1e-12 * scale[1])
+
+    def test_noise_settings_share_the_normals(self):
+        # paired seeds: a clean and a noisy config at one seed draw the same z in
+        # every segment, each scaled by its own Cholesky factor
+        clean = small_config(samples_per_phase=500)
+        noisy = small_config(samples_per_phase=500, detector=NOISY)
+        for spec in phase_scan_plan(clean):
+            normals = []
+            for cfg in (clean, noisy):
+                c1, c2 = draw_segment(cfg, spec)
+                a, b, c = _chol2(segment_statistics(cfg, spec)[1])
+                z0 = c1 / a
+                normals.append(np.column_stack([z0, (c2 - b * z0) / c]))
+            np.testing.assert_allclose(normals[0], normals[1], rtol=0, atol=1e-9)
+
+    def test_noisy_segment_coverage(self):
+        # dark noise and LO noise on: over 300 seeds, the z-scores of 5 700 segment
+        # estimates against the exact sigma_total[0, 1] cover +-1 at the normal
+        # rate, within 5 binomial sigma
+        base = small_config(
+            phases=tuple(2 * np.pi * i / 16 for i in range(16)),
+            blocked_samples=2000,
+            detector=replace(NOISY, lo_excess=0.1),
+        )
+        specs = phase_scan_plan(base)
+        exact = [segment_statistics(base, spec)[1][0, 1] for spec in specs]
+        z = [
+            (est.value - value) / est.stderr
+            for seed in range(300)
+            for (_, est), value in zip(simulate_segments(base.with_seed(seed), specs), exact)
+        ]
+        p = math.erf(1.0 / math.sqrt(2.0))
+        band = 5.0 * math.sqrt(p * (1.0 - p) / len(z))
+        coverage = np.mean(np.abs(z) <= 1.0)
+        assert abs(coverage - p) <= band, f"1-sigma coverage {coverage:.4f}, band {p:.4f} +- {band:.4f}"
 
     def test_ac_coupling_zero_means(self):
         cfg = small_config(samples_per_phase=50_000)
@@ -460,7 +508,7 @@ class TestSamplingStatistics:
         np.testing.assert_allclose(s2[1], 0.4 * s1[1], rtol=1e-12)
 
     def test_uncorrelated_dark_leaves_expectation(self):
-        # paired seeds: the quantum draw is shared, dark noise is additive
+        # paired seeds: both configs draw the same normals, each through its own Cholesky factor
         diffs = []
         for seed in range(30):
             cfg_a = small_config(seed=seed, samples_per_phase=4000)
@@ -548,34 +596,21 @@ class TestLoScan:
 
 
 def whole_segment_draw(cfg, spec):
-    """The oracle of a chunked draw with every noise source on: one
-    whole-segment draw per substream, each seeded by numpy's SeedSequence, then
-    the same elementwise operations."""
-    det = cfg.detector
-    sigma_q, _, lo_flux = segment_statistics(cfg, spec)
-    a, b, c = _chol2(sigma_q)
-
-    def normal(source):
-        return seed_sequence_rng(cfg, spec, source).standard_normal(spec.n)
-
-    z = seed_sequence_rng(cfg, spec, _SRC_QUANTUM).standard_normal((spec.n, 2))
+    """The oracle of a chunked draw: one whole-segment draw of normals from the
+    substream seeded by numpy's SeedSequence, then the same elementwise
+    operations with the Cholesky factor of sigma_total."""
+    a, b, c = _chol2(segment_statistics(cfg, spec)[1])
+    z = seed_sequence_rng(cfg, spec).standard_normal((spec.n, 2))
     c1, c2 = z[:, 0], z[:, 1]
     c2 *= c
     c2 += b * c1
     c1 *= a
-    c1 += det.gain1 * np.sqrt(det.dark_uncorr1) * normal(_SRC_DARK1)
-    c2 += det.gain2 * np.sqrt(det.dark_uncorr2) * normal(_SRC_DARK2)
-    common = np.sqrt(det.dark_corr) * normal(_SRC_DARK_CORR)
-    c1 += common * det.gain1
-    c2 += common * det.gain2
-    rin = np.sqrt(det.lo_excess) * normal(_SRC_RIN)
-    c1 += rin * (det.gain1 * lo_flux[0])
-    c2 += rin * (det.gain2 * lo_flux[1])
     return c1, c2
 
 
 class TestChunkBoundaries:
-    """Segments of 2 rows, one row either side of a chunk, and past two chunks."""
+    """Segments of 2 rows, one row either side of a chunk, and past two chunks, of a
+    config with every noise source on."""
 
     SIZES = (2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 7)
 
