@@ -33,7 +33,7 @@ class CorrelationEstimate:
     n: int
 
     def __post_init__(self):
-        if self.stderr < 0 or not np.isfinite(self.stderr):
+        if self.stderr < 0 or not math.isfinite(self.stderr):
             raise ValueError(f"stderr must be finite and >= 0, got {self.stderr}")
         if self.n < 1:
             raise ValueError(f"sample count must be >= 1, got {self.n}")
@@ -136,7 +136,8 @@ def fit_trig_poly(points) -> TrigFit:
     y = np.array([e.value for e in ests])
     w = _weights(np.array([e.stderr for e in ests]) ** 2)
     sw = np.sqrt(w)
-    a_mat = _design(phis) * sw[:, None]
+    design = _design(phis)
+    a_mat = design * sw[:, None]
     u, s, vt = np.linalg.svd(a_mat, full_matrices=False)
     if s[-1] <= 0 or s[0] / s[-1] > DESIGN_COND_MAX:
         raise DegenerateDesignError(
@@ -144,7 +145,7 @@ def fit_trig_poly(points) -> TrigFit:
         )
     coeffs = vt.T @ ((u.T @ (y * sw)) / s)
     cov = (vt.T / s**2) @ vt
-    resid = y - _design(phis) @ coeffs
+    resid = y - design @ coeffs
     chi2 = float(w @ resid**2)
     return TrigFit(coeffs=coeffs, cov=cov, chi2=chi2, dof=int(phis.size - 5))
 

@@ -84,7 +84,7 @@ def _config(args, default_preset: str):
     else:
         cfg = config_mod.preset_config(args.preset or default_preset)
     if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)  # ExperimentConfig rejects a negative seed
+        cfg = cfg.with_seed(args.seed)  # with_seed rejects a negative seed
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:

@@ -25,6 +25,10 @@ fraction of the cost of one SeedSequence per substream.  Mode mismatch
 (visibility v) reduces the interfering LO amplitude to v*E_L; the orthogonal
 LO remainder only adds shot noise.
 
+Only the normals depend on the seed.  Each scan's specs (scan_plan) and each
+segment's Cholesky factors are built on first use and kept on the config;
+every with_seed copy shares them, any other change of a field starts anew.
+
 Analysis sees a segment only as a SegmentEstimate, its spec plus its
 correlation estimate.  simulate_segments yields them from chunked draws and
 records.read_record from files, both through analysis.ProductMoments;
@@ -36,7 +40,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -80,6 +84,11 @@ def _require_finite(obj, *names):
         value = getattr(obj, name)
         if not all(math.isfinite(v) for v in (value if isinstance(value, tuple) else (value,))):
             raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
+def _require_seed(seed):
+    if seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -150,6 +159,8 @@ class ExperimentConfig:
     sig_threshold: float = 3.0
     lo_scan_e_l: tuple = ()
     lo_scan_phi: float = 0.75 * np.pi
+    # the seed-free sampling plan (_seed_free), shared by with_seed copies only
+    _plan: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
@@ -171,8 +182,7 @@ class ExperimentConfig:
             raise ConfigError("sig_threshold must be > 0")
         if not 0.0 < self.visibility <= 1.0:
             raise ConfigError("visibility must lie in (0, 1]")
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        _require_seed(self.seed)
         if sorted(self.schedule) != sorted(SCHEDULE_DEFAULT):
             raise ConfigError(
                 f"schedule must be a permutation of {SCHEDULE_DEFAULT}, got {self.schedule}"
@@ -210,7 +220,18 @@ class ExperimentConfig:
         return 10 * self.samples_per_phase
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, seed=seed)
+        """This config with another seed, which alone is checked; it shares the seed-free plan."""
+        _require_seed(seed)
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, seed=seed)
+        return copy
+
+    def _seed_free(self, key, build):
+        """The entry key of the seed-free plan, build() on first use."""
+        value = self._plan.get(key)
+        if value is None:
+            value = self._plan[key] = build()
+        return value
 
 
 @dataclass(frozen=True)
@@ -428,7 +449,7 @@ def segment_chunks(cfg: ExperimentConfig, spec: SegmentSpec, seeds: np.ndarray):
     for normals z drawn chunk after chunk from the segment's substream, so they
     equal one whole-segment draw bit for bit.
     """
-    a, b, c = _chol2(segment_statistics(cfg, spec)[1])
+    a, b, c = cfg._seed_free(spec, lambda: _chol2(segment_statistics(cfg, spec)[1]))
     rows = min(CHUNK_ROWS, spec.n)
     buffer, scratch = np.empty((rows, 2)), np.empty(rows)
     rng = substream(seeds)
@@ -524,12 +545,15 @@ class LoScanEstimates:
 
 
 def scan_plan(cfg: ExperimentConfig, kind: str):
-    """Ordered segment specs of a "phase_scan" or an "lo_scan" record of cfg."""
+    """Ordered segment specs of a "phase_scan" or an "lo_scan" record of cfg: a new list
+    per call, of specs built once per seed-free config."""
     if kind == "phase_scan":
-        return phase_scan_plan(cfg)
-    if kind == "lo_scan":
-        return lo_scan_plan(cfg, cfg.lo_scan_phi, cfg.lo_scan_e_l)
-    raise ValueError(f"unknown record kind {kind!r}")
+        build = functools.partial(phase_scan_plan, cfg)
+    elif kind == "lo_scan":
+        build = functools.partial(lo_scan_plan, cfg, cfg.lo_scan_phi, cfg.lo_scan_e_l)
+    else:
+        raise ValueError(f"unknown record kind {kind!r}")
+    return list(cfg._seed_free(kind, build))
 
 
 def simulate_segments(cfg: ExperimentConfig, specs):

@@ -333,6 +333,15 @@ class TestExitCodes:
         assert "config error: sig_threshold must be > 0" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "reproduce-paper"])
+    def test_negative_seed_flag(self, tmp_path, tiny_config_path, capsys, command):
+        # --seed reaches the config through with_seed, which checks the seed alone
+        out = tmp_path / "run"
+        assert main([command, "--config", tiny_config_path, "--seed", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: seed" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("totally_unknown = 1\n")

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hccm import detector
 from hccm.analysis import CHUNK_ROWS, ProductMoments, estimate_correlation
 from hccm.detector import (
     _KIND_IDS,
@@ -17,6 +18,7 @@ from hccm.detector import (
     lo_scan_plan,
     phase_scan_plan,
     plan_seeds,
+    scan_plan,
     seed_sequence_words,
     segment_statistics,
     simulate_estimates,
@@ -24,6 +26,7 @@ from hccm.detector import (
     substream,
 )
 from hccm.errors import ConfigError
+from hccm.pipeline import run_pipeline
 from hccm.gaussian import (
     LocalOscillator,
     apply_loss,
@@ -251,6 +254,102 @@ class TestDeterminism:
         r1 = draw_plan(cfg1, phase_scan_plan(cfg1))
         r2 = draw_plan(cfg2, phase_scan_plan(cfg2))
         assert not np.array_equal(r1[0][0], r2[0][0])
+
+
+LO_GRID = (0.0, 1.4, 2.0, 2.8)
+
+
+def draw_scans(cfg):
+    """Every segment of cfg's phase and LO plans, drawn."""
+    specs = scan_plan(cfg, "phase_scan") + scan_plan(cfg, "lo_scan")
+    return [draw_segment(cfg, spec) for spec in specs]
+
+
+def assert_draws_equal(draws, expected):
+    assert len(draws) == len(expected)
+    for got, want in zip(draws, expected):
+        np.testing.assert_array_equal(np.column_stack(got), np.column_stack(want))
+
+
+class TestSeedFreePlan:
+    """The seed-free part of sampling (scan specs, Cholesky factors) is built once per
+    config and shared by its with_seed copies, never by a config with other fields."""
+
+    @pytest.mark.parametrize(
+        "det", [DetectorConfig(eta1=0.94, eta2=0.94), NOISY], ids=["clean", "noisy"]
+    )
+    def test_with_seed_draws_equal_replace(self, det):
+        cfg = small_config(detector=det, lo_scan_e_l=LO_GRID)
+        draw_scans(cfg)  # fills the shared plan
+        for seed in (0, 5, 2**40):
+            copy, rebuilt = cfg.with_seed(seed), replace(cfg, seed=seed)
+            assert copy == rebuilt and hash(copy) == hash(rebuilt)
+            assert_draws_equal(draw_scans(copy), draw_scans(rebuilt))
+        assert cfg.seed == 77
+
+    def test_with_seed_checks_the_seed(self):
+        cfg = small_config()
+        for make in (cfg.with_seed, lambda seed: replace(cfg, seed=seed)):
+            with pytest.raises(ConfigError, match="^seed must be a non-negative integer$"):
+                make(-1)
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(e_l=2.0), dict(detector=replace(NOISY, dark_corr=1.5)), dict(phases=(0.1, 0.7, 2.0))],
+        ids=["e_l", "dark_corr", "phases"],
+    )
+    def test_replace_starts_a_new_plan(self, change):
+        cfg = small_config(detector=NOISY, lo_scan_e_l=LO_GRID)
+        stale = draw_scans(cfg.with_seed(9))
+        changed = replace(cfg.with_seed(9), **change)
+        fresh = small_config(**{"detector": NOISY, "lo_scan_e_l": LO_GRID, "seed": 9, **change})
+        drawn = draw_scans(changed)
+        assert_draws_equal(drawn, draw_scans(fresh))
+        # the change shows in the samples, so a stale plan would fail the line above
+        assert not all(np.array_equal(a[0], b[0]) for a, b in zip(drawn, stale))
+
+    def test_plans_are_new_lists(self):
+        cfg = small_config(lo_scan_e_l=LO_GRID)
+        plans = [
+            lambda: phase_scan_plan(cfg),
+            lambda: lo_scan_plan(cfg, cfg.lo_scan_phi, cfg.lo_scan_e_l),
+            lambda: scan_plan(cfg, "phase_scan"),
+            lambda: scan_plan(cfg, "lo_scan"),
+        ]
+        for plan in plans:
+            first = plan()
+            expected = list(first)
+            first.append(first[0])
+            first.reverse()
+            second = plan()
+            assert second is not first and second == expected
+        assert scan_plan(cfg, "phase_scan") == phase_scan_plan(cfg)
+
+    def test_seed_free_work_once_per_config(self, monkeypatch):
+        # a prebuilt config: its with_seed runs compute each segment's covariance once,
+        # in the first run, and never validate the config again
+        cfg = small_config(lo_scan_e_l=LO_GRID)
+        counts = {"segment_statistics": 0, "__post_init__": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            detector, "segment_statistics", counted("segment_statistics", segment_statistics)
+        )
+        monkeypatch.setattr(
+            ExperimentConfig,
+            "__post_init__",
+            counted("__post_init__", ExperimentConfig.__post_init__),
+        )
+        for seed in range(5):
+            run_pipeline(cfg.with_seed(seed), with_lo_scan=True)
+        segments = len(scan_plan(cfg, "phase_scan")) + len(scan_plan(cfg, "lo_scan"))
+        assert counts == {"segment_statistics": segments, "__post_init__": 0}
 
 
 class TestSubstreams:
