@@ -39,50 +39,41 @@ class CorrelationEstimate:
             raise ValueError(f"sample count must be >= 1, got {self.n}")
 
 
-class ProductMoments:
-    """Count, mean and M2 of the products c1*c2 of one segment's pairs, added in
-    consecutive (k, 2) chunks of CHUNK_ROWS rows from the segment start (only the
-    last may be shorter), so the estimate depends on the samples alone.  Each
-    chunk is reduced in two passes while in cache, then merged with the update
-    of Chan, Golub & LeVeque (1979)."""
-
-    def __init__(self):
-        self.n, self.mean, self.m2 = 0, 0.0, 0.0
-
-    def add(self, pairs: np.ndarray) -> None:
+def reduce_chunks(chunks) -> CorrelationEstimate:
+    """Mean of the products c1*c2 of one segment's pairs and its standard error
+    (sample std / sqrt(n)).  chunks yields the pairs as consecutive (k, 2) arrays of
+    CHUNK_ROWS rows from the segment start (only the last may be shorter), so the
+    estimate depends on the samples alone.  Each chunk is reduced in two passes while
+    in cache, then merged with the update of Chan, Golub & LeVeque (1979)."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for pairs in chunks:
         k = len(pairs)
-        if self.n % CHUNK_ROWS or k > CHUNK_ROWS:
+        if n % CHUNK_ROWS or k > CHUNK_ROWS:
             raise ValueError(f"chunks must hold {CHUNK_ROWS} pairs; only the last may be shorter")
         products = pairs[:, 0] * pairs[:, 1]
-        mean = float(products.sum()) / k
-        products -= mean
+        chunk_mean = float(products.sum()) / k
+        products -= chunk_mean
         products *= products
-        n, delta = self.n + k, mean - self.mean
-        self.mean += delta * (k / n)
-        self.m2 += float(products.sum()) + delta * delta * (self.n * k / n)
-        self.n = n
-
-    def estimate(self) -> CorrelationEstimate:
-        """Mean of the products and its standard error (sample std / sqrt(n))."""
-        if self.n < 2:
-            raise InsufficientDataError(f"need at least 2 sample pairs, got {self.n}")
-        stderr = math.sqrt(self.m2 / (self.n - 1)) / math.sqrt(self.n)
-        return CorrelationEstimate(value=self.mean, stderr=stderr, n=self.n)
+        total, delta = n + k, chunk_mean - mean
+        mean += delta * (k / total)
+        m2 += float(products.sum()) + delta * delta * (n * k / total)
+        n = total
+    if n < 2:
+        raise InsufficientDataError(f"need at least 2 sample pairs, got {n}")
+    stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    return CorrelationEstimate(value=mean, stderr=stderr, n=n)
 
 
 def estimate_correlation(samples) -> CorrelationEstimate:
     """Same-time correlation of paired fluctuation samples.
 
     samples is an (N, 2) array-like of (c1, c2) pairs; returns the mean of the
-    products and its standard error (ProductMoments over CHUNK_ROWS slices).
+    products and its standard error (reduce_chunks over CHUNK_ROWS slices).
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected an (N, 2) array of pairs, got shape {arr.shape}")
-    moments = ProductMoments()
-    for start in range(0, len(arr), CHUNK_ROWS):
-        moments.add(arr[start : start + CHUNK_ROWS])
-    return moments.estimate()
+    return reduce_chunks(arr[at : at + CHUNK_ROWS] for at in range(0, len(arr), CHUNK_ROWS))
 
 
 def drift_error(block_run_a: CorrelationEstimate, block_run_b: CorrelationEstimate) -> float:

@@ -106,7 +106,7 @@ def _write_files(out_dir: str, files: dict) -> None:
     """Write each {file name: text} into out_dir, printing its path."""
     for name, text in files.items():
         with records.atomic_open(os.path.join(out_dir, name)) as fh:
-            fh.write(text)
+            fh.write(text.encode("utf-8"))
         print(os.path.join(out_dir, name))
 
 
@@ -200,6 +200,8 @@ def _read_separation(args):
         raise
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     _check_config(args, cfg, path)
     return cfg, sep, phis, lo_sep
 

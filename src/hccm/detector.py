@@ -31,8 +31,9 @@ every with_seed copy shares them, any other change of a field starts anew.
 
 Analysis sees a segment only as a SegmentEstimate, its spec plus its
 correlation estimate.  simulate_segments yields them from chunked draws and
-records.read_record from files, both through analysis.ProductMoments;
-scan_estimates assembles either stream into PhaseScanEstimates or LoScanEstimates.
+records.read_record from files, each with one analysis.reduce_chunks call per
+segment; scan_estimates assembles either stream into PhaseScanEstimates or
+LoScanEstimates.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analysis
-from .analysis import CHUNK_ROWS, CorrelationEstimate
+from .analysis import CHUNK_ROWS, CorrelationEstimate, reduce_chunks
 from .errors import ConfigError
 from .gaussian import from_quadrature_variances
 from .splitter import BeamSplitter, symmetric_splitter
@@ -484,18 +484,15 @@ def draw_segment(cfg: ExperimentConfig, spec: SegmentSpec):
 
 def phase_scan_plan(cfg: ExperimentConfig):
     """Ordered segment specs of a phase scan, following cfg.schedule."""
-    specs = []
-    block = 0
+    specs = []  # a segment's block is its plan position
     for entry in cfg.schedule:
         if entry == "phases":
             for i, phi in enumerate(cfg.phases):
                 specs.append(
-                    SegmentSpec(KIND_PHASE, i, float(phi), cfg.e_l, block, cfg.samples_per_phase)
+                    SegmentSpec(KIND_PHASE, i, phi, cfg.e_l, len(specs), cfg.samples_per_phase)
                 )
-                block += 1
         else:
-            specs.append(SegmentSpec(entry, 0, 0.0, cfg.e_l, block, cfg.n_blocked))
-            block += 1
+            specs.append(SegmentSpec(entry, 0, 0.0, cfg.e_l, len(specs), cfg.n_blocked))
     return specs
 
 
@@ -508,16 +505,11 @@ def lo_scan_plan(cfg: ExperimentConfig, phi: float, e_l_grid):
         raise ValueError("LO grid must start with 0 (blocked LO)")
     if any(e < 0 for e in grid):
         raise ValueError("LO grid values must be >= 0")
-    specs = []
-    block = 0
+    specs, phi_pi = [], (phi + np.pi) % TWO_PI  # a segment's block is its plan position
     for j, e in enumerate(grid):
-        specs.append(SegmentSpec(KIND_LO_PHASE, j, phi, e, block, cfg.samples_per_phase))
-        block += 1
-        specs.append(
-            SegmentSpec(KIND_LO_PHASE_PI, j, (phi + np.pi) % TWO_PI, e, block, cfg.samples_per_phase)
-        )
-        block += 1
-    specs.append(SegmentSpec(KIND_BLOCKED_SIGNAL, 0, phi, cfg.e_l, block, cfg.n_blocked))
+        specs.append(SegmentSpec(KIND_LO_PHASE, j, phi, e, len(specs), cfg.samples_per_phase))
+        specs.append(SegmentSpec(KIND_LO_PHASE_PI, j, phi_pi, e, len(specs), cfg.samples_per_phase))
+    specs.append(SegmentSpec(KIND_BLOCKED_SIGNAL, 0, phi, cfg.e_l, len(specs), cfg.n_blocked))
     return specs
 
 
@@ -559,10 +551,7 @@ def scan_plan(cfg: ExperimentConfig, kind: str):
 def simulate_segments(cfg: ExperimentConfig, specs):
     """Draw and reduce one segment at a time, chunk by chunk: a lazy SegmentEstimate stream."""
     for spec, chunks in plan_chunks(cfg, specs):
-        moments = analysis.ProductMoments()
-        for pairs in chunks:
-            moments.add(pairs)
-        yield SegmentEstimate(spec, moments.estimate())
+        yield SegmentEstimate(spec, reduce_chunks(chunks))
 
 
 def scan_estimates(kind: str, cfg: ExperimentConfig, segments):

@@ -12,12 +12,13 @@ count and the ``segment.<i>.phi`` lines its phase, so records with
 non-equidistant phase grids read back exactly.
 
 stream_record is the one writer and replaces its file atomically; it and
-read_record hold CHUNK_ROWS rows of a segment at a time (the reader reduces
-them with ProductMoments), so both run in bounded memory.
+read_record hold CHUNK_ROWS rows of a segment at a time, as bytes (the reader
+reduces each segment with one reduce_chunks call), so both run in bounded memory.
 """
 
 from __future__ import annotations
 
+import binascii
 import contextlib
 import math
 import os
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import config as config_mod
-from .analysis import CHUNK_ROWS, ProductMoments
+from .analysis import CHUNK_ROWS, reduce_chunks
 from .detector import (
     KIND_PHASE,
     ExperimentConfig,
@@ -68,16 +69,19 @@ def _header_lines(kind: str, cfg: ExperimentConfig, specs):
 
 @contextlib.contextmanager
 def atomic_open(path):
-    """Write a text file through a temporary file beside it: os.replace moves it
-    onto path when the block completes; on any exception it is removed."""
+    """Write a binary file through a temporary file beside it: os.replace moves it
+    onto path when the block completes; on any exception it is removed, and an
+    OSError (say, path is a directory) is raised as DataError."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -89,11 +93,12 @@ def stream_record(cfg: ExperimentConfig, path, kind: str = "phase_scan") -> int:
     """
     specs = scan_plan(cfg, kind)
     with atomic_open(path) as fh:
-        fh.write("".join(line + "\n" for line in _header_lines(kind, cfg, specs)))
+        fh.write("".join(line + "\n" for line in _header_lines(kind, cfg, specs)).encode())
         for _, chunks in plan_chunks(cfg, specs):
             for pairs in chunks:
-                # one hex line of 16 bytes per (c1, c2) row, one write per chunk
-                fh.write(pairs.astype("<f8", copy=False).tobytes().hex("\n", 16) + "\n")
+                # one hex line of 16 bytes per (c1, c2) row; the last line's newline apart
+                fh.write(binascii.b2a_hex(pairs.astype("<f8", copy=False), b"\n", 16))
+                fh.write(b"\n")
     return sum(spec.n for spec in specs)
 
 
@@ -103,22 +108,25 @@ def read_record(path) -> Record:
     Every segment is checked against the plan of the config in the header: a
     header without the segment's phase, a row that is not 32 hex digits and a
     newline, non-finite samples, a file that ends inside the segment or bytes
-    after the last one raise DataError naming the segment.
+    after the last one raise DataError naming the segment, as does an OSError.
     """
     if not os.path.exists(path):
         raise DataError(f"record file not found: {path}")
-    with open(path, "rb") as fh:
-        meta = _read_header(fh)
-        if meta.get("format") != FORMAT_TAG:
-            found = meta.get("format")
-            raise DataError(f"not a {FORMAT_TAG} record file (format {found!r}): {path}")
-        kind = meta.get("kind")
-        cfg = _config_from_meta(meta)
-        try:
-            plan = scan_plan(cfg, kind)
-        except ValueError as exc:
-            raise DataError(f"record header gives no segment plan: {exc}") from exc
-        segments = tuple(_read_segments(fh, meta, plan))
+    try:
+        with open(path, "rb") as fh:
+            meta = _read_header(fh)
+            if meta.get("format") != FORMAT_TAG:
+                found = meta.get("format")
+                raise DataError(f"not a {FORMAT_TAG} record file (format {found!r}): {path}")
+            kind = meta.get("kind")
+            cfg = _config_from_meta(meta)
+            try:
+                plan = scan_plan(cfg, kind)
+            except ValueError as exc:
+                raise DataError(f"record header gives no segment plan: {exc}") from exc
+            segments = tuple(_read_segments(fh, meta, plan))
+    except OSError as exc:
+        raise DataError(f"cannot read record file {path}: {exc}") from exc
     return Record(kind=kind, segments=segments, config=cfg)
 
 
@@ -165,38 +173,41 @@ def _header_phi(meta: dict, position: int, name: str) -> float:
     return phi
 
 
-def _read_chunk(fh, k: int, done: int, spec: SegmentSpec, name: str) -> np.ndarray:
-    """The next k rows of a segment, of which done are read, as a (k, 2) array."""
-    raw = fh.read(ROW_BYTES * k)
-    if len(raw) < ROW_BYTES * k:
-        rows = done + len(raw) // ROW_BYTES
-        if len(raw) % ROW_BYTES:
-            raise DataError(f"{name}: the file ends inside row {rows + 1} of {spec.n}")
-        if rows == 0:
-            raise DataError(f"{name} is missing")
-        raise DataError(f"{name}: {rows} rows, the plan has {spec.n}")
-    data = b""
-    if (np.frombuffer(raw, np.uint8)[ROW_BYTES - 1 :: ROW_BYTES] == ord("\n")).all():
-        with contextlib.suppress(ValueError):
-            data = bytes.fromhex(raw.decode("ascii"))
-    # fromhex skips whitespace, so a row holding any comes out short of 16 bytes
-    if len(data) != 16 * k:
-        rows = (raw[at : at + ROW_BYTES] for at in range(0, len(raw), ROW_BYTES))
-        bad = next((i for i, row in enumerate(rows) if not _ROW.fullmatch(row)), 0)
-        raise DataError(f"{name}: row {done + bad + 1} is not 32 hex digits and a newline")
-    return np.frombuffer(data, "<f8").reshape(k, 2)
+def _segment_chunks(fh, buffer: memoryview, spec: SegmentSpec, name: str):
+    """Yield a segment's rows as (k, 2) arrays of CHUNK_ROWS rows, the last maybe
+    shorter, each read into buffer (ROW_BYTES * CHUNK_ROWS bytes, reused)."""
+    for done in range(0, spec.n, CHUNK_ROWS):
+        k = min(CHUNK_ROWS, spec.n - done)
+        raw = buffer[: ROW_BYTES * k]
+        got = fh.readinto(raw)
+        if got < len(raw):
+            count = done + got // ROW_BYTES
+            if got % ROW_BYTES:
+                raise DataError(f"{name}: the file ends inside row {count + 1} of {spec.n}")
+            if count == 0:
+                raise DataError(f"{name} is missing")
+            raise DataError(f"{name}: {count} rows, the plan has {spec.n}")
+        rows = np.frombuffer(raw, np.uint8).reshape(k, ROW_BYTES)
+        data = None
+        if (rows[:, -1] == ord("\n")).all():
+            with contextlib.suppress(binascii.Error):
+                data = binascii.a2b_hex(np.ascontiguousarray(rows[:, :-1]))
+        if data is None:
+            bad = next((i for i, row in enumerate(rows) if not _ROW.fullmatch(row.tobytes())), 0)
+            raise DataError(f"{name}: row {done + bad + 1} is not 32 hex digits and a newline")
+        yield np.frombuffer(data, "<f8").reshape(k, 2)
 
 
 def _read_segments(fh, meta: dict, plan):
     """Reduce each segment of the plan, in order, to a SegmentEstimate."""
+    buffer = memoryview(bytearray(ROW_BYTES * CHUNK_ROWS))
     for position, spec in enumerate(plan):
         name = _segment_name(spec, position)
         phi = _header_phi(meta, position, name)
-        moments = ProductMoments()
-        for done in range(0, spec.n, CHUNK_ROWS):
-            moments.add(_read_chunk(fh, min(CHUNK_ROWS, spec.n - done), done, spec, name))
         try:
-            estimate = moments.estimate()
+            estimate = reduce_chunks(_segment_chunks(fh, buffer, spec, name))
+        except DataError:
+            raise
         except ValueError as exc:
             raise DataError(f"{name}: {exc}") from exc
         yield SegmentEstimate(replace(spec, phi=phi), estimate)

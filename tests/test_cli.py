@@ -363,6 +363,33 @@ class TestExitCodes:
         assert "blocked_signal" in err and "Traceback" not in err
         assert sorted(p.name for p in out.iterdir()) == ["lo_scan.txt", "phase_scan.txt"]
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("simulate", "phase_scan.txt"),
+            ("analyze", "phase_scan.txt"),
+            ("analyze", "lo_scan.txt"),
+            ("analyze", "fit_report.txt"),
+            ("test", "separation.json"),
+            ("test", "det_table.txt"),
+        ],
+    )
+    def test_path_is_a_directory(self, tmp_path, tiny_config_path, capsys, command, name):
+        # an input or output file that is a directory is a data error, and nothing is written
+        out = tmp_path / "run"
+        steps = {"simulate": [], "analyze": ["simulate"], "test": ["simulate", "analyze"]}
+        for step in steps[command]:
+            assert main([step, "--config", tiny_config_path, "--out", str(out)]) == 0
+        if (out / name).exists():
+            (out / name).unlink()
+        (out / name).mkdir(parents=True)
+        before = sorted(p.name for p in out.iterdir())
+        capsys.readouterr()
+        assert main([command, "--config", tiny_config_path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "data error:" in err and "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == before
+
     def test_test_requires_analyze_output(self, tmp_path, capsys):
         assert main(["test", "--out", str(tmp_path)]) == 3
         assert "analyze" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hccm import detector
-from hccm.analysis import CHUNK_ROWS, ProductMoments, estimate_correlation
+from hccm.analysis import CHUNK_ROWS, estimate_correlation, reduce_chunks
 from hccm.detector import (
     _KIND_IDS,
     KIND_PHASE,
@@ -744,9 +744,8 @@ class TestChunkBoundaries:
 
 
 def test_product_moments_take_whole_chunks():
-    moments = ProductMoments()
-    moments.add(np.ones((5, 2)))
+    assert reduce_chunks([np.ones((5, 2))]).n == 5
     with pytest.raises(ValueError, match="only the last may be shorter"):
-        moments.add(np.ones((5, 2)))
+        reduce_chunks([np.ones((5, 2)), np.ones((5, 2))])
     with pytest.raises(ValueError):
-        ProductMoments().add(np.ones((CHUNK_ROWS + 1, 2)))
+        reduce_chunks([np.ones((CHUNK_ROWS + 1, 2))])

@@ -95,15 +95,18 @@ class TestPhaseScanRoundTrip:
         assert cfg2.signal.v_min == pytest.approx(cfg.signal.v_min, rel=1e-12)
 
     def test_estimates_match(self, tmp_path):
+        # the same record with uppercase hex digits reads back to the same estimates
         cfg = tiny_config()
-        path = tmp_path / "scan.txt"
+        path, upper = tmp_path / "scan.txt", tmp_path / "upper.txt"
         stream_record(cfg, path)
+        header, data = split_record(path)
+        upper.write_text("".join(header + [row.upper() for row in data]))
         est_a = simulate_estimates(cfg)
-        est_b = read_estimates(path)
-        for a, b in zip(est_a.estimates, est_b.estimates):
-            assert a.value == b.value
-            assert a.stderr == b.stderr
-        assert est_a.blocked_signal.value == est_b.blocked_signal.value
+        for est_b in (read_estimates(path), read_estimates(upper)):
+            for a, b in zip(est_a.estimates, est_b.estimates, strict=True):
+                assert a.value == b.value
+                assert a.stderr == b.stderr
+            assert est_a.blocked_signal.value == est_b.blocked_signal.value
 
     def test_non_equidistant_phases_read_back(self, tmp_path):
         # the config echo stores only n_phases; the segment lines carry each phase
