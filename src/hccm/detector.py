@@ -509,7 +509,8 @@ def lo_scan_plan(cfg: ExperimentConfig, phi: float, e_l_grid):
     for j, e in enumerate(grid):
         specs.append(SegmentSpec(KIND_LO_PHASE, j, phi, e, len(specs), cfg.samples_per_phase))
         specs.append(SegmentSpec(KIND_LO_PHASE_PI, j, phi_pi, e, len(specs), cfg.samples_per_phase))
-    specs.append(SegmentSpec(KIND_BLOCKED_SIGNAL, 0, phi, cfg.e_l, len(specs), cfg.n_blocked))
+    # index 1: the phase scan's offset segment has index 0, and the index picks the substream
+    specs.append(SegmentSpec(KIND_BLOCKED_SIGNAL, 1, phi, cfg.e_l, len(specs), cfg.n_blocked))
     return specs
 
 
@@ -571,7 +572,7 @@ def scan_estimates(kind: str, cfg: ExperimentConfig, segments):
     def grid(seg_kind):
         return [by_key[key] for key in sorted(by_key) if key[0] == seg_kind]
 
-    blocked_signal = find(KIND_BLOCKED_SIGNAL)[1]
+    blocked_signal = find(KIND_BLOCKED_SIGNAL, 0 if kind == "phase_scan" else 1)[1]
     if kind == "phase_scan":
         phases = grid(KIND_PHASE)
         return PhaseScanEstimates(

@@ -173,9 +173,9 @@ class TestDeterminism:
         # determinant stage shows here
         golden = {
             "phase_scan.txt": "7bc5a3b810a96003c4d3e8f6b459bb1261337b5f18ce4d66a85f59c9f4ec05af",
-            "lo_scan.txt": "3b1d91ebc88c846c9e186c0f61244377349d2430a7e7fd1e78abdd7f3df42a75",
-            "separation.json": "b4a51e4a0421818e1747456b2d477481d58d8556fe186ff41e4af9480cbb00d8",
-            "det_table.txt": "de3960eda2079c24f76523f9ef73d1f8234d09df39017d44080e4ce603c6e5c3",
+            "lo_scan.txt": "64167f2332fd41b65a2cad363563cac5eda93d312b751d12ebd2d4a3d1256bf5",
+            "separation.json": "47dc8ac062d2dcb9ccda21bc77aa68a268806c219284e95c9c09b9620d7c74ff",
+            "det_table.txt": "315b51fdeef3e819932364b45a3234658e409286505f1e7bd56bde57eab5adfb",
         }
         assert chain_digests(tmp_path / "run", tiny_config_path, golden) == golden
 
@@ -184,9 +184,9 @@ class TestDeterminism:
         # which draws each segment from the Cholesky factor of its total covariance
         golden = {
             "phase_scan.txt": "d9f37dd32c7b57df738ae676c20734a98fcff3c72fa46ba2c73750b0f64da176",
-            "lo_scan.txt": "83d7cb91e89175ea613bd3346cbd29ea105f85cd537270f487cb8df30ee1f271",
-            "separation.json": "d614f33dd79c9857543f9e2b0e9230aa1444eda07083398c8bf685f57c775624",
-            "det_table.txt": "67b41332b6b590f07a8ce36b04eb4ba289136ea44f5f5478d743d34d8e227c67",
+            "lo_scan.txt": "0a5f3a476637ddd38f2305653c5e901263fa199168dd181861f474a789f282ae",
+            "separation.json": "3ad550d953840f5aed1be8a6a2c2632c48ae0e7a9024ca941ade3255d4116e42",
+            "det_table.txt": "5e99f6ecf19173687c06b778cab4f4196f87e84e7f543aa55632242cdd298464",
         }
         path = tmp_path / "noisy.cfg"
         path.write_text(NOISY_TINY)

@@ -683,6 +683,18 @@ class TestLoScan:
         _, sigma_blocked, _ = segment_statistics(cfg, blocked_spec)
         np.testing.assert_allclose(sigma_total, sigma_blocked, rtol=1e-9)
 
+    def test_offsets_draw_from_their_own_substreams(self):
+        # the blocked-signal segments of the two scans measure the same offset, but
+        # the two separations must not share its noise: distinct seeds, distinct estimates
+        cfg = small_config(lo_scan_e_l=(0.0, 1.4, 2.8), lo_scan_phi=0.0)
+        kinds = ("phase_scan", "lo_scan")
+        specs = [scan_plan(cfg, kind)[-1] for kind in kinds]
+        assert {(s.kind, s.phi, s.e_l, s.n) for s in specs} == {("blocked_signal", 0.0, 2.8, 4000)}
+        seeds = plan_seeds(cfg, specs)
+        assert not np.array_equal(seeds[0], seeds[1])
+        offsets = [simulate_estimates(cfg, kind).blocked_signal for kind in kinds]
+        assert offsets[0].value != offsets[1].value
+
     def test_phase_pair_recorded(self):
         cfg = small_config(samples_per_phase=500)
         plan = lo_scan_plan(cfg, 1.0, [0.0, 1.5])
