@@ -296,7 +296,7 @@ class TestPlanChecks:
         [
             lambda row, nxt: [row[1:], nxt],  # 31 digits
             lambda row, nxt: ["0" + row, nxt],  # 33 digits
-            lambda row, nxt: [row[:30] + "  \n", nxt],  # 33 bytes, but fromhex skips the blanks
+            lambda row, nxt: [row[:30] + "  \n", nxt],  # 33 bytes, two of them blanks
             lambda row, nxt: [row[:16] + "\n" + row[17:], nxt],  # a newline inside the row
             lambda row, nxt: [row[2:], "00" + nxt],  # 30 + 34 digits: whole bytes, shifted
         ],
