@@ -59,7 +59,7 @@ from .nonclassicality import (
     build_L,
     classify_phase_range,
     det_with_error,
-    quantum_condition_analytic,
+    moment_matrix_det,
     squeezed_phases,
 )
 from .pipeline import run_pipeline

@@ -102,12 +102,33 @@ def _design(phi: np.ndarray) -> np.ndarray:
     )
 
 
-def _weights(variances: np.ndarray) -> np.ndarray:
-    if np.all(variances > 0):
+def _weights(stderr: np.ndarray) -> np.ndarray:
+    variances = stderr**2
+    if np.all(variances >= np.finfo(float).tiny):
         return 1.0 / variances
-    if np.all(variances == 0):
+    if np.all(stderr == 0):
         return np.ones_like(variances)
-    raise DegenerateDesignError("per-point standard errors must be all positive or all zero")
+    raise DegenerateDesignError(
+        "per-point standard errors must be all positive or all zero, "
+        "and no positive one may square to a subnormal or zero variance"
+    )
+
+
+def _wls(design: np.ndarray, stderr: np.ndarray):
+    """Weighted least squares on the rows of design: the estimator matrix L
+    (parameters = L @ values) and the weights, 1/stderr^2 (all 1 when every
+    stderr is 0).  Raises DegenerateDesignError when the weighted design has
+    condition number above DESIGN_COND_MAX, or when the stderrs are mixed zero
+    and positive or square to subnormal or zero variances (whose weights would
+    overflow)."""
+    w = _weights(stderr)
+    sw = np.sqrt(w)
+    u, s, vt = np.linalg.svd(design * sw[:, None], full_matrices=False)
+    if s[-1] <= 0 or s[0] / s[-1] > DESIGN_COND_MAX:
+        raise DegenerateDesignError(
+            f"design matrix condition number {s[0] / max(s[-1], 1e-300):.2e} exceeds 1e8"
+        )
+    return (vt.T / s) @ (u.T * sw), w
 
 
 def fit_trig_poly(points) -> TrigFit:
@@ -125,20 +146,12 @@ def fit_trig_poly(points) -> TrigFit:
             f"need at least 6 distinct phases, got {np.unique(phis).size}"
         )
     y = np.array([e.value for e in ests])
-    w = _weights(np.array([e.stderr for e in ests]) ** 2)
-    sw = np.sqrt(w)
     design = _design(phis)
-    a_mat = design * sw[:, None]
-    u, s, vt = np.linalg.svd(a_mat, full_matrices=False)
-    if s[-1] <= 0 or s[0] / s[-1] > DESIGN_COND_MAX:
-        raise DegenerateDesignError(
-            f"design matrix condition number {s[0] / max(s[-1], 1e-300):.2e} exceeds 1e8"
-        )
-    coeffs = vt.T @ ((u.T @ (y * sw)) / s)
-    cov = (vt.T / s**2) @ vt
+    est, w = _wls(design, np.array([e.stderr for e in ests]))
+    coeffs = est @ y
     resid = y - design @ coeffs
     chi2 = float(w @ resid**2)
-    return TrigFit(coeffs=coeffs, cov=cov, chi2=chi2, dof=int(phis.size - 5))
+    return TrigFit(coeffs=coeffs, cov=(est / w) @ est.T, chi2=chi2, dof=int(phis.size - 5))
 
 
 @dataclass(frozen=True)
@@ -266,53 +279,30 @@ def separate_by_lo(points, phi: float) -> SeparatedContributions:
 
     points is a sequence of (E_L, estimate at phi, estimate at phi + pi) and
     must hold at least three distinct field strengths including 0 (blocked
-    LO).  The odd part in E_L is fitted linearly through the origin, the even
-    part as alpha + beta*E_L^2; contributions are reported at the largest
-    field strength, e_ref.
+    LO).  With x = E_L / e_ref, e_ref the largest field strength, one weighted
+    fit gives (C0, C1, C2) at e_ref from the odd parts (a - b)/2 = C1 x and the
+    even parts (a + b)/2 = C0 + C2 x^2, each weighted 4/(var_a + var_b); its
+    estimator matrix, applied to the raw estimates a and b, carries their
+    variances to the full 3x3 covariance.
     """
-    items = sorted(points, key=lambda item: item[0])
-    e_vals = np.array([float(e) for e, _, _ in items])
-    pairs = [(a, b) for _, a, b in items]
+    e_vals = np.array([float(e) for e, _, _ in points])
     if np.unique(e_vals).size < 3:
         raise InsufficientDataError(
             f"need at least 3 distinct LO field strengths, got {np.unique(e_vals).size}"
         )
     if not np.any(e_vals == 0.0):
         raise InsufficientDataError("the LO grid must include 0 (blocked LO)")
-    e_ref = float(e_vals.max())
-
-    d_vals = np.array([(a.value - b.value) / 2.0 for a, b in pairs])
-    e_even = np.array([(a.value + b.value) / 2.0 for a, b in pairs])
-    var_a = np.array([a.stderr**2 for a, _ in pairs])
-    var_b = np.array([b.stderr**2 for _, b in pairs])
-    var_de = (var_a + var_b) / 4.0
-    cov_de = (var_a - var_b) / 4.0
-    w = _weights(var_de)
-
-    # odd part: slope through the origin
-    denom = float(w @ e_vals**2)
-    u_row = w * e_vals / denom
-    slope = float(u_row @ d_vals)
-    var_slope = 1.0 / denom
-
-    # even part: alpha + beta * E^2
-    g_mat = np.column_stack([np.ones_like(e_vals), e_vals**2])
-    gtw = g_mat.T * w
-    cov_ab = np.linalg.inv(gtw @ g_mat)
-    v_rows = cov_ab @ gtw
-    alpha_beta = v_rows @ e_even
-
-    # the odd and even samples at one grid point share the same raw data
-    cross = np.array([float(u_row @ (cov_de * v_rows[k])) for k in range(2)])
-
-    values = np.array([alpha_beta[0], slope * e_ref, alpha_beta[1] * e_ref**2])
-    cov = np.zeros((3, 3))
-    cov[0, 0] = cov_ab[0, 0]
-    cov[1, 1] = var_slope * e_ref**2
-    cov[2, 2] = cov_ab[1, 1] * e_ref**4
-    cov[0, 2] = cov[2, 0] = cov_ab[0, 1] * e_ref**2
-    cov[0, 1] = cov[1, 0] = cross[0] * e_ref
-    cov[1, 2] = cov[2, 1] = cross[1] * e_ref**3
+    n, x = e_vals.size, e_vals / e_vals.max()
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    design = np.vstack([np.column_stack([zero, x, zero]), np.column_stack([one, zero, x**2])])
+    ests = [a for _, a, _ in points] + [b for _, _, b in points]
+    stderr = np.array([e.stderr for e in ests])
+    est, _ = _wls(design, np.tile(np.hypot(stderr[:n], stderr[n:]) / 2.0, 2))
+    # the same estimator on the raw estimates (a, b): rows (a - b)/2, then (a + b)/2
+    odd, even = est[:, :n] / 2.0, est[:, n:] / 2.0
+    lmat = np.hstack([even + odd, even - odd])
+    values = lmat @ np.array([e.value for e in ests])
+    cov = (lmat * stderr**2) @ lmat.T
     return SeparatedContributions(
         method=BY_LO,
         c0_value=float(values[0]),
@@ -321,4 +311,3 @@ def separate_by_lo(points, phi: float) -> SeparatedContributions:
         ref_values=values,
         ref_cov=cov,
     )
-

@@ -14,6 +14,7 @@ precondition error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -103,11 +104,14 @@ def _check_config(args, cfg, source: str) -> None:
 
 
 def _write_files(out_dir: str, files: dict) -> None:
-    """Write each {file name: text} into out_dir, printing its path."""
-    for name, text in files.items():
-        with records.atomic_open(os.path.join(out_dir, name)) as fh:
-            fh.write(text.encode("utf-8"))
-        print(os.path.join(out_dir, name))
+    """Write each {file name: text} into out_dir, printing its path.  Every file
+    goes to its temporary file before any replaces its target, so a failed
+    write leaves the earlier output set as it was."""
+    paths = {os.path.join(out_dir, name): text for name, text in files.items()}
+    with contextlib.ExitStack() as stack:
+        for path, text in paths.items():
+            stack.enter_context(records.atomic_open(path)).write(text.encode("utf-8"))
+    print("\n".join(paths))
 
 
 def _print_fit(phase: PhaseScanAnalysis) -> None:
@@ -131,11 +135,11 @@ def _print_verdict(det: DetAnalysis) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _config(args, default_preset="paper-quick")
-    phase_path = os.path.join(args.out, PHASE_RECORD)
+    phase_path, lo_path = os.path.join(args.out, PHASE_RECORD), os.path.join(args.out, LO_RECORD)
+    records.refuse_directories(phase_path, *([lo_path] if cfg.lo_scan_e_l else []))
     rows = records.stream_record(cfg, phase_path, kind="phase_scan")
     print(f"wrote {phase_path}: {len(cfg.phases)} phases x {cfg.samples_per_phase} samples")
     if cfg.lo_scan_e_l:
-        lo_path = os.path.join(args.out, LO_RECORD)
         lo_rows = records.stream_record(cfg, lo_path, kind="lo_scan")
         print(f"wrote {lo_path}: {len(cfg.lo_scan_e_l)} LO strengths x 2 phases")
         rows += lo_rows

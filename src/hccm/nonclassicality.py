@@ -12,6 +12,7 @@ a (P, ...) stack, a tuple of P DetResults and P flags, all in one array pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,11 +86,16 @@ def det_with_error(lmat: LMatrix, threshold: float = 3.0):
     m00, m01, m11 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 1]
     # a float's x ** 2 is libm pow, as for a NumPy scalar; array x * x can move the last bit
     det = m00 * m11 - np.array([x**2 for x in m01.tolist()])
+    # the variance is of order L^4: formed on L / 2**k and c_cov / 4**k, exact in
+    # binary, it neither under- nor overflows for any detector gains
+    k = math.frexp(float(np.abs(m).max(initial=0.0)))[1]
     jac = np.stack([m11 / coeffs.t0, -2.0 * m01 / coeffs.t1, m00 / coeffs.t2], axis=-1)
+    jac = np.ldexp(jac, -k)
     with np.errstate(invalid="ignore", divide="ignore"):
         # batched (1, 3) @ (3, 3) @ (3, 1): the same products and sums as a 1-D jac @ cov @ jac
-        var = ((jac[:, None, :] @ lmat.c_cov.reshape(-1, 3, 3)) @ jac[:, :, None])[:, 0, 0]
-        sigma = np.sqrt(np.where(var < 0, 0.0, var))
+        c_cov = np.ldexp(lmat.c_cov.reshape(-1, 3, 3), -2 * k)
+        var = ((jac[:, None, :] @ c_cov) @ jac[:, :, None])[:, 0, 0]
+        sigma = np.ldexp(np.sqrt(np.where(var < 0, 0.0, var)), 2 * k)
         strength = np.where(det < 0, np.where(sigma > 0, -det / sigma, np.inf), 0.0)
         significance = np.where(np.isfinite(sigma), strength, np.nan)
     nonclassical = (det < 0) & (significance >= threshold)
@@ -155,20 +161,8 @@ def squeezed_phases(signal: SignalParams, phis) -> np.ndarray:
     return mid + half * np.cos(2.0 * (np.asarray(phis, dtype=float) - signal.angle)) < 1.0
 
 
-def quantum_condition_analytic(state: GaussianState, phi: float):
-    """Analytic check of the anomalous-correlation condition at one phase.
-
-    Returns (lhs, rhs, violated) with lhs the squared mixed moment and rhs the
-    product of intensity and field variances; violated means lhs > rhs, which
-    no classical field can achieve.
-    """
-    m = normal_ordered_signal_moments(state, phi)
-    lhs = m.anom**2
-    rhs = m.var_i * m.var_e
-    return float(lhs), float(rhs), bool(lhs > rhs)
-
-
 def moment_matrix_det(state: GaussianState, phi: float) -> float:
-    """Analytic determinant of the normal-ordered moment matrix."""
+    """Analytic determinant var_I var_E - anom^2 of the normal-ordered moment
+    matrix at one phase; no classical field makes it negative."""
     m = normal_ordered_signal_moments(state, phi)
     return float(m.var_i * m.var_e - m.anom**2)

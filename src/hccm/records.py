@@ -67,11 +67,21 @@ def _header_lines(kind: str, cfg: ExperimentConfig, specs):
     return lines
 
 
+def refuse_directories(*paths) -> None:
+    """Raise DataError for a path to be written that is a directory, before any
+    work is done for it."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise DataError(f"cannot write {path}: it is a directory")
+
+
 @contextlib.contextmanager
 def atomic_open(path):
     """Write a binary file through a temporary file beside it: os.replace moves it
     onto path when the block completes; on any exception it is removed, and an
-    OSError (say, path is a directory) is raised as DataError."""
+    OSError is raised as DataError.  A path that is a directory is refused
+    before the block runs."""
+    refuse_directories(path)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:

@@ -134,6 +134,21 @@ class TestTrigFit:
         with pytest.raises(ValueError):
             fit_trig_poly(pts)
 
+    @pytest.mark.parametrize("stderr", [1e-160, 1e-170], ids=["subnormal", "zero"])
+    def test_tiny_stderr_rejected(self, stderr):
+        # the squares are subnormal or 0.0: their weights would be infinite, and
+        # 0.0 must not pass for noiseless points
+        phis = 2 * np.pi * np.arange(8) / 8
+        pts = [
+            (p, _est(e.value * 1e-160, stderr))
+            for p, e in synthetic_points((1, 0, 0, 0, 0), phis)
+        ]
+        with pytest.raises(DegenerateDesignError):
+            fit_trig_poly(pts)
+        grid = [(e, _est(1e-160, stderr), _est(1e-160, stderr)) for e in (0.0, 1.0, 2.0)]
+        with pytest.raises(DegenerateDesignError):
+            separate_by_lo(grid, phi=0.0)
+
     def test_chi2_calibration(self, rng):
         phis = 2 * np.pi * np.arange(24) / 24
         truth = (0.5, 1.0, -0.2, 0.4, 0.0)
@@ -248,25 +263,58 @@ class TestSeparateByLo:
         vals, _ = sep.contributions_at(0.9)
         assert vals[1] == pytest.approx(-1.0, abs=1e-12)
 
-    def test_error_propagation_sanity(self, rng):
-        # Monte Carlo pulls of the three contributions are standard normal
+    @pytest.mark.parametrize(
+        "sigma_phi, sigma_phi_pi",
+        [
+            ((0.02,) * 4, (0.02,) * 4),
+            # unequal sigma at phi and phi + pi: the odd and even parts correlate
+            ((0.01, 0.02, 0.015, 0.03), (0.03, 0.01, 0.025, 0.012)),
+        ],
+        ids=["equal", "unequal"],
+    )
+    def test_error_propagation_sanity(self, rng, sigma_phi, sigma_phi_pi):
+        # Monte Carlo pulls of the three contributions are standard normal, and the
+        # draws' 3x3 covariance is the propagated one, correlations included
         grid = np.array([0.0, 1.0, 1.5, 2.0])
-        truth = (0.7, -0.5, 0.3)
-        sigma = 0.02
-        pulls = []
-        for _ in range(400):
-            pts = []
-            for e in grid:
-                up = truth[0] + truth[1] * e + truth[2] * e**2 + rng.normal(0, sigma)
-                dn = truth[0] - truth[1] * e + truth[2] * e**2 + rng.normal(0, sigma)
-                pts.append((e, _est(up, sigma), _est(dn, sigma)))
+        truth = np.array([0.7, -0.5, 0.3])
+        up = truth[0] + truth[1] * grid + truth[2] * grid**2
+        dn = truth[0] - truth[1] * grid + truth[2] * grid**2
+        draws = []
+        for _ in range(4000):
+            a = up + rng.normal(0.0, sigma_phi)
+            b = dn + rng.normal(0.0, sigma_phi_pi)
+            pts = [
+                (e, _est(x, sx), _est(y, sy))
+                for e, x, sx, y, sy in zip(grid, a, sigma_phi, b, sigma_phi_pi)
+            ]
+            vals, cov = separate_by_lo(pts, phi=0.0).contributions_at(0.0)
+            draws.append(vals)
+        draws = np.array(draws)
+        sigma = np.sqrt(np.diag(cov))
+        pulls = (draws - truth * np.array([1.0, 2.0, 4.0])) / sigma
+        assert np.all(np.abs(pulls.mean(axis=0)) < 0.1)
+        assert np.all(np.abs(pulls.std(axis=0) - 1.0) < 0.05)
+        # sampling sd of a correlation from 4000 draws is below 0.016
+        corr_mc = np.corrcoef(draws.T)
+        assert np.all(np.abs(corr_mc - cov / np.outer(sigma, sigma)) < 0.06)
+
+    def test_matches_odd_even_closed_form(self, rng):
+        # the one weighted fit equals the separate odd and even fits with their
+        # hand-derived cross terms, on random grids and unequal sigma
+        for _ in range(200):
+            grid = np.concatenate([[0.0], rng.uniform(0.1, 5.0, rng.integers(2, 8))])
+            sigma = rng.uniform(0.01, 0.1, (grid.size, 2))
+            pts = [
+                (e, _est(rng.normal(), sa), _est(rng.normal(), sb))
+                for e, (sa, sb) in zip(rng.permutation(grid), sigma)
+            ]
+            values, cov = _closed_form_by_lo(pts)
             sep = separate_by_lo(pts, phi=0.0)
-            vals, cov = sep.contributions_at(0.0)
-            expect = np.array([truth[0], truth[1] * 2.0, truth[2] * 4.0])
-            pulls.append((vals - expect) / np.sqrt(np.diag(cov)))
-        pulls = np.array(pulls)
-        assert np.all(np.abs(pulls.mean(axis=0)) < 0.2)
-        assert np.all(np.abs(pulls.std(axis=0) - 1.0) < 0.15)
+            scale = np.sqrt(np.diag(cov))
+            np.testing.assert_allclose(sep.ref_values, values, rtol=1e-12, atol=1e-12 * scale.max())
+            np.testing.assert_allclose(
+                sep.ref_cov, cov, rtol=1e-12, atol=1e-12 * np.outer(scale, scale).max()
+            )
 
     def test_method_tag_by_phase(self):
         phis = 2 * np.pi * np.arange(12) / 12
@@ -310,3 +358,35 @@ class TestNoiselessRoundTrip:
             assert values[2] == pytest.approx(
                 z1 * z2 * vis**2 * dg.g2, rel=1e-9, abs=1e-10
             )
+
+
+def _closed_form_by_lo(points):
+    """(C0, C1, C2) at the largest E_L with their covariance, by the odd slope
+    through the origin and the even fit alpha + beta E_L^2 with their cross
+    terms, as separate_by_lo computed them before it became one weighted fit."""
+    items = sorted(points, key=lambda item: item[0])
+    e_vals = np.array([float(e) for e, _, _ in items])
+    e_ref = float(e_vals.max())
+    d_vals = np.array([(a.value - b.value) / 2.0 for _, a, b in items])
+    e_even = np.array([(a.value + b.value) / 2.0 for _, a, b in items])
+    var_a = np.array([a.stderr**2 for _, a, _ in items])
+    var_b = np.array([b.stderr**2 for _, _, b in items])
+    w = 4.0 / (var_a + var_b)
+    cov_de = (var_a - var_b) / 4.0
+    denom = float(w @ e_vals**2)
+    u_row = w * e_vals / denom
+    g_mat = np.column_stack([np.ones_like(e_vals), e_vals**2])
+    gtw = g_mat.T * w
+    cov_ab = np.linalg.inv(gtw @ g_mat)
+    v_rows = cov_ab @ gtw
+    alpha_beta = v_rows @ e_even
+    cross = np.array([float(u_row @ (cov_de * v_rows[k])) for k in range(2)])
+    values = np.array([alpha_beta[0], float(u_row @ d_vals) * e_ref, alpha_beta[1] * e_ref**2])
+    cov = np.zeros((3, 3))
+    cov[0, 0] = cov_ab[0, 0]
+    cov[1, 1] = e_ref**2 / denom
+    cov[2, 2] = cov_ab[1, 1] * e_ref**4
+    cov[0, 2] = cov[2, 0] = cov_ab[0, 1] * e_ref**2
+    cov[0, 1] = cov[1, 0] = cross[0] * e_ref
+    cov[1, 2] = cov[2, 1] = cross[1] * e_ref**3
+    return values, cov

@@ -6,10 +6,11 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from hccm import config as config_mod
+from hccm import detector
 from hccm.cli import main
 
 TINY = """
@@ -174,8 +175,8 @@ class TestDeterminism:
         golden = {
             "phase_scan.txt": "7bc5a3b810a96003c4d3e8f6b459bb1261337b5f18ce4d66a85f59c9f4ec05af",
             "lo_scan.txt": "64167f2332fd41b65a2cad363563cac5eda93d312b751d12ebd2d4a3d1256bf5",
-            "separation.json": "47dc8ac062d2dcb9ccda21bc77aa68a268806c219284e95c9c09b9620d7c74ff",
-            "det_table.txt": "315b51fdeef3e819932364b45a3234658e409286505f1e7bd56bde57eab5adfb",
+            "separation.json": "fcfb18badee12f8126291f41b9765607c7e70de1b0104fbb6024ba61833c1083",
+            "det_table.txt": "d6b4efebd73f251bfec86530a3da56ec4761c0018cf57f0b1cb6c63bbf1c00b4",
         }
         assert chain_digests(tmp_path / "run", tiny_config_path, golden) == golden
 
@@ -185,8 +186,8 @@ class TestDeterminism:
         golden = {
             "phase_scan.txt": "d9f37dd32c7b57df738ae676c20734a98fcff3c72fa46ba2c73750b0f64da176",
             "lo_scan.txt": "0a5f3a476637ddd38f2305653c5e901263fa199168dd181861f474a789f282ae",
-            "separation.json": "3ad550d953840f5aed1be8a6a2c2632c48ae0e7a9024ca941ade3255d4116e42",
-            "det_table.txt": "5e99f6ecf19173687c06b778cab4f4196f87e84e7f543aa55632242cdd298464",
+            "separation.json": "ad384fa3d057183f77ea14546c6b8554e0cbd1cc0985a5aa84eb4b4f244c1cc5",
+            "det_table.txt": "918ae710a3c7a766744446ddb7e543f895babe6a87a8ae0aafa549af0009eba2",
         }
         path = tmp_path / "noisy.cfg"
         path.write_text(NOISY_TINY)
@@ -315,6 +316,15 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_tiny_lo_grid(self, tmp_path, capsys):
+        # E_L^2 underflows on this grid; the by-LO fit on E_L / e_ref does not
+        cfg = tmp_path / "tiny_grid.cfg"
+        cfg.write_text("preset = paper-quick\nlo_scan_field_strengths = 0,1e-200,2e-200\n")
+        out = tmp_path / "run"
+        assert main(["reproduce-paper", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert (out / "lo_table.txt").exists()
+
     def test_non_passive_splitter(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("splitter_ts2 = 0.9\nsplitter_rs2 = 0.1\nsplitter_tl2 = 0.1\nsplitter_rl2 = 0.9\n")
@@ -367,28 +377,44 @@ class TestExitCodes:
         "command, name",
         [
             ("simulate", "phase_scan.txt"),
+            ("simulate", "lo_scan.txt"),
             ("analyze", "phase_scan.txt"),
             ("analyze", "lo_scan.txt"),
             ("analyze", "fit_report.txt"),
+            ("analyze", "separation.json"),
             ("test", "separation.json"),
             ("test", "det_table.txt"),
         ],
     )
-    def test_path_is_a_directory(self, tmp_path, tiny_config_path, capsys, command, name):
-        # an input or output file that is a directory is a data error, and nothing is written
+    def test_path_is_a_directory(
+        self, tmp_path, tiny_config_path, capsys, monkeypatch, command, name
+    ):
+        # an input or output file that is a directory is a data error: no file of
+        # an earlier run is written or replaced, and nothing is drawn
         out = tmp_path / "run"
-        steps = {"simulate": [], "analyze": ["simulate"], "test": ["simulate", "analyze"]}
-        for step in steps[command]:
+        steps = ("simulate", "analyze", "test")
+        for step in steps[: steps.index(command) + 1]:
             assert main([step, "--config", tiny_config_path, "--out", str(out)]) == 0
-        if (out / name).exists():
-            (out / name).unlink()
-        (out / name).mkdir(parents=True)
-        before = sorted(p.name for p in out.iterdir())
+        (out / name).unlink()
+        (out / name).mkdir()
+
+        def snapshot():
+            return {
+                p.name: p.is_dir() or (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+                for p in out.iterdir()
+            }
+
+        before, draws = snapshot(), []
+        segment_chunks = detector.segment_chunks
+        monkeypatch.setattr(
+            detector, "segment_chunks", lambda *args: draws.append(args) or segment_chunks(*args)
+        )
         capsys.readouterr()
         assert main([command, "--config", tiny_config_path, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "data error:" in err and "Traceback" not in err
-        assert sorted(p.name for p in out.iterdir()) == before
+        assert snapshot() == before
+        assert draws == []
 
     def test_test_requires_analyze_output(self, tmp_path, capsys):
         assert main(["test", "--out", str(tmp_path)]) == 3
@@ -527,9 +553,13 @@ FUZZ_REPLACES = {
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(
     key=st.sampled_from(sorted(config_mod._ALL_KEYS)),
-    value=st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e5", "1e308"]),
+    value=st.sampled_from(
+        ["nan", "inf", "-inf", "0", "-1", "1e5", "1e308", "1e-320", "1e-200", "1e-50"]
+    ),
     after_zero=st.booleans(),
 )
+# eta1 = 1e-320 makes the segment variances subnormal: their weights would be infinite
+@example(key="eta1", value="1e-320", after_zero=False)
 def test_cli_fuzz_exit_codes(key, value, after_zero):
     """One config key set to an extreme value: every CLI step exits with a
     documented code, raises nothing, and leaves no temporary or partial file."""

@@ -7,7 +7,7 @@ import pytest
 from hccm import gaussian, pipeline
 from hccm.analysis import BY_LO, BY_PHASE, SeparatedContributions
 from hccm.config import build_config, preset_config
-from hccm.detector import SignalParams
+from hccm.detector import DetectorConfig, ExperimentConfig, SignalParams
 from hccm.errors import AnomalousTermInaccessibleError
 from hccm.gaussian import squeezed_coherent, thermal_state
 from hccm.nonclassicality import (
@@ -16,7 +16,6 @@ from hccm.nonclassicality import (
     classify_phase_range,
     det_with_error,
     moment_matrix_det,
-    quantum_condition_analytic,
     squeezed_phases,
 )
 from hccm.splitter import splitter_coefficients, symmetric_splitter
@@ -107,6 +106,35 @@ class TestDetWithError:
         assert np.isnan(res.sigma)
         assert np.isnan(res.significance)
         assert res.verdict == "classical-consistent"
+
+
+@pytest.mark.parametrize("gain", [2.0**-166, 2.0**133], ids=["2**-166", "2**133"])
+def test_verdicts_do_not_depend_on_the_gains(gain):
+    # det L scales as gain^4 and its variance as gain^8, which under- or overflows
+    # at these gains; the verdicts and significances are those of gain 1
+    base = dict(
+        signal=SignalParams(v_min=0.537, v_max=3.548, angle=np.pi / 2, alpha=3.0 + 0j),
+        e_l=2.8,
+        phases=tuple(2 * np.pi * i / 16 for i in range(16)),
+        samples_per_phase=20_000,
+        blocked_samples=40_000,
+        seed=99,
+        splitter=symmetric_splitter(0.14),
+        visibility=0.96,
+        lo_scan_e_l=(0.0, 1.4, 2.8),
+    )
+    runs = [
+        pipeline.run_pipeline(
+            ExperimentConfig(detector=DetectorConfig(0.94, 0.94, gain1=g, gain2=g), **base)
+        )
+        for g in (1.0, gain)
+    ]
+    ref, scaled = ([*r.det_results, r.lo_det] for r in runs)
+    assert [d.verdict for d in scaled] == [d.verdict for d in ref]
+    significance = [d.significance for d in ref]
+    assert [d.significance for d in scaled] == pytest.approx(significance, rel=1e-12)
+    assert [d.det for d in scaled] == pytest.approx([d.det * gain**4 for d in ref], rel=1e-12)
+    assert 0 < runs[0].summary.n_nonclassical < 16
 
 
 class TestClassify:
@@ -322,18 +350,17 @@ def test_determinant_stage_is_one_pass(monkeypatch, with_lo_scan, calls):
 
 
 class TestQuantumCondition:
+    """moment_matrix_det < 0 is the anomalous-correlation condition anom^2 > var_I var_E."""
+
     def test_coherent(self):
-        lhs, rhs, violated = quantum_condition_analytic(squeezed_coherent(0, 0, 2.0), 0.7)
-        assert lhs == pytest.approx(0.0, abs=1e-12)
-        assert rhs == pytest.approx(0.0, abs=1e-12)
-        assert violated is False
+        assert moment_matrix_det(squeezed_coherent(0, 0, 2.0), 0.7) == pytest.approx(0.0, abs=1e-12)
 
     def test_squeezed_vacuum_no_violation(self):
-        lhs, rhs, violated = quantum_condition_analytic(
-            squeezed_coherent(0.3, 0.0, 0.0), 0.9
-        )
-        assert lhs == pytest.approx(0.0, abs=1e-14)
-        assert violated is False
+        state = squeezed_coherent(0.3, 0.0, 0.0)
+        m = gaussian.normal_ordered_signal_moments(state, 0.9)
+        det = moment_matrix_det(state, 0.9)
+        assert det >= 0.0
+        assert det == pytest.approx(m.var_i * m.var_e, abs=1e-14)  # no mixed moment
 
     def test_squeezed_reference_state_violates_at_antisqueezed_phase(self):
         from hccm.gaussian import from_quadrature_variances
@@ -341,9 +368,7 @@ class TestQuantumCondition:
         state = from_quadrature_variances(
             REFERENCE_STATE["v_min"], REFERENCE_STATE["v_max"], np.pi / 2, 3.0
         )
-        lhs, rhs, violated = quantum_condition_analytic(state, 3 * np.pi / 4)
-        assert violated is True
-        assert lhs > rhs
+        assert moment_matrix_det(state, 3 * np.pi / 4) < 0.0
 
     def test_classical_states_never_violate(self, rng):
         # coherent, thermal, displaced thermal: det M >= 0 at every phase
