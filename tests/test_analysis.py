@@ -263,16 +263,17 @@ class TestSeparateByLo:
         vals, _ = sep.contributions_at(0.9)
         assert vals[1] == pytest.approx(-1.0, abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "sigma_phi, sigma_phi_pi",
-        [
-            ((0.02,) * 4, (0.02,) * 4),
-            # unequal sigma at phi and phi + pi: the odd and even parts correlate
-            ((0.01, 0.02, 0.015, 0.03), (0.03, 0.01, 0.025, 0.012)),
-        ],
-        ids=["equal", "unequal"],
-    )
-    def test_error_propagation_sanity(self, rng, sigma_phi, sigma_phi_pi):
+    def test_error_propagation_sanity(self, rng):
+        self._check_error_propagation(rng, (0.02,) * 4, (0.02,) * 4)
+
+    def test_error_propagation_unequal_sigma(self, rng):
+        # unequal sigma at phi and phi + pi: the odd and even parts correlate
+        self._check_error_propagation(
+            rng, (0.01, 0.02, 0.015, 0.03), (0.03, 0.01, 0.025, 0.012)
+        )
+
+    @staticmethod
+    def _check_error_propagation(rng, sigma_phi, sigma_phi_pi):
         # Monte Carlo pulls of the three contributions are standard normal, and the
         # draws' 3x3 covariance is the propagated one, correlations included
         grid = np.array([0.0, 1.0, 1.5, 2.0])
