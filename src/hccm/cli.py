@@ -66,9 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", default=".", help="output (and record) directory")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument(
-            "--format", choices=("text", "structured"), default="text", help="report format"
-        )
+        if name != "simulate":  # the commands that write reports
+            p.add_argument(
+                "--format", choices=("text", "structured"), default="text", help="report format"
+            )
     return parser
 
 

@@ -161,61 +161,58 @@ def build_config(flat: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    # each LO value is a power (as in the presets) or a field strength, never both
     if "lo_field_strength" in merged and "lo_power_uw" in merged:
         raise ConfigError("give either lo_field_strength or lo_power_uw, not both")
-    if "lo_field_strength" in merged:
-        e_l = _get_float(merged, "lo_field_strength")
-        calib = None
-    else:
-        calib = _get_float(merged, "lo_amp_per_sqrt_uw")
-        e_l = _field_strength(calib, _get_float(merged, "lo_power_uw"))
-
     if "lo_scan_field_strengths" in merged and "lo_scan_powers_uw" in merged:
         raise ConfigError("give either lo_scan_field_strengths or lo_scan_powers_uw, not both")
+    calib = _get_float(merged, "lo_amp_per_sqrt_uw")
+    if "lo_field_strength" in merged:
+        e_l = _get_float(merged, "lo_field_strength")
+    else:
+        e_l = _field_strength(calib, _get_float(merged, "lo_power_uw"))
     if "lo_scan_field_strengths" in merged:
         lo_grid = _get_float_list(merged, "lo_scan_field_strengths")
-    elif "lo_scan_powers_uw" in merged:
-        if calib is None:
-            calib = _get_float(merged, "lo_amp_per_sqrt_uw")
+    else:
         powers = _get_float_list(merged, "lo_scan_powers_uw")
         lo_grid = tuple(_field_strength(calib, p) for p in powers)
-    else:
-        lo_grid = ()
 
     n_phases = _get_int(merged, "n_phases")
     if n_phases < 1:
         raise ConfigError("n_phases must be >= 1")
     phases = tuple(2.0 * math.pi * i / n_phases for i in range(n_phases))
 
-    try:
-        return ExperimentConfig(
-            signal=signal,
-            e_l=e_l,
-            phases=phases,
-            samples_per_phase=_get_int(merged, "samples_per_phase"),
-            seed=_get_int(merged, "seed"),
-            blocked_samples=_get_int(merged, "blocked_samples"),
-            drift_rate=_get_float(merged, "drift_rate"),
-            detector=detector,
-            splitter=splitter,
-            visibility=_get_float(merged, "visibility"),
-            schedule=tuple(merged["schedule"].split(",")),
-            sig_threshold=_get_float(merged, "sig_threshold"),
-            lo_scan_e_l=lo_grid,
-            lo_scan_phi=_get_float(merged, "lo_scan_phase_rad"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(
+        signal=signal,
+        e_l=e_l,
+        phases=phases,
+        samples_per_phase=_get_int(merged, "samples_per_phase"),
+        seed=_get_int(merged, "seed"),
+        blocked_samples=_get_int(merged, "blocked_samples"),
+        drift_rate=_get_float(merged, "drift_rate"),
+        detector=detector,
+        splitter=splitter,
+        visibility=_get_float(merged, "visibility"),
+        schedule=tuple(merged["schedule"].split(",")),
+        sig_threshold=_get_float(merged, "sig_threshold"),
+        lo_scan_e_l=lo_grid,
+        lo_scan_phi=_get_float(merged, "lo_scan_phase_rad"),
+    )
+
+
+def _db_echo(v: float) -> str:
+    """The float within two ulps of 10*log10(v) that _get_db maps back to v exactly."""
+    db = 10.0 * math.log10(v)
+    near = (db + k * math.ulp(db) for k in (0, 1, -1, 2, -2))
+    return repr(next((x for x in near if 10.0 ** (x / 10.0) == v), db))
 
 
 def config_to_flat(cfg: ExperimentConfig) -> dict:
     """Canonical flat echo of a config (field strengths resolved)."""
     bs, det = cfg.splitter, cfg.detector
     flat = {
-        "squeezing_db": repr(10.0 * math.log10(cfg.signal.v_min)),
-        "antisqueezing_db": repr(10.0 * math.log10(cfg.signal.v_max)),
+        "squeezing_db": _db_echo(cfg.signal.v_min),
+        "antisqueezing_db": _db_echo(cfg.signal.v_max),
         "squeeze_angle_rad": repr(cfg.signal.angle),
         "alpha_re": repr(cfg.signal.alpha.real),
         "alpha_im": repr(cfg.signal.alpha.imag),
@@ -232,6 +229,6 @@ def config_to_flat(cfg: ExperimentConfig) -> dict:
     }
     flat.update({f"splitter_{f.name}": repr(getattr(bs, f.name)) for f in fields(bs)})
     flat.update({f.name: repr(getattr(det, f.name)) for f in fields(det)})
-    if cfg.lo_scan_e_l:
-        flat["lo_scan_field_strengths"] = ",".join(repr(e) for e in cfg.lo_scan_e_l)
+    # an empty grid too: build_config would take the preset's grid in place of a missing one
+    flat["lo_scan_field_strengths"] = ",".join(repr(e) for e in cfg.lo_scan_e_l)
     return flat

@@ -25,9 +25,9 @@ fraction of the cost of one SeedSequence per substream.  Mode mismatch
 (visibility v) reduces the interfering LO amplitude to v*E_L; the orthogonal
 LO remainder only adds shot noise.
 
-Only the normals depend on the seed.  Each scan's specs (scan_plan) and each
-segment's Cholesky factors are built on first use and kept on the config;
-every with_seed copy shares them, any other change of a field starts anew.
+Only the normals depend on the seed.  Building a config builds and checks its
+seed-free plan: each scan's specs (scan_plan) and every segment's Cholesky
+factors (segment_factors), shared by its with_seed copies only.
 
 Analysis sees a segment only as a SegmentEstimate, its spec plus its
 correlation estimate.  simulate_segments yields them from chunked draws and
@@ -41,6 +41,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -174,8 +175,6 @@ class ExperimentConfig:
             raise ConfigError("phases must be non-empty")
         if self.e_l < 0:
             raise ConfigError("lo field strength must be >= 0")
-        if self.lo_scan_e_l and (self.lo_scan_e_l[0] != 0.0 or min(self.lo_scan_e_l) < 0):
-            raise ConfigError("the LO scan grid must start with 0 (blocked LO) and be >= 0")
         if self.drift_rate < 0:
             raise ConfigError("drift_rate must be >= 0")
         if self.sig_threshold <= 0:
@@ -193,21 +192,9 @@ class ExperimentConfig:
         smax = np.linalg.svd([[bs.t_s, bs.r_l], [-bs.r_s, bs.t_l]], compute_uv=False)[0]
         if smax > 1.0 + 1e-9:
             raise ConfigError(f"splitter amplitude map is not passive: singular value {smax:.6f}")
-        # the largest segment (last block of either scan, strongest LO) must not overflow, nor
-        # the estimator's sum of squared deviations of its products c1*c2, which have variance
-        # s11*s22 + s12**2 (margin 40**4 for the tails of the draws)
-        last_block = max(len(self.phases) + len(SCHEDULE_DEFAULT) - 2, 2 * len(self.lo_scan_e_l))
-        probe = SegmentSpec(KIND_PHASE, 0, 0.0, max((self.e_l, *self.lo_scan_e_l)), last_block, 2)
-        try:
-            (s11, s12), (_, s22) = segment_statistics(self, probe)[1].tolist()
-            finite = all(map(math.isfinite, (s11, s12, s22)))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ConfigError("sampling covariance overflows: drift, gain, LO or noise too large")
-        n_max = max(self.samples_per_phase, self.n_blocked)
-        if not math.isfinite(n_max * 40.0**4 * (s11 * s22 + s12 * s12)):
-            raise ConfigError("sample products overflow: drift, gain, LO or noise too large")
+        for kind in ("phase_scan", "lo_scan") if self.lo_scan_e_l else ("phase_scan",):
+            for spec in scan_plan(self, kind):
+                segment_factors(self, spec)
         if self.lo_scan_e_l and len(set(self.lo_scan_e_l)) < 3:
             raise ConfigError(
                 f"the LO scan grid needs at least 3 distinct field strengths, got {self.lo_scan_e_l}"
@@ -306,13 +293,32 @@ def segment_statistics(cfg: ExperimentConfig, spec: SegmentSpec):
     return sigma_q, sigma_total, np.array(lo_flux)
 
 
-def _chol2(sigma: np.ndarray):
-    """Entries (a, b, c) of the lower Cholesky factor [[a, 0], [b, c]], as Python floats."""
-    (s11, _), (s21, s22) = sigma.tolist()
-    a = math.sqrt(max(s11, 0.0))
-    b = s21 / a if a > 0 else 0.0
-    c = math.sqrt(max(s22 - b * b, 0.0))
-    return a, b, c
+def segment_factors(cfg: ExperimentConfig, spec: SegmentSpec):
+    """The lower Cholesky factor [[a, 0], [b, c]] of a segment's sigma_total as (a, b, c),
+    built once per seed-free config: the one place that computes a segment's covariance.
+    ConfigError refuses it when not finite, and products c1*c2 (variance s11*s22 + s12**2)
+    whose squared deviations over n pairs may overflow (margin 40**4 for the draws' tails)
+    or, when nonzero, whose variance over n is below 4 smallest normal floats."""
+
+    def build():
+        try:
+            (s11, s12), (_, s22) = segment_statistics(cfg, spec)[1].tolist()
+            finite = all(map(math.isfinite, (s11, s12, s22)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError("sampling covariance overflows: drift, gain, LO or noise too large")
+        n = min(spec.n, sys.float_info.max)  # a count past the float range: the sum overflows
+        if not math.isfinite(n * 40.0**4 * (s11 * s22 + s12 * s12)):
+            raise ConfigError("sample products overflow: drift, gain, LO or noise too large")
+        a, d = math.sqrt(max(s11, 0.0)), math.sqrt(max(s22, 0.0))
+        # sqrt(s11*s22 + s12**2) from a*d, so that it does not underflow
+        if 0.0 < math.hypot(a * d, s12) < math.sqrt(4.0 * n * sys.float_info.min):
+            raise ConfigError("sample products underflow: gain or efficiency too small")
+        b = s12 / a if a > 0 else 0.0
+        return a, b, math.sqrt(max(s22 - b * b, 0.0))
+
+    return cfg._seed_free(spec, build)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of 4 uint32 words
@@ -449,7 +455,7 @@ def segment_chunks(cfg: ExperimentConfig, spec: SegmentSpec, seeds: np.ndarray):
     for normals z drawn chunk after chunk from the segment's substream, so they
     equal one whole-segment draw bit for bit.
     """
-    a, b, c = cfg._seed_free(spec, lambda: _chol2(segment_statistics(cfg, spec)[1]))
+    a, b, c = segment_factors(cfg, spec)
     rows = min(CHUNK_ROWS, spec.n)
     buffer, scratch = np.empty((rows, 2)), np.empty(rows)
     rng = substream(seeds)
@@ -499,12 +505,8 @@ def phase_scan_plan(cfg: ExperimentConfig):
 def lo_scan_plan(cfg: ExperimentConfig, phi: float, e_l_grid):
     """Ordered segment specs of an LO-strength scan at phases phi and phi+pi."""
     grid = [float(e) for e in e_l_grid]
-    if len(grid) == 0:
-        raise ValueError("LO grid must be non-empty")
-    if grid[0] != 0.0:
-        raise ValueError("LO grid must start with 0 (blocked LO)")
-    if any(e < 0 for e in grid):
-        raise ValueError("LO grid values must be >= 0")
+    if not grid or grid[0] != 0.0 or min(grid) < 0:
+        raise ConfigError("the LO scan grid must start with 0 (blocked LO) and be >= 0")
     specs, phi_pi = [], (phi + np.pi) % TWO_PI  # a segment's block is its plan position
     for j, e in enumerate(grid):
         specs.append(SegmentSpec(KIND_LO_PHASE, j, phi, e, len(specs), cfg.samples_per_phase))

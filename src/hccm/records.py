@@ -37,7 +37,7 @@ from .detector import (
     plan_chunks,
     scan_plan,
 )
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 FORMAT_TAG = "HCCM2"
 ROW_BYTES = 33  # 32 hex digits of two little-endian float64, then "\n"
@@ -163,7 +163,7 @@ def _config_from_meta(meta: dict) -> ExperimentConfig:
     }
     try:
         return config_mod.build_config(flat)
-    except Exception as exc:
+    except ConfigError as exc:
         raise DataError(f"record header does not parse as a config: {exc}") from exc
 
 

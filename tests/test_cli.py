@@ -6,7 +6,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from hccm import config as config_mod
@@ -232,6 +232,54 @@ class TestConfigCheck:
         assert main([command, "--config", tiny_config_path, "--seed", "42", "--out", str(out)]) == 0
 
 
+# 10*log10(v) of this file's v_min is not the dB value that maps back to v_min
+ECHO_CONFIG = """squeezing_db = -2.172996242706244
+antisqueezing_db = 4.0691477742112045
+lo_power_uw = 85.99888875594469
+n_phases = 8
+samples_per_phase = 200
+blocked_samples = 400
+lo_scan_powers_uw = 0,100,275
+"""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [ECHO_CONFIG, ECHO_CONFIG.replace("lo_scan_powers_uw = 0,100,275", "lo_scan_powers_uw =")],
+    ids=["db", "no-lo-scan"],
+)
+def test_config_echo_names_its_config(tmp_path, text):
+    # analyze and test rebuild the config from the echo in their input
+    path = tmp_path / "echo.cfg"
+    path.write_text(text)
+    out = str(tmp_path / "run")
+    for command in ("simulate", "analyze", "test"):
+        assert main([command, "--config", str(path), "--out", out]) == 0, command
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    squeezing=st.floats(-10.0, 0.0),
+    antisqueezing=st.floats(0.0, 12.0),
+    power=st.floats(1.0, 400.0),
+    lo_scan=st.booleans(),
+)
+def test_config_echo_round_trips(squeezing, antisqueezing, power, lo_scan):
+    """The flat echo of a file-built config, with or without an LO scan, builds
+    that config again."""
+    assume(squeezing + antisqueezing >= 0.0)
+    flat = {
+        "preset": "paper-quick",
+        "squeezing_db": repr(squeezing),
+        "antisqueezing_db": repr(antisqueezing),
+        "lo_power_uw": repr(power),
+    }
+    if not lo_scan:
+        flat["lo_scan_powers_uw"] = ""
+    cfg = config_mod.build_config(flat)
+    assert config_mod.build_config(config_mod.config_to_flat(cfg)) == cfg
+
+
 class TestExitCodes:
     def test_unphysical_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -350,6 +398,29 @@ class TestExitCodes:
         assert main([command, "--config", tiny_config_path, "--seed", "-1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error: seed" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "reproduce-paper"])
+    @pytest.mark.parametrize(
+        "lines", ["gain1 = 1e-90\ngain2 = 1e-90\n", "eta1 = 1e-320\n"], ids=["gains", "eta1"]
+    )
+    def test_underflowing_products(self, tmp_path, capsys, command, lines):
+        # every segment's stderr would underflow: refused before --out is made
+        cfg = tmp_path / "tiny_products.cfg"
+        cfg.write_text(TINY + lines)
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: sample products underflow" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_simulate_takes_no_format(self, tmp_path, tiny_config_path, capsys):
+        # simulate writes records only: argparse refuses the report format
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", tiny_config_path, "--out", str(out), "--format", "text"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_key(self, tmp_path, capsys):
@@ -558,7 +629,7 @@ FUZZ_REPLACES = {
     ),
     after_zero=st.booleans(),
 )
-# eta1 = 1e-320 makes the segment variances subnormal: their weights would be infinite
+# eta1 = 1e-320 makes the segment variances subnormal: refused when the config is built
 @example(key="eta1", value="1e-320", after_zero=False)
 def test_cli_fuzz_exit_codes(key, value, after_zero):
     """One config key set to an extreme value: every CLI step exits with a

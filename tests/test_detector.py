@@ -12,7 +12,6 @@ from hccm.detector import (
     DetectorConfig,
     ExperimentConfig,
     SignalParams,
-    _chol2,
     draw_segment,
     drift_factor,
     lo_scan_plan,
@@ -20,6 +19,7 @@ from hccm.detector import (
     plan_seeds,
     scan_plan,
     seed_sequence_words,
+    segment_factors,
     segment_statistics,
     simulate_estimates,
     simulate_segments,
@@ -326,9 +326,8 @@ class TestSeedFreePlan:
         assert scan_plan(cfg, "phase_scan") == phase_scan_plan(cfg)
 
     def test_seed_free_work_once_per_config(self, monkeypatch):
-        # a prebuilt config: its with_seed runs compute each segment's covariance once,
-        # in the first run, and never validate the config again
-        cfg = small_config(lo_scan_e_l=LO_GRID)
+        # building the config computes each plan segment's covariance once; its
+        # with_seed runs compute none again and never validate the config again
         counts = {"segment_statistics": 0, "__post_init__": 0}
 
         def counted(name, func):
@@ -346,10 +345,11 @@ class TestSeedFreePlan:
             "__post_init__",
             counted("__post_init__", ExperimentConfig.__post_init__),
         )
+        cfg = small_config(lo_scan_e_l=LO_GRID)
         for seed in range(5):
             run_pipeline(cfg.with_seed(seed), with_lo_scan=True)
         segments = len(scan_plan(cfg, "phase_scan")) + len(scan_plan(cfg, "lo_scan"))
-        assert counts == {"segment_statistics": segments, "__post_init__": 0}
+        assert counts == {"segment_statistics": segments, "__post_init__": 1}
 
 
 class TestSubstreams:
@@ -527,7 +527,7 @@ class TestSamplingStatistics:
             normals = []
             for cfg in (clean, noisy):
                 c1, c2 = draw_segment(cfg, spec)
-                a, b, c = _chol2(segment_statistics(cfg, spec)[1])
+                a, b, c = segment_factors(cfg, spec)
                 z0 = c1 / a
                 normals.append(np.column_stack([z0, (c2 - b * z0) / c]))
             np.testing.assert_allclose(normals[0], normals[1], rtol=0, atol=1e-9)
@@ -710,7 +710,7 @@ def whole_segment_draw(cfg, spec):
     """The oracle of a chunked draw: one whole-segment draw of normals from the
     substream seeded by numpy's SeedSequence, then the same elementwise
     operations with the Cholesky factor of sigma_total."""
-    a, b, c = _chol2(segment_statistics(cfg, spec)[1])
+    a, b, c = segment_factors(cfg, spec)
     z = seed_sequence_rng(cfg, spec).standard_normal((spec.n, 2))
     c1, c2 = z[:, 0], z[:, 1]
     c2 *= c

@@ -8,7 +8,7 @@ from hccm import gaussian, pipeline
 from hccm.analysis import BY_LO, BY_PHASE, SeparatedContributions
 from hccm.config import build_config, preset_config
 from hccm.detector import DetectorConfig, ExperimentConfig, SignalParams
-from hccm.errors import AnomalousTermInaccessibleError
+from hccm.errors import AnomalousTermInaccessibleError, ConfigError
 from hccm.gaussian import squeezed_coherent, thermal_state
 from hccm.nonclassicality import (
     DetResult,
@@ -135,6 +135,27 @@ def test_verdicts_do_not_depend_on_the_gains(gain):
     assert [d.significance for d in scaled] == pytest.approx(significance, rel=1e-12)
     assert [d.det for d in scaled] == pytest.approx([d.det * gain**4 for d in ref], rel=1e-12)
     assert 0 < runs[0].summary.n_nonclassical < 16
+
+
+def test_smallest_gains_keep_the_verdicts():
+    # at 1e-75 the products' stderr stays normal on paper-quick, and every
+    # verdict and significance is that of gain 1
+    runs = [
+        pipeline.run_pipeline(build_config({"preset": "paper-quick", "gain1": g, "gain2": g}))
+        for g in ("1.0", "1e-75")
+    ]
+    ref, scaled = ([*r.det_results, r.lo_det] for r in runs)
+    assert [d.verdict for d in scaled] == [d.verdict for d in ref]
+    significance = [d.significance for d in ref]
+    assert [d.significance for d in scaled] == pytest.approx(significance, rel=1e-9)
+    assert runs[0].summary.n_nonclassical == runs[1].summary.n_nonclassical == 32
+
+
+@pytest.mark.parametrize("gain", ["1e-78", "1e-80", "1e-90"])
+def test_gains_that_underflow_the_products_are_refused(gain):
+    # the products' squared deviations, and with them every stderr, would underflow
+    with pytest.raises(ConfigError, match="sample products underflow"):
+        build_config({"preset": "paper-quick", "gain1": gain, "gain2": gain})
 
 
 class TestClassify:

@@ -319,6 +319,18 @@ class TestPlanChecks:
         with pytest.raises(DataError, match="segment phase 2 .*no phase"):
             read_record(record)
 
+    @pytest.mark.parametrize(
+        "lines",
+        ["# samples_per_phase=1" + "0" * 400 + "\n", "# gain1=1e-90\n# gain2=1e-90\n"],
+        ids=["count-past-float-range", "underflowing-products"],
+    )
+    def test_header_config_refused(self, record, lines):
+        # the last header line of a key wins: a config build_config refuses is a data error
+        header, data = split_record(record)
+        record.write_text("".join(header + [lines] + data))
+        with pytest.raises(DataError, match="does not parse as a config: sample products"):
+            read_record(record)
+
     def test_header_without_kind(self, record):
         # the writer always names the kind: a header without it is no record of either scan
         header, data = split_record(record)
