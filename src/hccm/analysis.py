@@ -10,11 +10,11 @@ squares with exact first-order error propagation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDesignError, InsufficientDataError
+from .errors import DegenerateDesignError, InsufficientDataError, PreconditionError
 
 DESIGN_COND_MAX = 1e8
 # pairs per chunk of sampling and reduction: a (CHUNK_ROWS, 2) buffer stays in cache
@@ -44,7 +44,9 @@ def reduce_chunks(chunks) -> CorrelationEstimate:
     (sample std / sqrt(n)).  chunks yields the pairs as consecutive (k, 2) arrays of
     CHUNK_ROWS rows from the segment start (only the last may be shorter), so the
     estimate depends on the samples alone.  Each chunk is reduced in two passes while
-    in cache, then merged with the update of Chan, Golub & LeVeque (1979)."""
+    in cache, then merged with the update of Chan, Golub & LeVeque (1979).  Raises
+    PreconditionError for a chunk whose products differ while their squared
+    deviations all underflow to 0.0 (samples too small for a standard error)."""
     n, mean, m2 = 0, 0.0, 0.0
     for pairs in chunks:
         k = len(pairs)
@@ -54,9 +56,12 @@ def reduce_chunks(chunks) -> CorrelationEstimate:
         chunk_mean = float(products.sum()) / k
         products -= chunk_mean
         products *= products
+        squares = float(products.sum())
+        if squares == 0.0 and np.ptp(pairs[:, 0] * pairs[:, 1]) > 0.0:
+            raise PreconditionError("sample products vary, but their squared deviations underflow")
         total, delta = n + k, chunk_mean - mean
         mean += delta * (k / total)
-        m2 += float(products.sum()) + delta * delta * (n * k / total)
+        m2 += squares + delta * delta * (n * k / total)
         n = total
     if n < 2:
         raise InsufficientDataError(f"need at least 2 sample pairs, got {n}")
@@ -156,101 +161,80 @@ def fit_trig_poly(points) -> TrigFit:
 
 @dataclass(frozen=True)
 class SeparatedContributions:
-    """The three correlation contributions with propagated covariances.
+    """The three correlation contributions: parameters and their covariance.
 
-    method is "by-phase" (full Fourier payload) or "by-lo-strength" (values
-    pinned to the scanned phase pair).  contributions_at evaluates the triple
-    (C0, C1(phi), C2(phi)) with its joint 3x3 covariance.  to_dict/from_dict
-    convert to and from plain JSON values; the method follows from the payload,
-    and from_dict raises ValueError or TypeError when a number is not a finite
-    float or an array has the wrong shape.
+    By phase (phi_ref None): params = (a0, a1, b1, a2, b2, C0), the fit's
+    Fourier coefficients and the blocked-LO C0, whose variance carries the
+    drift error, with their 6x6 cov.  By LO strength: params = (C0, C1, C2) at
+    phi_ref, with their 3x3 cov.  contributions_at evaluates (C0, C1(phi),
+    C2(phi)) with its joint 3x3 covariance.  to_dict/from_dict convert to and
+    from plain JSON values; from_dict raises ValueError or TypeError unless
+    every number is a finite float and there are 6 params without phi_ref, 3
+    with it, and a square cov of that size.
     """
 
-    method: str
-    c0_value: float
-    c0_sigma: float
-    coeffs: np.ndarray | None = None
-    coeff_cov: np.ndarray | None = None
+    params: np.ndarray
+    cov: np.ndarray
     phi_ref: float | None = None
-    ref_values: np.ndarray | None = None
-    ref_cov: np.ndarray | None = None
-    c_block: CorrelationEstimate | None = field(default=None, compare=False)
+
+    @property
+    def method(self) -> str:
+        return BY_PHASE if self.phi_ref is None else BY_LO
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, CorrelationEstimate):
-                value = asdict(value)
-            if f.name != "method" and value is not None:
-                out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        out = {"params": self.params.tolist(), "cov": self.cov.tolist()}
+        if self.phi_ref is not None:
+            out["phi_ref"] = self.phi_ref
         return out
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SeparatedContributions":
-        kw = {f.name: payload[f.name] for f in fields(cls) if f.name in payload}
-        kw["method"] = BY_PHASE if "coeffs" in kw else BY_LO
-        scalars, shapes = ["c0_value", "c0_sigma"], {"coeffs": (5,), "coeff_cov": (5, 5)}
-        if kw["method"] == BY_LO:
-            scalars, shapes = [*scalars, "phi_ref"], {"ref_values": (3,), "ref_cov": (3, 3)}
-        for name in scalars:
-            kw[name] = float(kw[name])
-        for name, shape in shapes.items():
-            kw[name] = np.array(kw.get(name, []), dtype=float)
-            if kw[name].shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {kw[name].shape}")
-        for name in (*scalars, *shapes):
-            if not np.all(np.isfinite(kw[name])):
-                raise ValueError(f"{name} must be finite")
-        if "c_block" in kw:
-            kw["c_block"] = CorrelationEstimate(**kw["c_block"])
-        return cls(**kw)
+        phi_ref = None if payload.get("phi_ref") is None else float(payload["phi_ref"])
+        n = 6 if phi_ref is None else 3
+        params, cov = (np.array(payload.get(key, []), dtype=float) for key in ("params", "cov"))
+        if params.shape != (n,) or cov.shape != (n, n):
+            raise ValueError(f"params and cov must have shapes ({n},) and ({n}, {n})")
+        if not np.isfinite([*params, *cov.ravel(), phi_ref or 0.0]).all():
+            raise ValueError("params, cov and phi_ref must be finite")
+        return cls(params, cov, phi_ref)
 
     def contributions_at(self, phi):
         """(C0, C1(phi), C2(phi)) and their 3x3 covariance: (3,) and (3, 3) for
         a scalar phi, (P, 3) and (P, 3, 3) for P phases."""
         phi = np.asarray(phi, dtype=float)
-        at = self._by_phase_at if self.method == BY_PHASE else self._by_lo_at
+        at = self._by_phase_at if self.phi_ref is None else self._by_lo_at
         values, cov = at(phi.reshape(-1))
         return values.reshape(phi.shape + (3,)), cov.reshape(phi.shape + (3, 3))
 
     def _by_phase_at(self, phi: np.ndarray):
-        a0, a1, b1, a2, b2 = self.coeffs
+        a0, a1, b1, a2, b2, c0 = self.params
         c, s = np.cos(phi), np.sin(phi)
         c2, s2 = np.cos(2 * phi), np.sin(2 * phi)
-        c0 = np.full_like(phi, self.c0_value)
-        values = np.stack([c0, a1 * c + b1 * s, a2 * c2 + b2 * s2 + a0 - self.c0_value], axis=-1)
+        values = np.stack([np.full_like(phi, c0), a1 * c + b1 * s, a2 * c2 + b2 * s2 + a0 - c0], -1)
         jac = np.zeros((phi.size, 3, 6))
-        jac[:, 0, 5] = 1.0
-        jac[:, 1, 1], jac[:, 1, 2] = c, s
+        jac[:, 0, 5], jac[:, 1, 1], jac[:, 1, 2] = 1.0, c, s
         jac[:, 2, 0], jac[:, 2, 3], jac[:, 2, 4], jac[:, 2, 5] = 1.0, c2, s2, -1.0
-        big = np.zeros((6, 6))
-        big[:5, :5] = self.coeff_cov
-        big[5, 5] = self.c0_sigma**2
-        # one BLAS product per phase on contiguous stacks: the same sums as a 2-D jac @ big @ jac.T
-        return values, (jac @ big) @ np.ascontiguousarray(jac.transpose(0, 2, 1))
+        # one BLAS product per phase on contiguous stacks: the same sums as a 2-D jac @ cov @ jac.T
+        return values, (jac @ self.cov) @ np.ascontiguousarray(jac.transpose(0, 2, 1))
 
     def _by_lo_at(self, phi: np.ndarray):
         delta = (phi - self.phi_ref) % (2.0 * np.pi)
         same = np.minimum(delta, 2.0 * np.pi - delta) < 1e-9
         if not np.all(same | (np.abs(delta - np.pi) < 1e-9)):
-            raise ValueError(
-                "LO-strength separation is only defined at the scanned phase pair"
-            )
+            raise ValueError("LO-strength separation is only defined at the scanned phase pair")
         signs = np.stack([np.ones_like(phi), np.where(same, 1.0, -1.0), np.ones_like(phi)], -1)
-        return signs * self.ref_values, signs[:, :, None] * self.ref_cov * signs[:, None, :]
+        return signs * self.params, signs[:, :, None] * self.cov * signs[:, None, :]
 
     def c1_amplitude(self):
         """Amplitude sqrt(a1^2 + b1^2) of the 2pi-periodic part with its sigma."""
-        if self.method != BY_PHASE:
-            value = abs(self.ref_values[1])
-            return float(value), float(np.sqrt(self.ref_cov[1, 1]))
-        a1, b1 = self.coeffs[1], self.coeffs[2]
+        if self.phi_ref is not None:
+            return float(abs(self.params[1])), float(np.sqrt(self.cov[1, 1]))
+        a1, b1 = self.params[1], self.params[2]
         amp = float(np.hypot(a1, b1))
         if amp == 0.0:
-            return 0.0, float(np.sqrt(self.coeff_cov[1, 1] + self.coeff_cov[2, 2]))
+            return 0.0, float(np.sqrt(self.cov[1, 1] + self.cov[2, 2]))
         jac = np.array([a1 / amp, b1 / amp])
-        var = float(jac @ self.coeff_cov[1:3, 1:3] @ jac)
+        var = float(jac @ self.cov[1:3, 1:3] @ jac)
         return amp, float(np.sqrt(max(var, 0.0)))
 
 
@@ -263,15 +247,10 @@ def separate_by_phase(
     quadrature), C1 the 2pi-periodic Fourier part, and C2 the pi-periodic part
     plus the phase-independent remainder a0 - C_block.
     """
-    sigma = float(np.hypot(c_block.stderr, drift))
-    return SeparatedContributions(
-        method=BY_PHASE,
-        c0_value=c_block.value,
-        c0_sigma=sigma,
-        coeffs=fit.coeffs.copy(),
-        coeff_cov=fit.cov.copy(),
-        c_block=c_block,
-    )
+    cov = np.zeros((6, 6))
+    cov[:5, :5] = fit.cov
+    cov[5, 5] = float(np.hypot(c_block.stderr, drift)) ** 2
+    return SeparatedContributions(params=np.append(fit.coeffs, c_block.value), cov=cov)
 
 
 def separate_by_lo(points, phi: float) -> SeparatedContributions:
@@ -303,11 +282,4 @@ def separate_by_lo(points, phi: float) -> SeparatedContributions:
     lmat = np.hstack([even + odd, even - odd])
     values = lmat @ np.array([e.value for e in ests])
     cov = (lmat * stderr**2) @ lmat.T
-    return SeparatedContributions(
-        method=BY_LO,
-        c0_value=float(values[0]),
-        c0_sigma=float(np.sqrt(cov[0, 0])),
-        phi_ref=float(phi),
-        ref_values=values,
-        ref_cov=cov,
-    )
+    return SeparatedContributions(params=values, cov=cov, phi_ref=float(phi))

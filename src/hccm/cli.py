@@ -148,32 +148,26 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _read_estimates(path: str, kind: str):
-    record = records.read_record(path)
+def _estimates(record: records.Record, kind: str):
     if record.kind != kind:
-        raise DataError(f"{path} holds a {record.kind} record, expected {kind}")
+        raise DataError(f"{record.path} holds a {record.kind} record, expected {kind}")
     return scan_estimates(kind, record.config, record.segments)
 
 
 def cmd_analyze(args) -> int:
     phase_path, lo_path = os.path.join(args.out, PHASE_RECORD), os.path.join(args.out, LO_RECORD)
-    phase_est = _read_estimates(phase_path, "phase_scan")
-    _check_config(args, phase_est.config, phase_path)
-    lo_est = _read_estimates(lo_path, "lo_scan") if os.path.exists(lo_path) else None
-    if lo_est is not None and lo_est.config != phase_est.config:
-        raise DataError(
-            f"{lo_path} and {phase_path} were simulated with different configs; "
-            f"simulate again or remove the stale {LO_RECORD}"
-        )
+    phase_record = records.read_record(phase_path)
+    phase_est = _estimates(phase_record, "phase_scan")
+    _check_config(args, phase_record.config, phase_path)
+    lo_record = records.read_record(lo_path, like=phase_record) if os.path.exists(lo_path) else None
+    lo_est = None if lo_record is None else _estimates(lo_record, "lo_scan")
     phase = analyze_phase_estimates(phase_est)
     lo = None if lo_est is None else analyze_lo_estimates(lo_est)
 
     payload = {
         "config": config_mod.config_to_flat(phase.estimates.config),
-        "method": phase.separation.method,
-        **phase.separation.to_dict(),
-        "drift_error": phase.drift,
         "phis": phase.estimates.phis.tolist(),
+        "phase": phase.separation.to_dict(),
     }
     if lo is not None:
         payload["lo"] = lo.separation.to_dict()
@@ -196,8 +190,10 @@ def _read_separation(args):
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         cfg = config_mod.build_config(payload["config"])
-        sep = SeparatedContributions.from_dict(payload)
+        sep = SeparatedContributions.from_dict(payload["phase"])
         lo_sep = SeparatedContributions.from_dict(payload["lo"]) if "lo" in payload else None
+        if sep.phi_ref is not None or (lo_sep is not None and lo_sep.phi_ref is None):
+            raise ValueError("phi_ref belongs to lo, and only to lo")
         phis = np.array(payload["phis"], dtype=float)
         if phis.ndim != 1 or phis.size == 0 or not np.all(np.isfinite(phis)):
             raise ValueError("phis must be a non-empty list of finite phases")

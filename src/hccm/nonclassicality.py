@@ -86,16 +86,17 @@ def det_with_error(lmat: LMatrix, threshold: float = 3.0):
     m00, m01, m11 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 1]
     # a float's x ** 2 is libm pow, as for a NumPy scalar; array x * x can move the last bit
     det = m00 * m11 - np.array([x**2 for x in m01.tolist()])
-    # the variance is of order L^4: formed on L / 2**k and c_cov / 4**k, exact in
-    # binary, it neither under- nor overflows for any detector gains
-    k = math.frexp(float(np.abs(m).max(initial=0.0)))[1]
+    # the variance is formed on jac / 2**kj and c_cov / 4**kc, each of order 1, exact in
+    # binary: it neither under- nor overflows for any gains or any size of c_cov beside L
     jac = np.stack([m11 / coeffs.t0, -2.0 * m01 / coeffs.t1, m00 / coeffs.t2], axis=-1)
-    jac = np.ldexp(jac, -k)
+    kj = math.frexp(float(np.abs(jac).max(initial=0.0)))[1]
+    kc = math.frexp(float(np.abs(lmat.c_cov).max(initial=0.0)))[1] // 2
+    jac = np.ldexp(jac, -kj)
     with np.errstate(invalid="ignore", divide="ignore"):
         # batched (1, 3) @ (3, 3) @ (3, 1): the same products and sums as a 1-D jac @ cov @ jac
-        c_cov = np.ldexp(lmat.c_cov.reshape(-1, 3, 3), -2 * k)
+        c_cov = np.ldexp(lmat.c_cov.reshape(-1, 3, 3), -2 * kc)
         var = ((jac[:, None, :] @ c_cov) @ jac[:, :, None])[:, 0, 0]
-        sigma = np.ldexp(np.sqrt(np.where(var < 0, 0.0, var)), 2 * k)
+        sigma = np.ldexp(np.sqrt(np.where(var < 0, 0.0, var)), kj + kc)
         strength = np.where(det < 0, np.where(sigma > 0, -det / sigma, np.inf), 0.0)
         significance = np.where(np.isfinite(sigma), strength, np.nan)
     nonclassical = (det < 0) & (significance >= threshold)

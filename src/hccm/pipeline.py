@@ -103,9 +103,9 @@ def analyze_lo_estimates(est: LoScanEstimates) -> LoScanAnalysis:
     corr_phi = tuple(_subtract_offset(e, offset) for e in est.at_phi)
     corr_pi = tuple(_subtract_offset(e, offset) for e in est.at_phi_pi)
     sep = separate_by_lo(list(zip(est.e_values, corr_phi, corr_pi)), est.phi)
-    ref_cov = sep.ref_cov.copy()
-    ref_cov[0, 0] += offset.stderr**2
-    sep = replace(sep, ref_cov=ref_cov, c0_sigma=float(np.sqrt(ref_cov[0, 0])))
+    cov = sep.cov.copy()
+    cov[0, 0] += offset.stderr**2
+    sep = replace(sep, cov=cov)
     return LoScanAnalysis(est, offset, corr_phi, corr_pi, sep, float(np.max(est.e_values)))
 
 

@@ -37,7 +37,7 @@ from .detector import (
     plan_chunks,
     scan_plan,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, PreconditionError
 
 FORMAT_TAG = "HCCM2"
 ROW_BYTES = 33  # 32 hex digits of two little-endian float64, then "\n"
@@ -51,6 +51,8 @@ class Record:
     kind: str  # "phase_scan" | "lo_scan"
     segments: tuple
     config: ExperimentConfig
+    path: str
+    echo: dict  # the header's config lines, as written
 
 
 def _header_lines(kind: str, cfg: ExperimentConfig, specs):
@@ -112,13 +114,15 @@ def stream_record(cfg: ExperimentConfig, path, kind: str = "phase_scan") -> int:
     return sum(spec.n for spec in specs)
 
 
-def read_record(path) -> Record:
+def read_record(path, like: Record | None = None) -> Record:
     """Read a record file one chunk of a segment at a time (bounded memory).
 
     Every segment is checked against the plan of the config in the header: a
     header without the segment's phase, a row that is not 32 hex digits and a
     newline, non-finite samples, a file that ends inside the segment or bytes
     after the last one raise DataError naming the segment, as does an OSError.
+    With like, a record read before, the header's config lines must be like's,
+    string for string (DataError otherwise), and like's config plans the file.
     """
     if not os.path.exists(path):
         raise DataError(f"record file not found: {path}")
@@ -129,7 +133,18 @@ def read_record(path) -> Record:
                 found = meta.get("format")
                 raise DataError(f"not a {FORMAT_TAG} record file (format {found!r}): {path}")
             kind = meta.get("kind")
-            cfg = _config_from_meta(meta)
+            echo = {
+                k: v for k, v in meta.items() if k not in ("format", "kind", "columns") and "." not in k
+            }
+            if like is not None and echo != like.echo:
+                raise DataError(
+                    f"{path} and {like.path} were simulated with different configs; "
+                    f"simulate again or remove the stale {os.path.basename(path)}"
+                )
+            try:
+                cfg = config_mod.build_config(echo) if like is None else like.config
+            except ConfigError as exc:
+                raise DataError(f"record header does not parse as a config: {exc}") from exc
             try:
                 plan = scan_plan(cfg, kind)
             except ValueError as exc:
@@ -137,7 +152,7 @@ def read_record(path) -> Record:
             segments = tuple(_read_segments(fh, meta, plan))
     except OSError as exc:
         raise DataError(f"cannot read record file {path}: {exc}") from exc
-    return Record(kind=kind, segments=segments, config=cfg)
+    return Record(kind, segments, cfg, os.fspath(path), echo)
 
 
 def _read_header(fh) -> dict:
@@ -155,16 +170,6 @@ def _read_header(fh) -> dict:
             raise DataError(f"record header is not UTF-8 text: {exc}") from exc
         if sep:
             meta[key.strip()] = value.strip()
-
-
-def _config_from_meta(meta: dict) -> ExperimentConfig:
-    flat = {
-        k: v for k, v in meta.items() if k not in ("format", "kind", "columns") and "." not in k
-    }
-    try:
-        return config_mod.build_config(flat)
-    except ConfigError as exc:
-        raise DataError(f"record header does not parse as a config: {exc}") from exc
 
 
 def _segment_name(spec: SegmentSpec, position: int) -> str:
@@ -219,7 +224,8 @@ def _read_segments(fh, meta: dict, plan):
         except DataError:
             raise
         except ValueError as exc:
-            raise DataError(f"{name}: {exc}") from exc
+            error = type(exc) if isinstance(exc, PreconditionError) else DataError
+            raise error(f"{name}: {exc}") from exc
         yield SegmentEstimate(replace(spec, phi=phi), estimate)
     if rest := fh.read(ROW_BYTES):
         if len(rest) == ROW_BYTES:

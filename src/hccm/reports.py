@@ -92,7 +92,7 @@ def phase_table_text(phase: PhaseScanAnalysis) -> str:
 
 
 def lo_table_rows(lo: LoScanAnalysis):
-    c0, c1_ref, c2_ref = lo.separation.ref_values
+    c0, c1_ref, c2_ref = lo.separation.params
     rows = []
     for e, est_a, est_b in zip(lo.estimates.e_values, lo.corrected_phi, lo.corrected_phi_pi):
         odd = c1_ref * (e / lo.e_ref)

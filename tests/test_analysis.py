@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -60,7 +61,59 @@ class TestSeparationDict:
             phi = 0.3 if sep.phi_ref is None else sep.phi_ref
             for got, want in zip(back.contributions_at(phi), sep.contributions_at(phi)):
                 np.testing.assert_array_equal(got, want)
-        assert SeparatedContributions.from_dict(by_phase.to_dict()).c_block == by_phase.c_block
+
+    @staticmethod
+    def _separations():
+        points = synthetic_points((1.0, 0.5, -0.2, 0.3, 0.1), np.linspace(0, 6, 12), 0.01)
+        by_phase = separate_by_phase(fit_trig_poly(points), _est(0.4, 0.02, n=50), drift=0.01)
+        lo_points = [(e, _est(1 + e, 0.01), _est(1 - e, 0.03)) for e in (0.0, 1.0, 2.0)]
+        return {"phase": by_phase, "lo": separate_by_lo(lo_points, 0.7)}
+
+    def test_round_trip_bits(self):
+        # JSON keeps every bit of params, cov and phi_ref: contributions_at agrees bit for bit
+        seps = self._separations()
+        cases = ((seps["phase"], np.linspace(0, 7, 29)), (seps["lo"], np.array([0.7, 0.7 + np.pi])))
+        for sep, phis in cases:
+            back = SeparatedContributions.from_dict(json.loads(json.dumps(sep.to_dict())))
+            assert back.method == sep.method and back.phi_ref == sep.phi_ref
+            for got, want in zip(back.contributions_at(phis), sep.contributions_at(phis)):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, edit",
+        [
+            ("phase", {"params": [0.0] * 3, "cov": [[0.0] * 3] * 3}),
+            ("phase", {"phi_ref": 0.7}),
+            ("phase", {"cov": [[0.0] * 6] * 5}),
+            ("phase", {"cov": None}),
+            ("phase", {"params": None}),
+            ("lo", {"params": [0.0] * 6, "cov": [[0.0] * 6] * 6}),
+            ("lo", {"phi_ref": math.nan}),
+            ("lo", {"phi_ref": math.inf}),
+            ("lo", {"phi_ref": "x"}),
+            ("lo", {"cov": [[math.nan] * 3] * 3}),
+            ("lo", {"cov": None}),
+        ],
+        ids=[
+            "by-phase-3-params",
+            "by-phase-with-phi-ref",
+            "by-phase-cov-5x6",
+            "by-phase-no-cov",
+            "by-phase-no-params",
+            "lo-6-params",
+            "lo-nan-phi-ref",
+            "lo-inf-phi-ref",
+            "lo-phi-ref-not-a-number",
+            "lo-nan-cov",
+            "lo-no-cov",
+        ],
+    )
+    def test_from_dict_refuses(self, kind, edit):
+        # one shape rule: 6 params without phi_ref, 3 with it, a square cov of that size
+        payload = {**self._separations()[kind].to_dict(), **edit}
+        payload = {key: value for key, value in payload.items() if value is not None}
+        with pytest.raises(ValueError):
+            SeparatedContributions.from_dict(json.loads(json.dumps(payload)))
 
 
 class TestOffsetAndDrift:
@@ -211,7 +264,7 @@ class TestSeparateByPhase:
         phis = 2 * np.pi * np.arange(12) / 12
         fit = fit_trig_poly(synthetic_points((1.0, 0.0, 0.0, 0.0, 0.0), phis))
         sep = separate_by_phase(fit, _est(0.8, 0.003, n=10), drift=0.004)
-        assert sep.c0_sigma == pytest.approx(np.hypot(0.003, 0.004), rel=1e-12)
+        assert np.sqrt(sep.cov[5, 5]) == pytest.approx(np.hypot(0.003, 0.004), rel=1e-12)
 
     def test_c0_c2_anticorrelation(self):
         phis = 2 * np.pi * np.arange(12) / 12
@@ -312,9 +365,9 @@ class TestSeparateByLo:
             values, cov = _closed_form_by_lo(pts)
             sep = separate_by_lo(pts, phi=0.0)
             scale = np.sqrt(np.diag(cov))
-            np.testing.assert_allclose(sep.ref_values, values, rtol=1e-12, atol=1e-12 * scale.max())
+            np.testing.assert_allclose(sep.params, values, rtol=1e-12, atol=1e-12 * scale.max())
             np.testing.assert_allclose(
-                sep.ref_cov, cov, rtol=1e-12, atol=1e-12 * np.outer(scale, scale).max()
+                sep.cov, cov, rtol=1e-12, atol=1e-12 * np.outer(scale, scale).max()
             )
 
     def test_method_tag_by_phase(self):

@@ -5,6 +5,7 @@ pair that no longer resolves would read 0 calls rather than fail, so check here.
 """
 
 import importlib
+import importlib.util
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -21,3 +22,17 @@ def test_tracer_spans_resolve(monkeypatch):
     ]
     assert tracer.SPANS
     assert not missing, missing
+
+
+def test_mc_small_operations_run(monkeypatch):
+    # the mc-small workload reads result attributes (the fit, each DetResult, the
+    # summary, the blocked-LO estimate) that a rename would break only when the
+    # benchmark runs; run its set-up round and eight operations in process
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    workload = run.McSmall(seed=3)
+    workload.setup_round()
+    assert all(workload.run_op(index, None)[1] for index in range(8))
+    assert workload.fingerprint(workload.run_once(0)) == workload.fingerprints[0]

@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
@@ -175,7 +176,7 @@ class TestDeterminism:
         golden = {
             "phase_scan.txt": "7bc5a3b810a96003c4d3e8f6b459bb1261337b5f18ce4d66a85f59c9f4ec05af",
             "lo_scan.txt": "64167f2332fd41b65a2cad363563cac5eda93d312b751d12ebd2d4a3d1256bf5",
-            "separation.json": "fcfb18badee12f8126291f41b9765607c7e70de1b0104fbb6024ba61833c1083",
+            "separation.json": "e5847c1ce75e9bd347077d3c164caae4d0e5bdd6b6424083f1ce40bd11423071",
             "det_table.txt": "d6b4efebd73f251bfec86530a3da56ec4761c0018cf57f0b1cb6c63bbf1c00b4",
         }
         assert chain_digests(tmp_path / "run", tiny_config_path, golden) == golden
@@ -186,7 +187,7 @@ class TestDeterminism:
         golden = {
             "phase_scan.txt": "d9f37dd32c7b57df738ae676c20734a98fcff3c72fa46ba2c73750b0f64da176",
             "lo_scan.txt": "0a5f3a476637ddd38f2305653c5e901263fa199168dd181861f474a789f282ae",
-            "separation.json": "ad384fa3d057183f77ea14546c6b8554e0cbd1cc0985a5aa84eb4b4f244c1cc5",
+            "separation.json": "5fe5383f871db6d80bd60a2793b56095873a6a29f318fa900e270575262d3599",
             "det_table.txt": "918ae710a3c7a766744446ddb7e543f895babe6a87a8ae0aafa549af0009eba2",
         }
         path = tmp_path / "noisy.cfg"
@@ -197,6 +198,20 @@ class TestDeterminism:
 class TestConfigCheck:
     """analyze and test read their config from their input; --config, --preset
     and --seed given to them must name that config."""
+
+    @pytest.mark.parametrize("flags, builds", [([], 1), (["--preset", "paper-quick", "--seed", "301"], 2)])
+    def test_analyze_builds_each_config_once(self, tmp_path, monkeypatch, flags, builds):
+        # one config from the phase record's header (the LO record is planned from it,
+        # after its header matched string for string) and one from the flags, if given
+        out = ["--out", str(tmp_path)]
+        assert main(["simulate", "--preset", "paper-quick", "--seed", "301", *out]) == 0
+        calls = []
+        post_init = detector.ExperimentConfig.__post_init__
+        monkeypatch.setattr(
+            detector.ExperimentConfig, "__post_init__", lambda cfg: calls.append(post_init(cfg))
+        )
+        assert main(["analyze", *flags, *out]) == 0
+        assert len(calls) == builds
 
     def test_benchmark_invocation(self, tmp_path):
         # the flags that the benchmark's cli-records workload passes to every command
@@ -414,6 +429,24 @@ class TestExitCodes:
         assert "config error: sample products underflow" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_underflowing_record(self, tmp_path, tiny_config_path, capsys):
+        # a hand-scaled record: every sample times 1e-90, so the squared deviations of
+        # the products (about 1e-360) underflow to 0.0 and would leave no standard error
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", tiny_config_path, "--out", str(out)]) == 0
+        for name in ("phase_scan.txt", "lo_scan.txt"):
+            lines = (out / name).read_bytes().splitlines(keepends=True)
+            for i, line in enumerate(lines):
+                if not line.startswith(b"#"):
+                    pair = np.frombuffer(bytes.fromhex(line[:-1].decode()), "<f8") * 1e-90
+                    lines[i] = pair.astype("<f8").tobytes().hex().encode() + b"\n"
+            (out / name).write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "squared deviations underflow" in err and "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["lo_scan.txt", "phase_scan.txt"]
+
     def test_simulate_takes_no_format(self, tmp_path, tiny_config_path, capsys):
         # simulate writes records only: argparse refuses the report format
         out = tmp_path / "run"
@@ -501,10 +534,13 @@ class TestExitCodes:
             ('{"config": {"seed": "-1"}}', 2, "config error: seed"),
             # edits of the file analyze writes for TINY: valid JSON, bad contents
             (lambda doc: doc.update(phis=[]), 3, "data error: malformed"),
-            (lambda doc: doc.update(coeffs=doc["coeffs"][:3]), 3, "data error: malformed"),
+            (lambda doc: doc["phase"].update(params=doc["phase"]["params"][:3]), 3, "data error: malformed"),
             (lambda doc: doc["lo"].pop("phi_ref"), 3, "data error: malformed"),
-            (lambda doc: doc.update(c0_sigma="x"), 3, "data error: malformed"),
-            (lambda doc: doc.update(coeff_cov=[[math.nan] * 5] * 5), 3, "data error: malformed"),
+            (lambda doc: doc["phase"]["cov"][5].__setitem__(5, "x"), 3, "data error: malformed"),
+            (lambda doc: doc["phase"].update(cov=[[math.nan] * 6] * 6), 3, "data error: malformed"),
+            # well-formed separations in each other's place
+            (lambda doc: doc.update(phase=doc["lo"]), 3, "data error: malformed"),
+            (lambda doc: doc.update(lo=doc["phase"]), 3, "data error: malformed"),
         ],
         ids=[
             "not-json",
@@ -516,6 +552,8 @@ class TestExitCodes:
             "lo-without-phi-ref",
             "c0-sigma-not-a-number",
             "nan-coeff-cov",
+            "lo-as-phase",
+            "phase-as-lo",
         ],
     )
     def test_malformed_separation(self, tmp_path, capsys, request, content, code, message):

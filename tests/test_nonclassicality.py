@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hccm import gaussian, pipeline
-from hccm.analysis import BY_LO, BY_PHASE, SeparatedContributions
+from hccm.analysis import BY_PHASE, SeparatedContributions
 from hccm.config import build_config, preset_config
 from hccm.detector import DetectorConfig, ExperimentConfig, SignalParams
 from hccm.errors import AnomalousTermInaccessibleError, ConfigError
@@ -27,14 +27,7 @@ REFERENCE_STATE = dict(v_min=0.537, v_max=3.548)
 def _sep(values, cov, phi=0.5):
     values = np.asarray(values, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    return SeparatedContributions(
-        method=BY_LO,
-        c0_value=float(values[0]),
-        c0_sigma=float(np.sqrt(cov[0, 0])),
-        phi_ref=phi,
-        ref_values=values,
-        ref_cov=cov,
-    )
+    return SeparatedContributions(params=values, cov=cov, phi_ref=phi)
 
 
 class TestBuildL:
@@ -96,6 +89,19 @@ class TestDetWithError:
         assert np.isinf(res.significance)
         assert res.verdict == "nonclassical"
 
+
+    def test_tiny_l_with_a_larger_covariance(self):
+        # L of order 1e-180 with a covariance of order 1: L and the covariance are
+        # scaled apart, so sigma = |jac| stays finite (about 2.0e-180)
+        coeffs = splitter_coefficients(symmetric_splitter(0.14))
+        values = np.array([1e-180, 3e-180, -1e-180])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = det_with_error(build_L(_sep(values, np.eye(3)), coeffs, 0.5))
+        c0, c1, c2 = np.ldexp(values, 600) / [coeffs.t0, coeffs.t1, coeffs.t2]
+        jac = np.array([c2 / coeffs.t0, -2.0 * c1 / coeffs.t1, c0 / coeffs.t2])
+        assert res.sigma == pytest.approx(np.ldexp(np.sqrt(jac @ jac), -600), rel=1e-14)
+        assert res.sigma == pytest.approx(2.0e-180, rel=0.05)
 
     def test_nan_variance_is_never_nonclassical(self):
         # det < 0 as in the noiseless case, but a covariance that measures nothing
@@ -229,13 +235,13 @@ class TestClassify:
 def _random_by_phase(rng, coeff_cov=None):
     # a large first harmonic (C1) makes det L negative at some phases
     a = rng.standard_normal((5, 5))
-    return SeparatedContributions(
-        method=BY_PHASE,
-        c0_value=float(rng.uniform(0.5, 3.0)),
-        c0_sigma=float(rng.uniform(0.0, 0.1)),
-        coeffs=rng.standard_normal(5) * [1.0, 3.0, 3.0, 1.0, 1.0],
-        coeff_cov=a @ a.T * 1e-3 if coeff_cov is None else coeff_cov,
-    )
+    c0_value = float(rng.uniform(0.5, 3.0))
+    c0_sigma = float(rng.uniform(0.0, 0.1))
+    cov = np.zeros((6, 6))
+    cov[:5, :5] = a @ a.T * 1e-3 if coeff_cov is None else coeff_cov
+    cov[5, 5] = c0_sigma**2
+    coeffs = rng.standard_normal(5) * [1.0, 3.0, 3.0, 1.0, 1.0]
+    return SeparatedContributions(params=np.append(coeffs, c0_value), cov=cov)
 
 
 def _bits(res: DetResult):
@@ -246,21 +252,18 @@ def _reference_det(sep, coeffs, phi: float) -> DetResult:
     """The determinant stage as one phase at a time with NumPy scalars: the
     reference that the array pass must match bit for bit."""
     if sep.method == BY_PHASE:
-        a0, a1, b1, a2, b2 = sep.coeffs
+        a0, a1, b1, a2, b2, c0 = sep.params
         c, s = np.cos(phi), np.sin(phi)
         c2, s2 = np.cos(2 * phi), np.sin(2 * phi)
-        values = np.array([sep.c0_value, a1 * c + b1 * s, a2 * c2 + b2 * s2 + a0 - sep.c0_value])
+        values = np.array([c0, a1 * c + b1 * s, a2 * c2 + b2 * s2 + a0 - c0])
         jac = np.array(
             [[0.0, 0.0, 0.0, 0.0, 0.0, 1.0], [0.0, c, s, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, c2, s2, -1.0]]
         )
-        big = np.zeros((6, 6))
-        big[:5, :5] = sep.coeff_cov
-        big[5, 5] = sep.c0_sigma**2
-        cov = jac @ big @ jac.T
+        cov = jac @ sep.cov @ jac.T
     else:
         delta = (phi - sep.phi_ref) % (2.0 * np.pi)
         flip = np.diag([1.0, 1.0 if min(delta, 2.0 * np.pi - delta) < 1e-9 else -1.0, 1.0])
-        values, cov = flip @ sep.ref_values, flip @ sep.ref_cov @ flip
+        values, cov = flip @ sep.params, flip @ sep.cov @ flip
     c0, c1, c2 = values
     m = np.array([[c0 / coeffs.t0, c1 / coeffs.t1], [c1 / coeffs.t1, c2 / coeffs.t2]])
     det = float(m[0, 0] * m[1, 1] - m[0, 1] ** 2)
@@ -324,7 +327,7 @@ class TestPhaseAxis:
 
     def test_zero_covariance_is_infinitely_significant(self, rng):
         coeffs = splitter_coefficients(symmetric_splitter(0.14))
-        sep = replace(_random_by_phase(rng, np.zeros((5, 5))), c0_sigma=0.0)
+        sep = replace(_random_by_phase(rng, np.zeros((5, 5))), cov=np.zeros((6, 6)))
         batch = self._check_batch(sep, coeffs, np.linspace(0.0, 2.0 * np.pi, 24))
         negative = [r for r in batch if r.det < 0]
         assert 0 < len(negative) < len(batch)
