@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import fields
 
-from .detector import SCHEDULE_DEFAULT, DetectorConfig, ExperimentConfig, SignalParams
+from .detector import DetectorConfig, ExperimentConfig, SignalParams
 from .errors import ConfigError
 from .splitter import BeamSplitter
 
@@ -44,10 +44,8 @@ _BASE = {
     "dark_uncorr2": "0.0",
     "dark_corr": "0.0",
     "lo_excess": "0.0",
-    "sig_threshold": "3.0",
     "lo_scan_powers_uw": "0,117,166,216,275",
     "lo_scan_phase_rad": repr(0.75 * math.pi),
-    "schedule": ",".join(SCHEDULE_DEFAULT),
 }
 
 # every key a config file may give: the preset values, plus the alternatives to
@@ -148,18 +146,13 @@ def build_config(flat: dict) -> ExperimentConfig:
 
     v_min, v_max = _get_db(merged, "squeezing_db"), _get_db(merged, "antisqueezing_db")
     alpha = complex(_get_float(merged, "alpha_re"), _get_float(merged, "alpha_im"))
-    try:
-        signal = SignalParams(
-            v_min=v_min, v_max=v_max, angle=_get_float(merged, "squeeze_angle_rad"), alpha=alpha
-        )
-        splitter = BeamSplitter(
-            **{f.name: _get_float(merged, f"splitter_{f.name}") for f in fields(BeamSplitter)}
-        )
-        detector = DetectorConfig(
-            **{f.name: _get_float(merged, f.name) for f in fields(DetectorConfig)}
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    signal = SignalParams(v_min, v_max, _get_float(merged, "squeeze_angle_rad"), alpha)
+    splitter = BeamSplitter(
+        **{f.name: _get_float(merged, f"splitter_{f.name}") for f in fields(BeamSplitter)}
+    )
+    detector = DetectorConfig(
+        **{f.name: _get_float(merged, f.name) for f in fields(DetectorConfig)}
+    )
 
     # each LO value is a power (as in the presets) or a field strength, never both
     if "lo_field_strength" in merged and "lo_power_uw" in merged:
@@ -193,8 +186,6 @@ def build_config(flat: dict) -> ExperimentConfig:
         detector=detector,
         splitter=splitter,
         visibility=_get_float(merged, "visibility"),
-        schedule=tuple(merged["schedule"].split(",")),
-        sig_threshold=_get_float(merged, "sig_threshold"),
         lo_scan_e_l=lo_grid,
         lo_scan_phi=_get_float(merged, "lo_scan_phase_rad"),
     )
@@ -223,9 +214,7 @@ def config_to_flat(cfg: ExperimentConfig) -> dict:
         "seed": str(cfg.seed),
         "drift_rate": repr(cfg.drift_rate),
         "visibility": repr(cfg.visibility),
-        "sig_threshold": repr(cfg.sig_threshold),
         "lo_scan_phase_rad": repr(cfg.lo_scan_phi),
-        "schedule": ",".join(cfg.schedule),
     }
     flat.update({f"splitter_{f.name}": repr(getattr(bs, f.name)) for f in fields(bs)})
     flat.update({f.name: repr(getattr(det, f.name)) for f in fields(det)})

@@ -54,8 +54,6 @@ from .splitter import BeamSplitter, symmetric_splitter
 
 TWO_PI = 2.0 * np.pi
 
-SCHEDULE_DEFAULT = ("blocked_lo_a", "phases", "blocked_lo_b", "blocked_signal")
-
 # segment kinds (also used as substream domain tags)
 KIND_PHASE = "phase"
 KIND_BLOCKED_LO_A = "blocked_lo_a"
@@ -102,7 +100,16 @@ class SignalParams:
     alpha: complex
 
     def __post_init__(self):
-        from_quadrature_variances(self.v_min, self.v_max, self.angle, self.alpha)
+        # from_quadrature_variances's checks in closed form; exp(2i angle) needs a finite 2*angle
+        v_min, v_max = self.v_min, self.v_max
+        if not np.isfinite([v_min, v_max, 2.0 * self.angle, self.alpha]).all():
+            raise ConfigError("from_quadrature_variances arguments must be finite")
+        if v_min <= 0 or v_max < v_min:
+            raise ConfigError(f"need 0 < v_min <= v_max, got ({v_min}, {v_max})")
+        if v_min * v_max < 1.0 - 1e-9:
+            raise ConfigError(
+                f"variance product {v_min * v_max:.6g} < 1 violates the uncertainty relation"
+            )
 
     def state(self, amplitude_scale: float = 1.0):
         """The signal as a validated gaussian.GaussianState."""
@@ -156,8 +163,6 @@ class ExperimentConfig:
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     splitter: BeamSplitter = field(default_factory=lambda: symmetric_splitter(0.14))
     visibility: float = 1.0
-    schedule: tuple = SCHEDULE_DEFAULT
-    sig_threshold: float = 3.0
     lo_scan_e_l: tuple = ()
     lo_scan_phi: float = 0.75 * np.pi
     # the seed-free sampling plan (_seed_free), shared by with_seed copies only
@@ -166,9 +171,7 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
         object.__setattr__(self, "lo_scan_e_l", tuple(float(e) for e in self.lo_scan_e_l))
-        _require_finite(
-            self, "e_l", "drift_rate", "sig_threshold", "lo_scan_phi", "phases", "lo_scan_e_l"
-        )
+        _require_finite(self, "e_l", "drift_rate", "lo_scan_phi", "phases", "lo_scan_e_l")
         if self.samples_per_phase < 2:
             raise ConfigError("samples_per_phase must be >= 2")
         if len(self.phases) == 0:
@@ -177,15 +180,9 @@ class ExperimentConfig:
             raise ConfigError("lo field strength must be >= 0")
         if self.drift_rate < 0:
             raise ConfigError("drift_rate must be >= 0")
-        if self.sig_threshold <= 0:
-            raise ConfigError("sig_threshold must be > 0")
         if not 0.0 < self.visibility <= 1.0:
             raise ConfigError("visibility must lie in (0, 1]")
         _require_seed(self.seed)
-        if sorted(self.schedule) != sorted(SCHEDULE_DEFAULT):
-            raise ConfigError(
-                f"schedule must be a permutation of {SCHEDULE_DEFAULT}, got {self.schedule}"
-            )
         if self.blocked_samples is not None and self.blocked_samples < 2:
             raise ConfigError("blocked_samples must be >= 2")
         bs = self.splitter
@@ -489,17 +486,14 @@ def draw_segment(cfg: ExperimentConfig, spec: SegmentSpec):
 
 
 def phase_scan_plan(cfg: ExperimentConfig):
-    """Ordered segment specs of a phase scan, following cfg.schedule."""
-    specs = []  # a segment's block is its plan position
-    for entry in cfg.schedule:
-        if entry == "phases":
-            for i, phi in enumerate(cfg.phases):
-                specs.append(
-                    SegmentSpec(KIND_PHASE, i, phi, cfg.e_l, len(specs), cfg.samples_per_phase)
-                )
-        else:
-            specs.append(SegmentSpec(entry, 0, 0.0, cfg.e_l, len(specs), cfg.n_blocked))
-    return specs
+    """Ordered segment specs of a phase scan, each one's block its plan position."""
+    planned = [  # blocked-LO run a, the phases, blocked-LO run b, then the blocked-signal run
+        (KIND_BLOCKED_LO_A, 0, 0.0, cfg.n_blocked),
+        *((KIND_PHASE, i, phi, cfg.samples_per_phase) for i, phi in enumerate(cfg.phases)),
+        (KIND_BLOCKED_LO_B, 0, 0.0, cfg.n_blocked),
+        (KIND_BLOCKED_SIGNAL, 0, 0.0, cfg.n_blocked),
+    ]
+    return [SegmentSpec(k, i, phi, cfg.e_l, b, n) for b, (k, i, phi, n) in enumerate(planned)]
 
 
 def lo_scan_plan(cfg: ExperimentConfig, phi: float, e_l_grid):
@@ -558,39 +552,27 @@ def simulate_segments(cfg: ExperimentConfig, specs):
 
 
 def scan_estimates(kind: str, cfg: ExperimentConfig, segments):
-    """Assemble SegmentEstimates of one scan, from any sample source, into
-    PhaseScanEstimates ("phase_scan") or LoScanEstimates ("lo_scan").
-
-    Phases and LO strengths come from the segment specs, grid points in index
-    order; a missing calibration segment raises ValueError naming its kind.
-    """
-    by_key = {(spec.kind, spec.index): (spec, est) for spec, est in segments}
-
-    def find(seg_kind, index=0):
-        if (seg_kind, index) not in by_key:
-            raise ValueError(f"no {seg_kind!r} segment with index {index}")
-        return by_key[seg_kind, index]
-
-    def grid(seg_kind):
-        return [by_key[key] for key in sorted(by_key) if key[0] == seg_kind]
-
-    blocked_signal = find(KIND_BLOCKED_SIGNAL, 0 if kind == "phase_scan" else 1)[1]
+    """Assemble one scan's SegmentEstimates, in plan order from any sample source, by
+    position into PhaseScanEstimates ("phase_scan") or LoScanEstimates ("lo_scan"): their
+    kinds must be those of scan_plan(cfg, kind) (ValueError otherwise)."""
+    specs, ests = tuple(zip(*segments)) or ((), ())
+    if tuple(spec.kind for spec in specs) != tuple(s.kind for s in scan_plan(cfg, kind)):
+        raise ValueError(f"the segments do not follow the {kind} plan of the config")
     if kind == "phase_scan":
-        phases = grid(KIND_PHASE)
         return PhaseScanEstimates(
-            phis=np.array([spec.phi for spec, _ in phases]),
-            estimates=tuple(est for _, est in phases),
-            blocked_lo=(find(KIND_BLOCKED_LO_A)[1], find(KIND_BLOCKED_LO_B)[1]),
-            blocked_signal=blocked_signal,
+            phis=np.array([spec.phi for spec in specs[1:-2]]),
+            estimates=ests[1:-2],
+            blocked_lo=(ests[0], ests[-2]),
+            blocked_signal=ests[-1],
             config=cfg,
         )
-    at_phi = grid(KIND_LO_PHASE)
+    # grid point j at phi and at phi + pi, then the blocked-signal run
     return LoScanEstimates(
-        phi=float(at_phi[0][0].phi),
-        e_values=np.array([spec.e_l for spec, _ in at_phi]),
-        at_phi=tuple(est for _, est in at_phi),
-        at_phi_pi=tuple(find(KIND_LO_PHASE_PI, spec.index)[1] for spec, _ in at_phi),
-        blocked_signal=blocked_signal,
+        phi=float(specs[0].phi),
+        e_values=np.array([spec.e_l for spec in specs[:-1:2]]),
+        at_phi=ests[:-1:2],
+        at_phi_pi=ests[1:-1:2],
+        blocked_signal=ests[-1],
         config=cfg,
     )
 

@@ -25,6 +25,7 @@ from .splitter import SplitterCoefficients
 
 VERDICT_NONCLASSICAL = "nonclassical"
 VERDICT_CLASSICAL = "classical-consistent"
+SIG_THRESHOLD = 3.0  # standard deviations below zero that certify nonclassicality
 
 
 @dataclass(frozen=True)
@@ -73,12 +74,12 @@ def build_L(sep: SeparatedContributions, coeffs: SplitterCoefficients, phi) -> L
     return LMatrix(np.asarray(phi, dtype=float), matrix, cov, coeffs)
 
 
-def det_with_error(lmat: LMatrix, threshold: float = 3.0):
+def det_with_error(lmat: LMatrix):
     """Determinant with first-order (delta-method) error propagation: one
     DetResult for an LMatrix at one phase, a tuple of them for P phases.
 
     The verdict is nonclassical iff the determinant is negative by at least
-    `threshold` standard deviations.  A non-finite sigma (a NaN or infinite
+    SIG_THRESHOLD standard deviations.  A non-finite sigma (a NaN or infinite
     variance) measures nothing: its significance is NaN and its verdict
     classical-consistent.
     """
@@ -99,7 +100,7 @@ def det_with_error(lmat: LMatrix, threshold: float = 3.0):
         sigma = np.ldexp(np.sqrt(np.where(var < 0, 0.0, var)), kj + kc)
         strength = np.where(det < 0, np.where(sigma > 0, -det / sigma, np.inf), 0.0)
         significance = np.where(np.isfinite(sigma), strength, np.nan)
-    nonclassical = (det < 0) & (significance >= threshold)
+    nonclassical = (det < 0) & (significance >= SIG_THRESHOLD)
     verdicts = np.where(nonclassical, VERDICT_NONCLASSICAL, VERDICT_CLASSICAL)
     columns = (np.atleast_1d(lmat.phi), det, sigma, significance, verdicts)
     results = tuple(DetResult(*row) for row in zip(*(c.tolist() for c in columns)))

@@ -114,11 +114,9 @@ def determinant_test(cfg: ExperimentConfig, sep, phis, lo_sep=None) -> DetAnalys
     the LO-scan phase when the LO-strength separation is given."""
     coeffs = splitter_coefficients(cfg.splitter)
     phis = np.asarray(phis, dtype=float)
-    dets = det_with_error(build_L(sep, coeffs, phis), threshold=cfg.sig_threshold)
+    dets = det_with_error(build_L(sep, coeffs, phis))
     flags = squeezed_phases(cfg.signal, phis)
-    lo_det = None
-    if lo_sep is not None:
-        lo_det = det_with_error(build_L(lo_sep, coeffs, lo_sep.phi_ref), cfg.sig_threshold)
+    lo_det = None if lo_sep is None else det_with_error(build_L(lo_sep, coeffs, lo_sep.phi_ref))
     return DetAnalysis(cfg, dets, flags, classify_phase_range(dets, flags), lo_det)
 
 

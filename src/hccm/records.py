@@ -8,8 +8,8 @@ little-endian float64 values c1 and c2, and a newline.
 
 Segments follow the plan of the header's config (``detector.scan_plan``), in
 plan order, each segment's rows contiguous; the plan gives every segment's row
-count and the ``segment.<i>.phi`` lines its phase, so records with
-non-equidistant phase grids read back exactly.
+count, kind, e_l and block (the header lines must repeat them) and the
+``segment.<i>.phi`` lines its phase, so non-equidistant phase grids read back.
 
 stream_record is the one writer and replaces its file atomically; it and
 read_record hold CHUNK_ROWS rows of a segment at a time, as bytes (the reader
@@ -118,9 +118,10 @@ def read_record(path, like: Record | None = None) -> Record:
     """Read a record file one chunk of a segment at a time (bounded memory).
 
     Every segment is checked against the plan of the config in the header: a
-    header without the segment's phase, a row that is not 32 hex digits and a
-    newline, non-finite samples, a file that ends inside the segment or bytes
-    after the last one raise DataError naming the segment, as does an OSError.
+    segment kind, e_l or block header line that is not the plan's, no phase line,
+    a row that is not 32 hex digits and a newline, non-finite samples, a file that
+    ends inside the segment or bytes after the last one raise DataError naming
+    the segment, as does an OSError.
     With like, a record read before, the header's config lines must be like's,
     string for string (DataError otherwise), and like's config plans the file.
     """
@@ -178,7 +179,11 @@ def _segment_name(spec: SegmentSpec, position: int) -> str:
     return f"calibration run {spec.kind} (plan position {position})"
 
 
-def _header_phi(meta: dict, position: int, name: str) -> float:
+def _header_phi(meta: dict, position: int, spec: SegmentSpec, name: str) -> float:
+    """The segment's phase; its kind, e_l and block lines must be the plan's, as written."""
+    for key, planned in (("kind", spec.kind), ("e_l", repr(spec.e_l)), ("block", str(spec.block))):
+        if (given := meta.get(f"segment.{position}.{key}")) != planned:
+            raise DataError(f"{name}: the header gives {key} {given!r}, the plan {planned!r}")
     try:
         phi = float(meta[f"segment.{position}.phi"])
     except (KeyError, ValueError) as exc:
@@ -218,7 +223,7 @@ def _read_segments(fh, meta: dict, plan):
     buffer = memoryview(bytearray(ROW_BYTES * CHUNK_ROWS))
     for position, spec in enumerate(plan):
         name = _segment_name(spec, position)
-        phi = _header_phi(meta, position, name)
+        phi = _header_phi(meta, position, spec, name)
         try:
             estimate = reduce_chunks(_segment_chunks(fh, buffer, spec, name))
         except DataError:

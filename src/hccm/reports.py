@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .nonclassicality import DetResult
+from .nonclassicality import SIG_THRESHOLD, DetResult
 from .pipeline import DetAnalysis, LoScanAnalysis, PhaseScanAnalysis, PipelineResult
 
 STRUCTURED = "structured"  # the JSON report format; any other is text
@@ -144,7 +144,7 @@ def det_summary_dict(result: DetAnalysis) -> dict:
         "n_total": s.n_total,
         "nonclassical_intervals": [[float(a), float(b)] for a, b in s.intervals],
         "extends_outside_squeezed": s.outside_squeezed,
-        "threshold_sigma": result.config.sig_threshold,
+        "threshold_sigma": SIG_THRESHOLD,
     }
     if result.lo_det is not None:
         out["lo_scan_point"] = {"phi": result.lo_det.phi, **_det_values(result.lo_det)}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSplitterError
+from .errors import ConfigError, DegenerateSplitterError
 from .gaussian import MomentTriple
 
 COEFF_TOL = 1e-12
@@ -35,11 +35,11 @@ class BeamSplitter:
     def __post_init__(self):
         vals = (self.ts2, self.tl2, self.rs2, self.rl2)
         if not all(np.isfinite(v) and 0.0 <= v <= 1.0 for v in vals):
-            raise ValueError(f"intensity coefficients must lie in [0, 1], got {vals}")
+            raise ConfigError(f"intensity coefficients must lie in [0, 1], got {vals}")
         if self.ts2 + self.rs2 > 1.0 + 1e-12 or self.tl2 + self.rl2 > 1.0 + 1e-12:
-            raise ValueError("per-beam intensity coefficients must sum to <= 1")
+            raise ConfigError("per-beam intensity coefficients must sum to <= 1")
         if self.rs2 <= 0.0 or self.tl2 <= 0.0:
-            raise ValueError("rs2 and tl2 must be > 0 for the correlation analysis")
+            raise ConfigError("rs2 and tl2 must be > 0 for the correlation analysis")
 
     @property
     def t_s(self) -> float:

@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hccm import config as config_mod
@@ -52,6 +52,21 @@ def chain_digests(out, config_path, names):
     assert main(["analyze", "--out", str(out)]) == 0
     assert main(["test", "--out", str(out)]) == 0
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
+# the two config keys of versions with a configurable plan and verdict threshold
+OLD_ECHO_LINES = [
+    "# schedule=blocked_lo_a,phases,blocked_lo_b,blocked_signal\n",
+    "# sig_threshold=3.0\n",
+]
+
+
+def add_old_echo_lines(path):
+    """Rewrite the record at path as those versions wrote it: with both keys among
+    the header's config lines (after the format and kind lines, sorted by key)."""
+    lines = path.read_text().splitlines(keepends=True)
+    end = next(i for i, line in enumerate(lines) if line.startswith("# segment."))
+    path.write_text("".join(lines[:2] + sorted(lines[2:end] + OLD_ECHO_LINES) + lines[end:]))
 
 
 @pytest.fixture
@@ -174,9 +189,9 @@ class TestDeterminism:
         # change of the sampler, of the substream seeding, of the reducer or of the
         # determinant stage shows here
         golden = {
-            "phase_scan.txt": "7bc5a3b810a96003c4d3e8f6b459bb1261337b5f18ce4d66a85f59c9f4ec05af",
-            "lo_scan.txt": "64167f2332fd41b65a2cad363563cac5eda93d312b751d12ebd2d4a3d1256bf5",
-            "separation.json": "e5847c1ce75e9bd347077d3c164caae4d0e5bdd6b6424083f1ce40bd11423071",
+            "phase_scan.txt": "0de5bf26ce63340b75b97aedecba9183d6b0ff1430713647638cd030206a6b86",
+            "lo_scan.txt": "9ad1eb8f366dbb89f71d7bd4a4676afaa9798cc6ceca6edb961a96c3be5e6042",
+            "separation.json": "1f204423a1a018974f55c1aef1edb9290cba531b1a416ca8e57f1d792481c04d",
             "det_table.txt": "d6b4efebd73f251bfec86530a3da56ec4761c0018cf57f0b1cb6c63bbf1c00b4",
         }
         assert chain_digests(tmp_path / "run", tiny_config_path, golden) == golden
@@ -185,14 +200,39 @@ class TestDeterminism:
         # the same for TINY with dark noise and LO noise on: pins the noisy sampler,
         # which draws each segment from the Cholesky factor of its total covariance
         golden = {
-            "phase_scan.txt": "d9f37dd32c7b57df738ae676c20734a98fcff3c72fa46ba2c73750b0f64da176",
-            "lo_scan.txt": "0a5f3a476637ddd38f2305653c5e901263fa199168dd181861f474a789f282ae",
-            "separation.json": "5fe5383f871db6d80bd60a2793b56095873a6a29f318fa900e270575262d3599",
+            "phase_scan.txt": "aabe81933259647cf80fb544c6796b3b5c2e9706aaa71abb17b2fa570929ce75",
+            "lo_scan.txt": "ea918c66ad51001a2e09443f82c30615834162a24cf4dd39ed21a4411428d5e4",
+            "separation.json": "37968fb0a79e547cb46b0e61f03874c40306e7b8c37899ac0e510fe84ef895ce",
             "det_table.txt": "918ae710a3c7a766744446ddb7e543f895babe6a87a8ae0aafa549af0009eba2",
         }
         path = tmp_path / "noisy.cfg"
         path.write_text(NOISY_TINY)
         assert chain_digests(tmp_path / "run", str(path), golden) == golden
+
+    def test_record_with_old_echo_lines(self, tmp_path, tiny_config_path):
+        # records of the fixed plan written by those versions analyze to the same reports
+        new, old = tmp_path / "new", tmp_path / "old"
+        for out in (new, old):
+            assert main(["simulate", "--config", tiny_config_path, "--out", str(out)]) == 0
+        for name in ("phase_scan.txt", "lo_scan.txt"):
+            add_old_echo_lines(old / name)
+        # byte for byte the records that the versions with both keys wrote for TINY
+        assert {
+            name: hashlib.sha256((old / name).read_bytes()).hexdigest()
+            for name in ("phase_scan.txt", "lo_scan.txt")
+        } == {
+            "phase_scan.txt": "7bc5a3b810a96003c4d3e8f6b459bb1261337b5f18ce4d66a85f59c9f4ec05af",
+            "lo_scan.txt": "64167f2332fd41b65a2cad363563cac5eda93d312b751d12ebd2d4a3d1256bf5",
+        }
+
+        def reports(out):
+            return {p.name: p.read_bytes() for p in out.iterdir() if not p.name.endswith("_scan.txt")}
+
+        for fmt in ("text", "structured"):
+            for out in (new, old):
+                assert main(["analyze", "--out", str(out), "--format", fmt]) == 0
+                assert main(["test", "--out", str(out), "--format", fmt]) == 0
+            assert reports(new) == reports(old)
 
 
 class TestConfigCheck:
@@ -314,7 +354,6 @@ class TestExitCodes:
             "lo_scan_field_strengths",
             "lo_scan_powers_uw",
             "lo_scan_phase_rad",
-            "sig_threshold",
             "gain1",
             "gain2",
             "dark_uncorr1",
@@ -396,16 +435,6 @@ class TestExitCodes:
         assert "passive" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("threshold", ["0", "-1"])
-    def test_non_positive_sig_threshold(self, tmp_path, capsys, threshold):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"sig_threshold = {threshold}\n")
-        out = tmp_path / "run"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "config error: sig_threshold must be > 0" in err and "Traceback" not in err
-        assert not out.exists()
-
     @pytest.mark.parametrize("command", ["simulate", "reproduce-paper"])
     def test_negative_seed_flag(self, tmp_path, tiny_config_path, capsys, command):
         # --seed reaches the config through with_seed, which checks the seed alone
@@ -461,6 +490,49 @@ class TestExitCodes:
         bad.write_text("totally_unknown = 1\n")
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["schedule", "sig_threshold"])
+    def test_removed_key(self, tmp_path, capsys, key):
+        # the acquisition plan and the 3 sigma verdict threshold are fixed
+        line = next(line for line in OLD_ECHO_LINES if line.startswith(f"# {key}="))
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(line[2:])
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown key '{key}'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "reproduce-paper"])
+    def test_huge_squeeze_angle(self, tmp_path, capsys, command):
+        # a finite angle whose double is not: exp(2i angle) has no value
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("preset = paper-quick\nsqueeze_angle_rad = 1e308\n")
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "must be finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_swapped_segment_kinds(self, tmp_path, tiny_config_path, capsys):
+        # blocked-LO run b written first: what a version with a configurable plan wrote
+        # for another plan; its rows would go to the wrong segments
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", tiny_config_path, "--out", str(out)]) == 0
+        record = out / "phase_scan.txt"
+        text = record.read_text()
+        swaps = ((0, "blocked_lo_a", "blocked_lo_b"), (17, "blocked_lo_b", "blocked_lo_a"))
+        for i, kind, swapped in swaps:
+            line = f"# segment.{i}.kind={kind}\n"
+            assert line in text
+            text = text.replace(line, f"# segment.{i}.kind={swapped}\n")
+        record.write_text(text)
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "calibration run blocked_lo_a (plan position 0)" in err and "kind" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["lo_scan.txt", "phase_scan.txt"]
 
     def test_missing_record(self, tmp_path, capsys):
         assert main(["analyze", "--out", str(tmp_path / "empty")]) == 3
@@ -658,35 +730,41 @@ FUZZ_REPLACES = {
 }
 
 
+# every key, every extreme value; a list key also after a leading 0 (the LO grid's blocked point)
+FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e5", "1e308", "1e-320", "1e-200", "1e-50")
+FUZZ_CASES = [
+    (key, value, after_zero)
+    for key in sorted(config_mod._ALL_KEYS)
+    for value in FUZZ_VALUES
+    for after_zero in ((False, True) if key in config_mod._LIST_KEYS else (False,))
+]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme values overflow on purpose
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(
-    key=st.sampled_from(sorted(config_mod._ALL_KEYS)),
-    value=st.sampled_from(
-        ["nan", "inf", "-inf", "0", "-1", "1e5", "1e308", "1e-320", "1e-200", "1e-50"]
-    ),
-    after_zero=st.booleans(),
-)
-# eta1 = 1e-320 makes the segment variances subnormal: refused when the config is built
-@example(key="eta1", value="1e-320", after_zero=False)
-def test_cli_fuzz_exit_codes(key, value, after_zero):
-    """One config key set to an extreme value: every CLI step exits with a
-    documented code, raises nothing, and leaves no temporary or partial file."""
-    flat = {k: v for k, v in FUZZ_BASE.items() if k != FUZZ_REPLACES.get(key)}
-    flat[key] = f"0,{value}" if after_zero and key in config_mod._LIST_KEYS else value
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg, out = os.path.join(tmp, "fuzz.cfg"), os.path.join(tmp, "run")
-        with open(cfg, "w", encoding="utf-8") as fh:
-            fh.write("".join(f"{k} = {v}\n" for k, v in flat.items()))
-        written = set()
-        for args in (["simulate", "--config", cfg], ["analyze"], ["test"]):
-            code = main([*args, "--out", out])
-            event(f"{args[0]} {code}")
-            assert code in (0, 2, 3, 4), (args[0], code)
-            files = set(os.listdir(out)) if os.path.isdir(out) else set()
-            assert not any(name.endswith(".tmp") for name in files)
-            if code != 0:
-                # a failed step writes nothing
-                assert files == written, (args[0], files - written)
-                break
-            written = files
+def test_cli_fuzz_exit_codes():
+    """One config key set to an extreme value, for the whole grid: every CLI step
+    exits with a documented code, raises nothing, and leaves no temporary or
+    partial file.  (eta1 = 1e-320 makes the segment variances subnormal, and
+    squeeze_angle_rad = 1e308 the phase factor exp(2i angle): both are refused
+    when the config is built.)"""
+    keys = len(config_mod._ALL_KEYS) + len(config_mod._LIST_KEYS)
+    assert len(FUZZ_CASES) == len(FUZZ_VALUES) * keys
+    for key, value, after_zero in FUZZ_CASES:
+        case = (key, value, after_zero)
+        flat = {k: v for k, v in FUZZ_BASE.items() if k != FUZZ_REPLACES.get(key)}
+        flat[key] = f"0,{value}" if after_zero else value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = os.path.join(tmp, "fuzz.cfg"), os.path.join(tmp, "run")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write("".join(f"{k} = {v}\n" for k, v in flat.items()))
+            written = set()
+            for args in (["simulate", "--config", cfg], ["analyze"], ["test"]):
+                code = main([*args, "--out", out])
+                assert code in (0, 2, 3, 4), (case, args[0], code)
+                files = set(os.listdir(out)) if os.path.isdir(out) else set()
+                assert not any(name.endswith(".tmp") for name in files), case
+                if code != 0:
+                    # a failed step writes nothing
+                    assert files == written, (case, args[0], files - written)
+                    break
+                written = files

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +32,7 @@ from hccm.pipeline import run_pipeline
 from hccm.gaussian import (
     LocalOscillator,
     apply_loss,
+    from_quadrature_variances,
     photocurrent_covariance,
     two_mode_output,
     vacuum,
@@ -95,24 +98,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(visibility=0.0)
 
-    def test_bad_schedule(self):
-        with pytest.raises(ConfigError):
-            small_config(schedule=("phases", "blocked_lo_a"))
-
     def test_negative_seed(self):
         with pytest.raises(ConfigError):
             small_config(seed=-1)
 
-    @pytest.mark.parametrize("threshold", [0.0, -1.0])
-    def test_non_positive_sig_threshold(self, threshold):
-        # with a threshold <= 0 a classical null would read as nonclassical
-        with pytest.raises(ConfigError, match="sig_threshold must be > 0"):
-            small_config(sig_threshold=threshold)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize(
-        "field", ["e_l", "drift_rate", "sig_threshold", "lo_scan_phi", "phases", "lo_scan_e_l"]
-    )
+    @pytest.mark.parametrize("field", ["e_l", "drift_rate", "lo_scan_phi", "phases", "lo_scan_e_l"])
     def test_non_finite_rejected(self, field, bad):
         value = {"phases": (0.0, bad, 1.0), "lo_scan_e_l": (0.0, bad)}.get(field, bad)
         with pytest.raises(ConfigError, match=field):
@@ -125,6 +116,27 @@ class TestConfigValidation:
     def test_non_finite_detector_rejected(self, field, bad):
         with pytest.raises(ConfigError, match=field):
             DetectorConfig(**{field: bad})
+
+    def test_signal_checks_match_the_state(self):
+        # SignalParams refuses, in closed form and with its message, what
+        # from_quadrature_variances refuses
+        grid = (0.0, 0.5, 1.0 - 1e-10, 1.0, 2.0, np.inf, np.nan)
+        for v_min, v_max in itertools.product(grid, repeat=2):
+            try:
+                from_quadrature_variances(v_min, v_max, 0.3, 1j)
+            except ValueError as exc:
+                with pytest.raises(ConfigError, match=re.escape(str(exc))):
+                    SignalParams(v_min, v_max, 0.3, 1j)
+            else:
+                SignalParams(v_min, v_max, 0.3, 1j)
+
+    @pytest.mark.parametrize(
+        "angle, alpha", [(1e308, 0j), (-1e308, 0j), (np.nan, 0j), (0.0, complex(0.0, np.inf))]
+    )
+    def test_signal_phase_factor_finite(self, angle, alpha):
+        # segment_statistics takes exp(2i angle): a finite angle whose double is not is refused
+        with pytest.raises(ConfigError, match="must be finite"):
+            SignalParams(1.0, 2.0, angle, alpha)
 
     def test_non_passive_splitter_rejected(self):
         # a valid BeamSplitter whose amplitude map amplifies: no vacuum completion
@@ -662,6 +674,25 @@ class TestDrift:
             gaps.append(np.mean(vals))
         assert gaps[0] < gaps[1] < gaps[2]
         assert gaps[2] > 3 * gaps[0]
+
+
+class TestScanAssembly:
+    def test_phase_plan_is_fixed(self):
+        # blocked-LO runs a and b around the phases, so that |a - b| measures drift
+        plan = phase_scan_plan(small_config())
+        kinds = ["blocked_lo_a", *["phase"] * 12, "blocked_lo_b", "blocked_signal"]
+        assert [s.kind for s in plan] == kinds
+        assert [s.block for s in plan] == list(range(len(kinds)))
+
+    @pytest.mark.parametrize("kind", ["phase_scan", "lo_scan"])
+    def test_segments_off_the_plan_refused(self, kind):
+        # segments are assembled by position: their kinds must be the plan's
+        cfg = small_config(lo_scan_e_l=(0.0, 1.4, 2.8), samples_per_phase=50, blocked_samples=50)
+        segments = list(simulate_segments(cfg, scan_plan(cfg, kind)))
+        detector.scan_estimates(kind, cfg, iter(segments))
+        for bad in (segments[::-1], segments[:-1], segments + segments[-1:], []):
+            with pytest.raises(ValueError, match=f"the {kind} plan"):
+                detector.scan_estimates(kind, cfg, bad)
 
 
 class TestLoScan:

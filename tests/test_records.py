@@ -320,6 +320,20 @@ class TestPlanChecks:
             read_record(record)
 
     @pytest.mark.parametrize(
+        "key, value", [("kind", "blocked_lo_b"), ("e_l", "1.80"), ("block", "7"), ("block", None)]
+    )
+    def test_header_segment_line_not_the_plan(self, record, key, value):
+        # the rows are read by the plan, so a header that describes another plan is refused
+        header, data = split_record(record)
+        line = next(line for line in header if line.startswith(f"# segment.3.{key}="))
+        header.remove(line)
+        if value is not None:
+            header.append(f"# segment.3.{key}={value}\n")
+        record.write_text("".join(header + data))
+        with pytest.raises(DataError, match=f"segment phase 2 .*gives {key} {value!r}, the plan"):
+            read_record(record)
+
+    @pytest.mark.parametrize(
         "lines",
         ["# samples_per_phase=1" + "0" * 400 + "\n", "# gain1=1e-90\n# gain2=1e-90\n"],
         ids=["count-past-float-range", "underflowing-products"],

@@ -3,7 +3,7 @@ import types
 import numpy as np
 import pytest
 
-from hccm.errors import DegenerateSplitterError
+from hccm.errors import ConfigError, DegenerateSplitterError
 from hccm.gaussian import normal_ordered_signal_moments, squeezed_coherent
 from hccm.splitter import (
     BeamSplitter,
@@ -22,11 +22,11 @@ class TestBeamSplitter:
         assert abs(bs.ts2 + bs.rs2 - 1.0) <= 1e-9 and abs(bs.tl2 + bs.rl2 - 1.0) <= 1e-9
 
     def test_invalid_coefficients(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             BeamSplitter(ts2=0.9, tl2=0.9, rs2=0.2, rl2=0.2)  # sums above one
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             BeamSplitter(ts2=1.0, tl2=1.0, rs2=0.0, rl2=0.0)  # rs2 must be > 0
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             BeamSplitter(ts2=-0.1, tl2=0.5, rs2=0.5, rl2=0.5)
 
     def test_non_passive_map_rejected_at_use(self):
