@@ -94,14 +94,18 @@ def _config(args, default_preset: str):
     return cfg
 
 
-def _check_config(args, cfg, source: str) -> None:
-    """analyze and test read cfg from source: --config, --preset and --seed,
-    when any is given, must name that config (resolved as simulate does)."""
-    if args.config or args.preset or args.seed is not None:
-        named, actual = (config_mod.config_to_flat(c) for c in (_config(args, "paper-quick"), cfg))
-        keys = ", ".join(sorted(k for k in named if named[k] != actual[k]))
-        if keys:
-            raise ConfigError(f"--config/--preset/--seed name another config than {source}: {keys}")
+def _named_config(args, echo: dict, source: str):
+    """The config that --config, --preset and --seed name (resolved as simulate does),
+    or None when none is given.  analyze and test read their config from source, whose
+    config echo is echo: the named config's echo must equal it, string for string."""
+    if not (args.config or args.preset or args.seed is not None):
+        return None
+    cfg = _config(args, "paper-quick")
+    named = config_mod.config_to_flat(cfg)
+    actual = {k: v for k, v in echo.items() if k not in config_mod.LEGACY_KEYS}
+    if keys := ", ".join(sorted(k for k in named | actual if named.get(k) != actual.get(k))):
+        raise ConfigError(f"--config/--preset/--seed name another config than {source}: {keys}")
+    return cfg
 
 
 def _write_files(out_dir: str, files: dict) -> None:
@@ -158,7 +162,7 @@ def cmd_analyze(args) -> int:
     phase_path, lo_path = os.path.join(args.out, PHASE_RECORD), os.path.join(args.out, LO_RECORD)
     phase_record = records.read_record(phase_path)
     phase_est = _estimates(phase_record, "phase_scan")
-    _check_config(args, phase_record.config, phase_path)
+    _named_config(args, config_mod.config_to_flat(phase_record.config), phase_path)
     lo_record = records.read_record(lo_path, like=phase_record) if os.path.exists(lo_path) else None
     lo_est = None if lo_record is None else _estimates(lo_record, "lo_scan")
     phase = analyze_phase_estimates(phase_est)
@@ -189,7 +193,8 @@ def _read_separation(args):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        cfg = config_mod.build_config(payload["config"])
+        echo = payload["config"]
+        cfg = _named_config(args, echo, path) or config_mod.build_config(echo)
         sep = SeparatedContributions.from_dict(payload["phase"])
         lo_sep = SeparatedContributions.from_dict(payload["lo"]) if "lo" in payload else None
         if sep.phi_ref is not None or (lo_sep is not None and lo_sep.phi_ref is None):
@@ -203,7 +208,6 @@ def _read_separation(args):
         raise DataError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    _check_config(args, cfg, path)
     return cfg, sep, phis, lo_sep
 
 

@@ -51,6 +51,9 @@ _BASE = {
 # every key a config file may give: the preset values, plus the alternatives to
 # the LO power parametrization and the preset name
 _ALL_KEYS = set(_BASE) | {"lo_field_strength", "lo_scan_field_strengths", "preset"}
+# the keys of a configurable plan and verdict threshold, which older record headers
+# and separation.json files still echo: tolerated there and ignored
+LEGACY_KEYS = {"schedule", "sig_threshold"}
 
 _QUICK = {"n_phases": "60", "samples_per_phase": "20000", "blocked_samples": "200000"}
 
@@ -133,7 +136,10 @@ def _field_strength(calib: float, power_uw: float) -> float:
 
 
 def build_config(flat: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a flat string dict (preset-aware)."""
+    """Build an ExperimentConfig from a flat string dict (preset-aware); a key outside
+    _ALL_KEYS and LEGACY_KEYS is refused."""
+    if unknown := sorted(set(flat) - _ALL_KEYS - LEGACY_KEYS):
+        raise ConfigError(f"unknown keys {', '.join(map(repr, unknown))}")
     if "preset" in flat and flat["preset"] not in PRESETS:
         raise ConfigError(f"unknown preset {flat['preset']!r}")
     merged = dict(PRESETS[flat["preset"]]) if "preset" in flat else dict(_BASE)

@@ -15,15 +15,13 @@ fluctuations is a Gaussian of the summed covariance, sigma_total of
 segment_statistics: a segment draws (c1, c2) = chol(sigma_total) z, two
 standard normals z per pair, whatever noise is on.  Each segment draws z from
 its own seed-derived substream, an SFC64 generator (numpy's cheapest per
-normal), so segments are reproducible independently of evaluation order:
-the substream of a segment is SFC64(SeedSequence([seed, kind id, index, 0])),
-and one seed gives the same z for every noise setting (paired-seed tests).
+normal), so segments are reproducible independently of evaluation order, and
+one seed gives the same z for every noise setting (paired-seed tests).
 plan_chunks, the one seeding path of every sampler, seeds a whole plan with
-plan_seeds, which computes the SeedSequence words in one vectorised pass of
-numpy's hash (seed_sequence_words): the same words, so the same samples, at a
-fraction of the cost of one SeedSequence per substream.  Mode mismatch
-(visibility v) reduces the interfering LO amplitude to v*E_L; the orthogonal
-LO remainder only adds shot noise.
+plan_seeds: one SeedSequence([seed, kind id]) per segment kind, whose
+generate_state words give segment (kind, index) its three SFC64 state words,
+row index of them.  Mode mismatch (visibility v) reduces the interfering LO
+amplitude to v*E_L; the orthogonal LO remainder only adds shot noise.
 
 Only the normals depend on the seed.  Building a config builds and checks its
 seed-free plan: each scan's specs (scan_plan) and every segment's Cholesky
@@ -70,11 +68,6 @@ _KIND_IDS = {
     KIND_LO_PHASE: 4,
     KIND_LO_PHASE_PI: 5,
 }
-
-# the last entry of every segment's substream key: one stream draws the sum of all
-# noise sources; 0 is the key of the quantum stream of versions that drew each
-# noise source from its own stream, so noise-free configs keep their samples
-_STREAM_ID = 0
 
 
 def _require_finite(obj, *names):
@@ -318,98 +311,6 @@ def segment_factors(cfg: ExperimentConfig, spec: SegmentSpec):
     return cfg._seed_free(spec, build)
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of 4 uint32 words
-_POOL, _MASK32 = 4, 0xFFFFFFFF
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_XSHIFT, _MIX_MULT_L, _MIX_MULT_R = np.uint32(16), np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """The hash constants init * mult**i (mod 2**32) for i = 0 ... count, as uint32."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, np.uint32)
-
-
-@functools.lru_cache(maxsize=None)
-def _mix_constants(n_words: int):
-    """The (xor, multiplier) constants of mix_entropy's hashmix calls for n_words
-    entropy words, one (4, 1) column per step: the pool fill, the four all-pairs
-    steps (row i_src unused) and one step per word past the pool."""
-    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * (n_words - _POOL))
-    calls = iter(range(len(consts) - 1))
-    steps = [[next(calls) for _ in range(_POOL)]]
-    steps += [[0 if i == src else next(calls) for i in range(_POOL)] for src in range(_POOL)]
-    steps += [[next(calls) for _ in range(_POOL)] for _ in range(n_words - _POOL)]
-    index = np.array(steps)
-    return consts[index][..., None], consts[index + 1][..., None]
-
-
-# generate_state(3, uint64) hashes six pool words, cycling, into three uint64 words
-_STATE_CONSTS = _hash_constants(_INIT_B, _MULT_B, 6)[:, None]
-_STATE_XOR, _STATE_MUL = _STATE_CONSTS[:-1], _STATE_CONSTS[1:]
-
-
-def _int_words(value: int):
-    """The little-endian uint32 words of value >= 0 ([0] for 0), as SeedSequence splits it."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def seed_sequence_words(seed: int, keys) -> np.ndarray:
-    """SeedSequence([seed, *key]).generate_state(3, np.uint64) for every key of keys,
-    an (m, 3) integer array-like with entries in [0, 2**32), in one vectorised
-    pass: an (m, 3) uint64 array.
-
-    SeedSequence splits its entropy into uint32 words, hashes them into a pool of
-    4 words (mix_entropy) and hashes the pool out again (generate_state).  Each
-    step is a fixed sequence of uint32 operations whose hash constants evolve
-    with the number of words hashed, never with their values.  Every entropy
-    list here has the same number of words (those of seed, then one per key
-    entry), so the same numpy operations, on one column per key, hash every key
-    at once and give numpy's words bit for bit.
-    """
-    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
-    if seed < 0 or (keys < 0).any() or (keys > _MASK32).any():
-        raise ValueError("seed must be >= 0 and every key entry in [0, 2**32)")
-    seed_words = _int_words(seed)
-    entropy = np.empty((len(seed_words) + 3, len(keys)), np.uint32)
-    entropy[: len(seed_words)] = np.array(seed_words, np.uint32)[:, None]
-    entropy[len(seed_words) :] = keys.T
-    xors, muls = _mix_constants(len(entropy))
-
-    def hashmix(values, step):
-        out = values ^ xors[step]
-        out *= muls[step]
-        out ^= out >> _XSHIFT
-        return out
-
-    def mix(x, y):
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        result ^= result >> _XSHIFT
-        return result
-
-    pool = hashmix(entropy[:_POOL], 0)
-    # the all-pairs loop over i_dst != i_src leaves pool[i_src] as it is and
-    # updates every other pool word once: one step per i_src
-    for src in range(_POOL):
-        mixed = mix(pool, hashmix(pool[src], 1 + src))
-        mixed[src] = pool[src]
-        pool = mixed
-    for step, word in enumerate(entropy[_POOL:], start=1 + _POOL):
-        pool = mix(pool, hashmix(word, step))
-    state = np.concatenate((pool, pool[:2])) ^ _STATE_XOR
-    state *= _STATE_MUL
-    state ^= state >> _XSHIFT
-    # each uint64 word is two uint32 words, low word first
-    words = (state[1::2].astype(np.uint64) << np.uint64(32)) | state[0::2]
-    return np.ascontiguousarray(words.T)
-
-
 @functools.cache
 def _state_words_type():
     """A seed sequence that hands SFC64 its state words, computed ahead: SFC64
@@ -431,17 +332,27 @@ def plan_seeds(cfg: ExperimentConfig, specs) -> np.ndarray:
     """The seed words of every segment's substream of a plan, a (len(specs), 3)
     uint64 array; substream(words[i]) is the generator of segment i.
 
-    Samplers reach it through plan_chunks.  The substream of a spec is
-    SFC64(SeedSequence([seed, kind id, index, 0])); seed_sequence_words
-    computes the SeedSequence words of the whole plan in one pass.
+    Samplers reach it through plan_chunks.  Each kind of the plan draws the words
+    SeedSequence([seed, kind id]).generate_state(3 * count) once, count being 1 plus
+    its largest index; segment (kind, index) takes row index of them (words 3 index
+    to 3 index + 2).  The words of generate_state do not depend on how many are
+    asked for, so a segment's row depends on neither the plan nor the order.
     """
-    keys = [(_KIND_IDS[s.kind], s.index, _STREAM_ID) for s in specs]
-    return seed_sequence_words(cfg.seed, keys)
+    counts = {}
+    for s in specs:
+        counts[s.kind] = max(counts.get(s.kind, 0), s.index + 1)
+    rows = {
+        kind: np.random.SeedSequence([cfg.seed, _KIND_IDS[kind]])
+        .generate_state(3 * count, np.uint64)
+        .reshape(count, 3)
+        for kind, count in counts.items()
+    }
+    return np.array([rows[s.kind][s.index] for s in specs], np.uint64).reshape(-1, 3)
 
 
 def substream(words: np.ndarray) -> np.random.Generator:
-    """The SFC64 generator whose seed sequence yields words (a row of plan_seeds);
-    its state equals that of SFC64(SeedSequence(...)) of the same key."""
+    """The SFC64 generator seeded with words (a row of plan_seeds), the three state
+    words that SFC64 takes from a seed sequence."""
     return np.random.Generator(np.random.SFC64(_state_words_type()(words)))
 
 

@@ -61,12 +61,13 @@ OLD_ECHO_LINES = [
 ]
 
 
-def add_old_echo_lines(path):
-    """Rewrite the record at path as those versions wrote it: with both keys among
-    the header's config lines (after the format and kind lines, sorted by key)."""
+def add_old_echo_lines(path, echo_lines=OLD_ECHO_LINES):
+    """Rewrite the record at path as those versions wrote it: with both keys (or
+    echo_lines) among the header's config lines (after the format and kind lines,
+    sorted by key)."""
     lines = path.read_text().splitlines(keepends=True)
     end = next(i for i, line in enumerate(lines) if line.startswith("# segment."))
-    path.write_text("".join(lines[:2] + sorted(lines[2:end] + OLD_ECHO_LINES) + lines[end:]))
+    path.write_text("".join(lines[:2] + sorted(lines[2:end] + echo_lines) + lines[end:]))
 
 
 @pytest.fixture
@@ -189,10 +190,10 @@ class TestDeterminism:
         # change of the sampler, of the substream seeding, of the reducer or of the
         # determinant stage shows here
         golden = {
-            "phase_scan.txt": "0de5bf26ce63340b75b97aedecba9183d6b0ff1430713647638cd030206a6b86",
-            "lo_scan.txt": "9ad1eb8f366dbb89f71d7bd4a4676afaa9798cc6ceca6edb961a96c3be5e6042",
-            "separation.json": "1f204423a1a018974f55c1aef1edb9290cba531b1a416ca8e57f1d792481c04d",
-            "det_table.txt": "d6b4efebd73f251bfec86530a3da56ec4761c0018cf57f0b1cb6c63bbf1c00b4",
+            "phase_scan.txt": "d5c671d253100e9a5c0058d0f5d5696aefc28c0ca6254d5252b3495c0c3e94c4",
+            "lo_scan.txt": "29e4c1788c3e9fe30a9c0209f5938723d11b6dc58afedc86dd82ce2cf95da61c",
+            "separation.json": "aee2f946f5042b9401f6fb156ea321aee342b61f05e54d67a7d863780d3bd3f1",
+            "det_table.txt": "d92b21882e32d2ef7d03318ed49b897a2dfc0a6e32c7611e4c4c2ced2ffa6c69",
         }
         assert chain_digests(tmp_path / "run", tiny_config_path, golden) == golden
 
@@ -200,10 +201,10 @@ class TestDeterminism:
         # the same for TINY with dark noise and LO noise on: pins the noisy sampler,
         # which draws each segment from the Cholesky factor of its total covariance
         golden = {
-            "phase_scan.txt": "aabe81933259647cf80fb544c6796b3b5c2e9706aaa71abb17b2fa570929ce75",
-            "lo_scan.txt": "ea918c66ad51001a2e09443f82c30615834162a24cf4dd39ed21a4411428d5e4",
-            "separation.json": "37968fb0a79e547cb46b0e61f03874c40306e7b8c37899ac0e510fe84ef895ce",
-            "det_table.txt": "918ae710a3c7a766744446ddb7e543f895babe6a87a8ae0aafa549af0009eba2",
+            "phase_scan.txt": "a0faace47e70f4b50810ff94747a1e17e728141df1036d3fa683b5d588c8928e",
+            "lo_scan.txt": "38662b3a97f575964cba2a2df701f676ba74551ac0761fd2a29831ce0c6f362c",
+            "separation.json": "06afc357ce8afea18d9df7f7c147941d1d74839aa60c2eb2ced6a3562dcf31fc",
+            "det_table.txt": "ae4abb911b3b0fb25349c751e716f12a1679906028d19ca28f7650a74ba7c4b6",
         }
         path = tmp_path / "noisy.cfg"
         path.write_text(NOISY_TINY)
@@ -221,8 +222,8 @@ class TestDeterminism:
             name: hashlib.sha256((old / name).read_bytes()).hexdigest()
             for name in ("phase_scan.txt", "lo_scan.txt")
         } == {
-            "phase_scan.txt": "7bc5a3b810a96003c4d3e8f6b459bb1261337b5f18ce4d66a85f59c9f4ec05af",
-            "lo_scan.txt": "64167f2332fd41b65a2cad363563cac5eda93d312b751d12ebd2d4a3d1256bf5",
+            "phase_scan.txt": "47d77006e7911fb8bab739abc1a1b4af305e5a2818c53f73f6e8256414320dac",
+            "lo_scan.txt": "87076bcaf559d828082fcfa265eb02fa8086577f6f3ca62f8fae2f02fd305c11",
         }
 
         def reports(out):
@@ -252,6 +253,38 @@ class TestConfigCheck:
         )
         assert main(["analyze", *flags, *out]) == 0
         assert len(calls) == builds
+
+    @pytest.mark.parametrize("flags", [[], ["--preset", "paper-quick", "--seed", "301"]])
+    def test_test_builds_one_config(self, tmp_path, monkeypatch, flags):
+        # the flags' config when given, its echo compared with separation.json's as
+        # strings; separation.json's config otherwise
+        out = ["--out", str(tmp_path)]
+        for command in ("simulate", "analyze"):
+            assert main([command, "--preset", "paper-quick", "--seed", "301", *out]) == 0
+        calls = []
+        post_init = detector.ExperimentConfig.__post_init__
+        monkeypatch.setattr(
+            detector.ExperimentConfig, "__post_init__", lambda cfg: calls.append(post_init(cfg))
+        )
+        assert main(["test", *flags, *out]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--config", "tiny.cfg", "--seed", "42"]])
+    def test_separation_with_old_echo_keys(self, tmp_path, tiny_separation, flags):
+        # a separation.json of the versions with a configurable plan and verdict
+        # threshold: both keys in its config, tolerated, with or without flags
+        (tmp_path / "tiny.cfg").write_text(TINY)
+        flags = [str(tmp_path / f) if f.endswith(".cfg") else f for f in flags]
+        tables, old_keys = [], dict(line[2:].strip().split("=", 1) for line in OLD_ECHO_LINES)
+        for extra in ({}, old_keys):
+            doc = copy.deepcopy(tiny_separation)
+            doc["config"].update(extra)
+            out = tmp_path / f"run{len(tables)}"
+            out.mkdir()
+            (out / "separation.json").write_text(json.dumps(doc))
+            assert main(["test", *flags, "--out", str(out)]) == 0
+            tables.append((out / "det_table.txt").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_benchmark_invocation(self, tmp_path):
         # the flags that the benchmark's cli-records workload passes to every command
@@ -490,6 +523,34 @@ class TestExitCodes:
         bad.write_text("totally_unknown = 1\n")
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    def test_unknown_key_in_records(self, tmp_path, tiny_config_path, capsys):
+        # a misspelt key in both record headers is refused, not analyzed with gain 1
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", tiny_config_path, "--out", str(out)]) == 0
+        for name in ("phase_scan.txt", "lo_scan.txt"):
+            add_old_echo_lines(out / name, ["# gian1=2.0\n"])
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "unknown keys 'gian1'" in err and "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["lo_scan.txt", "phase_scan.txt"]
+
+    @pytest.mark.parametrize("flags", [[], ["--config", "tiny.cfg"]])
+    def test_unknown_key_in_separation(self, tmp_path, tiny_separation, capsys, flags):
+        # a config error in separation.json: exit 2, as for its other config errors
+        (tmp_path / "tiny.cfg").write_text(TINY)
+        doc = copy.deepcopy(tiny_separation)
+        doc["config"]["gian1"] = "2.0"
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "separation.json").write_text(json.dumps(doc))
+        flags = [str(tmp_path / f) if f.endswith(".cfg") else f for f in flags]
+        capsys.readouterr()
+        assert main(["test", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "gian1" in err and "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["separation.json"]
 
     @pytest.mark.parametrize("key", ["schedule", "sig_threshold"])
     def test_removed_key(self, tmp_path, capsys, key):

@@ -8,6 +8,7 @@ import pytest
 
 from hccm import detector
 from hccm.analysis import CHUNK_ROWS, estimate_correlation, reduce_chunks
+from hccm.config import preset_config
 from hccm.detector import (
     _KIND_IDS,
     KIND_PHASE,
@@ -20,7 +21,6 @@ from hccm.detector import (
     phase_scan_plan,
     plan_seeds,
     scan_plan,
-    seed_sequence_words,
     segment_factors,
     segment_statistics,
     simulate_estimates,
@@ -51,10 +51,11 @@ def _segment_rng(cfg, spec):
     return substream(plan_seeds(cfg, [spec])[0])
 
 
-def seed_sequence_rng(cfg, spec):
-    """The oracle of _segment_rng: SFC64 seeded by numpy's SeedSequence of the key."""
-    key = [cfg.seed, _KIND_IDS[spec.kind], spec.index, 0]
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
+def seed_sequence_row(seed, kind, index):
+    """The oracle of a row of plan_seeds: row index of the uint64 words of numpy's
+    SeedSequence([seed, kind id])."""
+    seq = np.random.SeedSequence([seed, _KIND_IDS[kind]])
+    return seq.generate_state(3 * (index + 1), np.uint64)[3 * index :]
 
 
 NOISY = DetectorConfig(
@@ -386,40 +387,6 @@ class TestSubstreams:
             "0x1.bd153edb05f37p-2",
         ]
 
-    @pytest.mark.parametrize(
-        "last_word, expected",
-        [
-            (
-                3,
-                [
-                    "-0x1.29f5ae04849f0p+0",
-                    "-0x1.35cf090691dd3p-4",
-                    "0x1.0b9c61338fd83p-2",
-                    "-0x1.c667c56243dabp-2",
-                ],
-            ),
-            (
-                4,
-                [
-                    "-0x1.98b30d67524a2p+0",
-                    "-0x1.68ec0632d833dp+0",
-                    "-0x1.513bc524b54e5p-1",
-                    "0x1.9e3dff372b853p-1",
-                ],
-            ),
-        ],
-    )
-    def test_noise_draws_pinned(self, last_word, expected):
-        # seed 77, kind "blocked_signal" (id 3), index 0, with a nonzero last key word:
-        # the correlated-dark (3) and LO-noise (4) streams of versions that drew each
-        # noise source from its own stream; the seeding still gives them for any key
-        cfg = small_config(detector=NOISY)
-        spec = phase_scan_plan(cfg)[-1]
-        assert (spec.kind, spec.index, cfg.seed) == ("blocked_signal", 0, 77)
-        words = seed_sequence_words(cfg.seed, [(_KIND_IDS[spec.kind], spec.index, last_word)])
-        draws = substream(words[0]).standard_normal(4)
-        assert [float(z).hex() for z in draws] == expected
-
     def test_noisy_pairs_pinned(self):
         # seed 77, kind "blocked_signal" (id 3), index 0 of a noisy config: the LO is
         # on, so dark noise and LO noise both enter the pairs, through sigma_total
@@ -433,42 +400,57 @@ class TestSubstreams:
             ("-0x1.27f0a9a8dcb08p+2", "0x1.08479f4cc2edep+2"),
         ]
 
-    def test_seed_words_match_seed_sequence(self):
-        # 1 200 random keys: one- to three-word seeds, including the word boundaries
-        rng = np.random.default_rng(20261018)
-        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 12345, 2**95 + 7]
-        seeds += [int(s) for s in rng.integers(0, 2**63, 4)]
-        n_keys = 100
-        for seed in seeds:
-            kinds, sources = rng.integers(0, 6, n_keys), rng.integers(0, 5, n_keys)
-            keys = np.column_stack([kinds, rng.integers(0, 2**32, n_keys), sources])
-            keys[:3] = [(0, 0, 0), (5, 2**32 - 1, 4), (1, 2**31, 2)]
-            words = seed_sequence_words(seed, keys)
-            assert words.shape == (n_keys, 3) and words.dtype == np.uint64
-            for key, row in zip(keys.tolist(), words):
-                seq = np.random.SeedSequence([seed, *key])
-                np.testing.assert_array_equal(row, seq.generate_state(3, np.uint64))
-                assert np.array_equal(
-                    substream(row).bit_generator.state["state"]["state"],
-                    np.random.SFC64(seq).state["state"]["state"],
-                )
-
-    def test_seed_words_refuse_wide_keys(self):
-        with pytest.raises(ValueError):
-            seed_sequence_words(1, [(0, 2**32, 0)])
-        with pytest.raises(ValueError):
-            seed_sequence_words(-1, [(0, 0, 0)])
-
     def test_plan_seeds_follow_the_keys(self):
-        cfg = small_config(seed=2**64 + 3)
-        specs = phase_scan_plan(cfg) + lo_scan_plan(cfg, 1.0, [0.0, 1.0, 2.0])
-        seeds = plan_seeds(cfg, specs)
-        assert seeds.shape == (len(specs), 3)
-        for spec, row in zip(specs, seeds):
-            key = [cfg.seed, _KIND_IDS[spec.kind], spec.index, 0]
-            np.testing.assert_array_equal(
-                row, np.random.SeedSequence(key).generate_state(3, np.uint64)
-            )
+        # segment (kind, index) takes row index of SeedSequence([seed, kind id])'s words:
+        # one- to three-word seeds, across the word boundaries, and random 63-bit seeds
+        seeds = [0, 2**32 - 1, 2**32, 2**64 + 3]
+        seeds += [int(s) for s in np.random.default_rng(20261019).integers(0, 2**63, 4)]
+        for seed in seeds:
+            cfg = small_config(seed=seed)
+            specs = phase_scan_plan(cfg) + lo_scan_plan(cfg, 1.0, [0.0, 1.0, 2.0])
+            rows = plan_seeds(cfg, specs)
+            assert rows.shape == (len(specs), 3) and rows.dtype == np.uint64
+            for spec, row in zip(specs, rows):
+                np.testing.assert_array_equal(row, seed_sequence_row(seed, spec.kind, spec.index))
+                if spec.index == 0:  # row 0: the words SFC64 takes from the kind's SeedSequence
+                    seq = np.random.SeedSequence([seed, _KIND_IDS[spec.kind]])
+                    np.testing.assert_array_equal(
+                        substream(row).bit_generator.state["state"]["state"],
+                        np.random.SFC64(seq).state["state"]["state"],
+                    )
+
+    def test_rows_do_not_depend_on_the_plan(self):
+        # a segment's row is the same in the 60- and the 120-phase plan, in any order
+        rows = {}
+        for n_phases in (60, 120):
+            cfg = small_config(phases=tuple(2 * np.pi * i / n_phases for i in range(n_phases)))
+            specs = phase_scan_plan(cfg)[::-1]
+            for spec, row in zip(specs, plan_seeds(cfg, specs)):
+                rows.setdefault((spec.kind, spec.index), []).append(row.tolist())
+        assert len(rows) == 123
+        assert sum(len(pair) == 2 and pair[0] == pair[1] for pair in rows.values()) == 63
+
+    def test_paper_rows_distinct(self):
+        cfg = preset_config("paper")
+        specs = scan_plan(cfg, "phase_scan") + scan_plan(cfg, "lo_scan")
+        assert len(specs) == 134
+        assert len({tuple(row) for row in plan_seeds(cfg, specs).tolist()}) == 134
+
+    def test_segments_uncorrelated_over_seeds(self):
+        # the first normals of every pair of the paper-quick phase plan's 63 segments,
+        # over S seeds: |corr| below 5/sqrt(S) for every pair
+        cfg = preset_config("paper-quick")
+        specs = scan_plan(cfg, "phase_scan")
+        n_seeds = 1000
+        firsts = np.array(
+            [
+                [substream(row).standard_normal() for row in plan_seeds(cfg.with_seed(seed), specs)]
+                for seed in range(n_seeds)
+            ]
+        )
+        corr = np.corrcoef(firsts, rowvar=False)[np.triu_indices(len(specs), 1)]
+        print(f"largest |corr| of {corr.size} segment pairs: {np.abs(corr).max():.3f}")
+        assert np.abs(corr).max() < 5 / np.sqrt(n_seeds)
 
     def test_kinds_and_segments_differ(self):
         # blocked_lo_a, phases 0 and 1 (one kind, two indices), blocked_lo_b: index 0 of
@@ -739,10 +721,10 @@ class TestLoScan:
 
 def whole_segment_draw(cfg, spec):
     """The oracle of a chunked draw: one whole-segment draw of normals from the
-    substream seeded by numpy's SeedSequence, then the same elementwise
+    substream seeded with the words of numpy's SeedSequence, then the same elementwise
     operations with the Cholesky factor of sigma_total."""
     a, b, c = segment_factors(cfg, spec)
-    z = seed_sequence_rng(cfg, spec).standard_normal((spec.n, 2))
+    z = substream(seed_sequence_row(cfg.seed, spec.kind, spec.index)).standard_normal((spec.n, 2))
     c1, c2 = z[:, 0], z[:, 1]
     c2 *= c
     c2 += b * c1

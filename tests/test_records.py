@@ -196,15 +196,22 @@ class TestStreaming:
 
     @pytest.mark.parametrize("kind", ["phase_scan", "lo_scan"])
     def test_no_seed_sequence_per_substream(self, tmp_path, monkeypatch, kind):
-        # both plan walkers seed a whole paper-quick plan without numpy's SeedSequence
-        def no_seed_sequence(*args, **kwargs):
-            raise AssertionError("np.random.SeedSequence called")
+        # both plan walkers seed a whole paper-quick plan with one numpy SeedSequence per
+        # segment kind: 4 for a phase scan, 3 for an LO scan
+        calls = []
+        seed_sequence = np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return seed_sequence(*args, **kwargs)
 
         cfg = preset_config("paper-quick")
         plan = scan_plan(cfg, kind)
-        monkeypatch.setattr(np.random, "SeedSequence", no_seed_sequence)
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
         assert len(list(simulate_segments(cfg, plan))) == len(plan)
         assert stream_record(cfg, tmp_path / "scan.txt", kind) == sum(spec.n for spec in plan)
+        kinds = {"phase_scan": 4, "lo_scan": 3}[kind]
+        assert len(calls) == 2 * kinds and len(set(map(str, calls))) == kinds
 
 
 class TestErrors:
