@@ -34,12 +34,11 @@ print(f"  blocked-signal offset = {analysis.offset.value:+.4f} +- {analysis.offs
 
 print("\nper-phase table (every 6th phase):")
 print(f"{'phi/pi':>8s}{'C':>10s}{'+-':>8s}{'fit':>10s}{'C0':>8s}{'C1':>8s}{'C2':>8s}")
-for phi, est in list(zip(analysis.estimates.phis, analysis.corrected))[::6]:
-    values, _ = analysis.separation.contributions_at(phi)
-    print(
-        f"{phi / np.pi:8.3f}{est.value:10.4f}{est.stderr:8.4f}"
-        f"{float(fit.predict(phi)[0]):10.4f}{values[0]:8.3f}{values[1]:8.3f}{values[2]:8.3f}"
-    )
+phis = analysis.estimates.phis
+values, _ = analysis.separation.contributions_at(phis)
+rows = zip(phis, analysis.corrected, analysis.estimates.stderr, fit.predict(phis), values)
+for phi, c, err, c_fit, (c0, c1, c2) in list(rows)[::6]:
+    print(f"{phi / np.pi:8.3f}{c:10.4f}{err:8.4f}{c_fit:10.4f}{c0:8.3f}{c1:8.3f}{c2:8.3f}")
 
 amp, amp_sigma = analysis.separation.c1_amplitude()
 print(

@@ -21,13 +21,10 @@ print(
 lo = analyze_lo_estimates(simulate_estimates(cfg, "lo_scan"))
 
 print(f"\n{'E_L':>6s}{'C(phi)':>11s}{'+-':>8s}{'C(phi+pi)':>11s}{'+-':>8s}{'odd':>9s}{'even':>9s}")
-for e, up, dn in zip(lo.estimates.e_values, lo.corrected_phi, lo.corrected_phi_pi):
-    odd = (up.value - dn.value) / 2
-    even = (up.value + dn.value) / 2
-    print(
-        f"{e:6.2f}{up.value:11.4f}{up.stderr:8.4f}{dn.value:11.4f}{dn.stderr:8.4f}"
-        f"{odd:9.4f}{even:9.4f}"
-    )
+(up, dn), (up_err, dn_err) = lo.corrected, lo.estimates.stderr
+for e, a, a_err, b, b_err in zip(lo.estimates.e_values, up, up_err, dn, dn_err):
+    odd, even = (a - b) / 2, (a + b) / 2
+    print(f"{e:6.2f}{a:11.4f}{a_err:8.4f}{b:11.4f}{b_err:8.4f}{odd:9.4f}{even:9.4f}")
 
 values, cov = lo.separation.contributions_at(phi)
 err = np.sqrt(np.diag(cov))

@@ -10,7 +10,7 @@ squeezing is present.
 import numpy as np
 
 from hccm.config import preset_config
-from hccm.nonclassicality import moment_matrix_det
+from hccm.nonclassicality import moment_matrix_det, verdicts
 from hccm.pipeline import run_pipeline
 
 cfg = preset_config("paper-quick")
@@ -18,11 +18,10 @@ result = run_pipeline(cfg, with_lo_scan=True)
 
 print("det L(phi) from the phase-periodicity separation (every 4th phase):")
 print(f"{'phi/pi':>8s}{'det L':>11s}{'sigma':>9s}{'signif':>8s}  verdict            squeezed")
-for det, squeezed in list(zip(result.det_results, result.squeezed_flags))[::4]:
-    print(
-        f"{det.phi / np.pi:8.3f}{det.det:11.4f}{det.sigma:9.4f}{det.significance:8.1f}"
-        f"  {det.verdict:18s} {bool(squeezed)}"
-    )
+columns = (result.phis, result.det, result.sigma, result.significance)
+rows = zip(*columns, verdicts(result.nonclassical), result.squeezed_flags)
+for phi, det, sigma, z, verdict, squeezed in list(rows)[::4]:
+    print(f"{phi / np.pi:8.3f}{det:11.4f}{sigma:9.4f}{z:8.1f}  {verdict:18s} {bool(squeezed)}")
 
 s = result.summary
 print(

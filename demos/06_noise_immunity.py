@@ -29,20 +29,16 @@ print(
     f"{'phi/pi':>8s}{'C clean':>11s}{'C noisy':>11s}{'noisy-offset':>14s}{'stderr':>9s}"
 )
 offset = noisy.blocked_signal
-for (phi, ec, en) in list(zip(clean.phis, clean.estimates, noisy.estimates))[::8]:
-    corrected = en.value - offset.value
-    print(
-        f"{phi / np.pi:8.3f}{ec.value:11.4f}{en.value:11.4f}{corrected:14.4f}{en.stderr:9.4f}"
-    )
+corrected = noisy.values - offset.value
+rows = zip(clean.phis, clean.values, noisy.values, corrected, noisy.stderr)
+for phi, c_clean, c_noisy, c_corrected, stderr in list(rows)[::8]:
+    print(f"{phi / np.pi:8.3f}{c_clean:11.4f}{c_noisy:11.4f}{c_corrected:14.4f}{stderr:9.4f}")
 print(
     f"\nblocked-signal offset = {offset.value:.4f} +- {offset.stderr:.4f} "
     f"(correlated dark + LO intensity noise; phase independent)"
 )
 
-resid = [
-    (en.value - offset.value) - (ec.value - clean.blocked_signal.value)
-    for ec, en in zip(clean.estimates, noisy.estimates)
-]
+resid = corrected - (clean.values - clean.blocked_signal.value)
 pooled = float(np.mean(resid))
 se = float(np.std(resid, ddof=1) / np.sqrt(len(resid)))
 print(

@@ -55,7 +55,6 @@ from .gaussian import (
 )
 from .nonclassicality import (
     DetResult,
-    LMatrix,
     build_L,
     classify_phase_range,
     det_with_error,

@@ -136,23 +136,21 @@ def _wls(design: np.ndarray, stderr: np.ndarray):
     return (vt.T / s) @ (u.T * sw), w
 
 
-def fit_trig_poly(points) -> TrigFit:
+def fit_trig_poly(phis, values, stderr) -> TrigFit:
     """Fit C(phi) = a0 + a1 cos(phi) + b1 sin(phi) + a2 cos(2phi) + b2 sin(2phi).
 
-    points is a sequence of (phi, CorrelationEstimate); weights are
-    1/stderr^2.  Raises DegenerateDesignError when the weighted design matrix
-    has condition number above 1e8 (e.g. all phases equal mod pi), or when
-    some stderrs are zero and others not (e.g. a constant segment).
+    phis, values and stderr are (P,) arrays, one correlation estimate per phase;
+    weights are 1/stderr^2.  Raises DegenerateDesignError when the weighted
+    design matrix has condition number above 1e8 (e.g. all phases equal mod pi),
+    or when some stderrs are zero and others not (e.g. a constant segment).
     """
-    phis = np.array([float(p) for p, _ in points])
-    ests = [e for _, e in points]
+    phis, y = np.asarray(phis, dtype=float), np.asarray(values, dtype=float)
     if np.unique(phis).size < 6:
         raise InsufficientDataError(
             f"need at least 6 distinct phases, got {np.unique(phis).size}"
         )
-    y = np.array([e.value for e in ests])
     design = _design(phis)
-    est, w = _wls(design, np.array([e.stderr for e in ests]))
+    est, w = _wls(design, np.asarray(stderr, dtype=float))
     coeffs = est @ y
     resid = y - design @ coeffs
     chi2 = float(w @ resid**2)
@@ -169,8 +167,9 @@ class SeparatedContributions:
     phi_ref, with their 3x3 cov.  contributions_at evaluates (C0, C1(phi),
     C2(phi)) with its joint 3x3 covariance.  to_dict/from_dict convert to and
     from plain JSON values; from_dict raises ValueError or TypeError unless
-    every number is a finite float and there are 6 params without phi_ref, 3
-    with it, and a square cov of that size.
+    every number is a finite float, there are 6 params without phi_ref, 3 with
+    it, and cov is a square matrix of that size that is a covariance: no
+    negative variance, and symmetric and positive semidefinite within rounding.
     """
 
     params: np.ndarray
@@ -196,6 +195,7 @@ class SeparatedContributions:
             raise ValueError(f"params and cov must have shapes ({n},) and ({n}, {n})")
         if not np.isfinite([*params, *cov.ravel(), phi_ref or 0.0]).all():
             raise ValueError("params, cov and phi_ref must be finite")
+        _check_covariance(cov)
         return cls(params, cov, phi_ref)
 
     def contributions_at(self, phi):
@@ -238,6 +238,19 @@ class SeparatedContributions:
         return amp, float(np.sqrt(max(var, 0.0)))
 
 
+def _check_covariance(cov: np.ndarray) -> None:
+    """Raise ValueError for a negative variance, or for a matrix that is not symmetric
+    and positive semidefinite to 1e-9 relative, measured on D^-1/2 cov D^-1/2 (D the
+    positive variances; a zero variance's row is measured as is)."""
+    var = np.diag(cov)
+    scale = np.sqrt(np.where(var > 0, var, 1.0))
+    with np.errstate(over="ignore"):
+        corr = cov / scale[:, None] / scale[None, :]
+    symmetric = np.isfinite(corr).all() and np.abs(corr - corr.T).max() <= 1e-9
+    if var.min() < 0 or not symmetric or np.linalg.eigvalsh(corr + corr.T)[0] < -2e-9:
+        raise ValueError("cov must be symmetric positive semidefinite, with no negative variance")
+
+
 def separate_by_phase(
     fit: TrigFit, c_block: CorrelationEstimate, drift: float = 0.0
 ) -> SeparatedContributions:
@@ -253,18 +266,19 @@ def separate_by_phase(
     return SeparatedContributions(params=np.append(fit.coeffs, c_block.value), cov=cov)
 
 
-def separate_by_lo(points, phi: float) -> SeparatedContributions:
+def separate_by_lo(e_values, values, stderr, phi: float) -> SeparatedContributions:
     """Separate the contributions by their scaling with the LO field strength.
 
-    points is a sequence of (E_L, estimate at phi, estimate at phi + pi) and
-    must hold at least three distinct field strengths including 0 (blocked
-    LO).  With x = E_L / e_ref, e_ref the largest field strength, one weighted
+    e_values holds the J field strengths E_L, at least three distinct ones
+    including 0 (blocked LO); values and stderr are (2, J) arrays of the
+    estimates a at phi (row 0) and b at phi + pi (row 1).  With
+    x = E_L / e_ref, e_ref the largest field strength, one weighted
     fit gives (C0, C1, C2) at e_ref from the odd parts (a - b)/2 = C1 x and the
     even parts (a + b)/2 = C0 + C2 x^2, each weighted 4/(var_a + var_b); its
     estimator matrix, applied to the raw estimates a and b, carries their
     variances to the full 3x3 covariance.
     """
-    e_vals = np.array([float(e) for e, _, _ in points])
+    e_vals = np.asarray(e_values, dtype=float)
     if np.unique(e_vals).size < 3:
         raise InsufficientDataError(
             f"need at least 3 distinct LO field strengths, got {np.unique(e_vals).size}"
@@ -274,12 +288,11 @@ def separate_by_lo(points, phi: float) -> SeparatedContributions:
     n, x = e_vals.size, e_vals / e_vals.max()
     one, zero = np.ones_like(x), np.zeros_like(x)
     design = np.vstack([np.column_stack([zero, x, zero]), np.column_stack([one, zero, x**2])])
-    ests = [a for _, a, _ in points] + [b for _, _, b in points]
-    stderr = np.array([e.stderr for e in ests])
+    # (a, b) as one vector of 2J estimates: the J at phi, then the J at phi + pi
+    values, stderr = (np.asarray(a, dtype=float).reshape(2 * n) for a in (values, stderr))
     est, _ = _wls(design, np.tile(np.hypot(stderr[:n], stderr[n:]) / 2.0, 2))
     # the same estimator on the raw estimates (a, b): rows (a - b)/2, then (a + b)/2
     odd, even = est[:, :n] / 2.0, est[:, n:] / 2.0
     lmat = np.hstack([even + odd, even - odd])
-    values = lmat @ np.array([e.value for e in ests])
     cov = (lmat * stderr**2) @ lmat.T
-    return SeparatedContributions(params=values, cov=cov, phi_ref=float(phi))
+    return SeparatedContributions(params=lmat @ values, cov=cov, phi_ref=float(phi))

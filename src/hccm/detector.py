@@ -423,10 +423,12 @@ def lo_scan_plan(cfg: ExperimentConfig, phi: float, e_l_grid):
 
 @dataclass(frozen=True)
 class PhaseScanEstimates:
-    """Per-phase correlation estimates plus the calibration results."""
+    """Per-phase correlation estimates, as (P,) values and stderr arrays, plus the
+    calibration results."""
 
     phis: np.ndarray
-    estimates: tuple
+    values: np.ndarray
+    stderr: np.ndarray
     blocked_lo: tuple  # (run a, run b)
     blocked_signal: CorrelationEstimate
     config: ExperimentConfig
@@ -434,12 +436,13 @@ class PhaseScanEstimates:
 
 @dataclass(frozen=True)
 class LoScanEstimates:
-    """Correlation estimates over the LO grid at the scanned phase pair."""
+    """Correlation estimates over the LO grid of J strengths at the scanned phase pair:
+    (2, J) values and stderr arrays, row 0 at phi and row 1 at phi + pi."""
 
     phi: float
     e_values: np.ndarray
-    at_phi: tuple
-    at_phi_pi: tuple
+    values: np.ndarray
+    stderr: np.ndarray
     blocked_signal: CorrelationEstimate
     config: ExperimentConfig
 
@@ -469,10 +472,12 @@ def scan_estimates(kind: str, cfg: ExperimentConfig, segments):
     specs, ests = tuple(zip(*segments)) or ((), ())
     if tuple(spec.kind for spec in specs) != tuple(s.kind for s in scan_plan(cfg, kind)):
         raise ValueError(f"the segments do not follow the {kind} plan of the config")
+    values, stderr = np.array([(e.value, e.stderr) for e in ests]).T
     if kind == "phase_scan":
         return PhaseScanEstimates(
             phis=np.array([spec.phi for spec in specs[1:-2]]),
-            estimates=ests[1:-2],
+            values=values[1:-2],
+            stderr=stderr[1:-2],
             blocked_lo=(ests[0], ests[-2]),
             blocked_signal=ests[-1],
             config=cfg,
@@ -481,8 +486,8 @@ def scan_estimates(kind: str, cfg: ExperimentConfig, segments):
     return LoScanEstimates(
         phi=float(specs[0].phi),
         e_values=np.array([spec.e_l for spec in specs[:-1:2]]),
-        at_phi=ests[:-1:2],
-        at_phi_pi=ests[1:-1:2],
+        values=values[:-1].reshape(-1, 2).T,
+        stderr=stderr[:-1].reshape(-1, 2).T,
         blocked_signal=ests[-1],
         config=cfg,
     )

@@ -5,9 +5,9 @@ non-negative for every classically correlated field, independent of detector
 efficiencies, gains, and the LO strength.  A significantly negative
 determinant certifies nonclassicality without any quantum assumptions.
 
-Phase axis: build_L, det_with_error and squeezed_phases follow phi, numpy-style.
-A scalar phi gives one matrix, DetResult and flag; a (P,) array of phases gives
-a (P, ...) stack, a tuple of P DetResults and P flags, all in one array pass.
+Phase axis: build_L and det_with_error work on a (P,) array of phases and give
+(P, ...) arrays, all phases in one array pass; a DetResult is one phase's row
+of them (det_rows), for the LO-scan point and for callers that want rows.
 """
 
 from __future__ import annotations
@@ -29,19 +29,8 @@ SIG_THRESHOLD = 3.0  # standard deviations below zero that certify nonclassicali
 
 
 @dataclass(frozen=True)
-class LMatrix:
-    """Measured moment matrix [[C0/t0, C1/t1], [C1/t1, C2/t2]] with the
-    covariance of the contribution triple, at a phase or a (P,) array of them."""
-
-    phi: np.ndarray
-    matrix: np.ndarray
-    c_cov: np.ndarray
-    coeffs: SplitterCoefficients
-
-
-@dataclass(frozen=True)
 class DetResult:
-    """Determinant of the L matrix with first-order error and verdict."""
+    """One phase's determinant of the L matrix with first-order error and verdict."""
 
     phi: float
     det: float
@@ -61,72 +50,89 @@ class PhaseRangeSummary:
     outside_squeezed: bool | None
 
 
-def build_L(sep: SeparatedContributions, coeffs: SplitterCoefficients, phi) -> LMatrix:
-    """Assemble the measured moment matrix from the separated contributions."""
+def build_L(sep: SeparatedContributions, coeffs: SplitterCoefficients, phis):
+    """The measured moment matrices [[C0/t0, C1/t1], [C1/t1, C2/t2]] at P phases, a
+    (P, 2, 2) stack, and the (P, 3, 3) covariances of their contribution triples."""
     if coeffs.is_balanced:
         raise AnomalousTermInaccessibleError(
             "balanced splitter: the mixed field-intensity term cancels (t1 = 0); "
             "use an unbalanced intensity partition"
         )
-    values, cov = sep.contributions_at(phi)
+    values, cov = sep.contributions_at(np.reshape(phis, -1))
     scaled = values / np.array([coeffs.t0, coeffs.t1, coeffs.t2])
-    matrix = scaled[..., [0, 1, 1, 2]].reshape(values.shape[:-1] + (2, 2))
-    return LMatrix(np.asarray(phi, dtype=float), matrix, cov, coeffs)
+    return scaled[:, [0, 1, 1, 2]].reshape(-1, 2, 2), cov
 
 
-def det_with_error(lmat: LMatrix):
-    """Determinant with first-order (delta-method) error propagation: one
-    DetResult for an LMatrix at one phase, a tuple of them for P phases.
+def det_with_error(matrix: np.ndarray, c_cov: np.ndarray, coeffs: SplitterCoefficients):
+    """Determinants of build_L's (P, 2, 2) matrices with first-order (delta-method)
+    errors from their (P, 3, 3) c_cov: the (P,) arrays det, sigma, significance and
+    nonclassical.
 
-    The verdict is nonclassical iff the determinant is negative by at least
-    SIG_THRESHOLD standard deviations.  A non-finite sigma (a NaN or infinite
-    variance) measures nothing: its significance is NaN and its verdict
-    classical-consistent.
+    A phase is nonclassical iff its determinant is negative by at least
+    SIG_THRESHOLD standard deviations.  A non-finite variance (NaN or infinite)
+    measures nothing: its significance is NaN and it is not nonclassical.
     """
-    m, coeffs = lmat.matrix.reshape(-1, 2, 2), lmat.coeffs
-    m00, m01, m11 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 1]
+    m00, m01, m11 = matrix[:, 0, 0], matrix[:, 0, 1], matrix[:, 1, 1]
+    # det and its variance are formed on L / 2**k, jac / 2**kj and c_cov / 4**kc, exact in
+    # binary, so the significance and the verdict neither under- nor overflow for any size
+    # of L or c_cov, even where det or sigma does.  k is a multiple of 200, so 0 for
+    # 2**-100 <= max|L| < 2**100, where the square must see the entry itself: the last
+    # bit of libm pow is not invariant under a power-of-two scale
+    k = 200 * round(math.frexp(float(np.abs(matrix).max(initial=0.0)))[1] / 200)
+    s00, s01, s11 = (np.ldexp(x, -k) for x in (m00, m01, m11))
     # a float's x ** 2 is libm pow, as for a NumPy scalar; array x * x can move the last bit
-    det = m00 * m11 - np.array([x**2 for x in m01.tolist()])
-    # the variance is formed on jac / 2**kj and c_cov / 4**kc, each of order 1, exact in
-    # binary: it neither under- nor overflows for any gains or any size of c_cov beside L
+    det = s00 * s11 - np.array([x**2 for x in s01.tolist()])  # det L / 4**k
     jac = np.stack([m11 / coeffs.t0, -2.0 * m01 / coeffs.t1, m00 / coeffs.t2], axis=-1)
     kj = math.frexp(float(np.abs(jac).max(initial=0.0)))[1]
-    kc = math.frexp(float(np.abs(lmat.c_cov).max(initial=0.0)))[1] // 2
+    kc = math.frexp(float(np.abs(c_cov).max(initial=0.0)))[1] // 2
     jac = np.ldexp(jac, -kj)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         # batched (1, 3) @ (3, 3) @ (3, 1): the same products and sums as a 1-D jac @ cov @ jac
-        c_cov = np.ldexp(lmat.c_cov.reshape(-1, 3, 3), -2 * kc)
-        var = ((jac[:, None, :] @ c_cov) @ jac[:, :, None])[:, 0, 0]
-        sigma = np.ldexp(np.sqrt(np.where(var < 0, 0.0, var)), kj + kc)
-        strength = np.where(det < 0, np.where(sigma > 0, -det / sigma, np.inf), 0.0)
-        significance = np.where(np.isfinite(sigma), strength, np.nan)
-    nonclassical = (det < 0) & (significance >= SIG_THRESHOLD)
-    verdicts = np.where(nonclassical, VERDICT_NONCLASSICAL, VERDICT_CLASSICAL)
-    columns = (np.atleast_1d(lmat.phi), det, sigma, significance, verdicts)
-    results = tuple(DetResult(*row) for row in zip(*(c.tolist() for c in columns)))
-    return results if np.ndim(lmat.phi) else results[0]
+        var = ((jac[:, None, :] @ np.ldexp(c_cov, -2 * kc)) @ jac[:, :, None])[:, 0, 0]
+        sd = np.sqrt(np.where(var < 0, 0.0, var))  # sigma / 2**(kj + kc)
+        ratio = np.where(sd > 0, np.ldexp(-det / sd, 2 * k - kj - kc), np.inf)
+        significance = np.where(np.isfinite(sd), np.where(det < 0, ratio, 0.0), np.nan)
+        nonclassical = (det < 0) & (significance >= SIG_THRESHOLD)
+        return np.ldexp(det, 2 * k), np.ldexp(sd, kj + kc), significance, nonclassical
 
 
-def classify_phase_range(results, squeezed=None) -> PhaseRangeSummary:
-    """Summarize the per-phase determinant verdicts.
+def verdicts(nonclassical) -> list:
+    """The verdict string of each flag of det_with_error's nonclassical array."""
+    return np.where(nonclassical, VERDICT_NONCLASSICAL, VERDICT_CLASSICAL).tolist()
+
+
+def det_rows(phis, det, sigma, significance, nonclassical) -> tuple:
+    """One DetResult per phase of det_with_error's arrays."""
+    columns = (np.reshape(phis, -1).tolist(), det.tolist(), sigma.tolist(), significance.tolist())
+    return tuple(DetResult(*row) for row in zip(*columns, verdicts(nonclassical)))
+
+
+def classify_phase_range(phis, nonclassical, squeezed=None) -> PhaseRangeSummary:
+    """Summarize the per-phase determinant verdicts: (P,) arrays of the phases and
+    of their nonclassical flags.
 
     squeezed, when given, flags per phase whether the analytic signal state is
     squeezed there (field variance below vacuum); the summary then reports
-    whether nonclassicality extends beyond the squeezed interval.
+    whether nonclassicality extends beyond the squeezed interval.  Raises
+    ValueError for no phase, or for flags of another length than phis.
     """
-    results = list(results)
-    if not results:
-        raise ValueError("results must be non-empty")
-    flags = np.array([r.verdict == VERDICT_NONCLASSICAL for r in results])
-    phis = np.array([r.phi for r in results])
+    phis, flags = np.asarray(phis, dtype=float), np.asarray(nonclassical, dtype=bool)
+    if flags.size == 0 or flags.shape != phis.shape:
+        raise ValueError("need one nonclassical flag per phase, for at least one phase")
     order = np.argsort(phis)
-    flags_o, phis_o = flags[order], phis[order]
-    intervals = _runs_to_intervals(phis_o, flags_o)
+    phis_o, flags_o = phis[order], flags[order]
+    # runs of nonclassical phases in phase order: edges +1 at a start, -1 past an end
+    edges = np.diff(flags_o.astype(int), prepend=0, append=0)
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+    intervals = [(float(phis_o[a]), float(phis_o[b])) for a, b in zip(starts, ends)]
+    if len(intervals) >= 2 and flags_o[0] and flags_o[-1]:
+        # merge the runs at both ends: the scan is periodic in phase
+        intervals = intervals[1:-1] + [(intervals[-1][0], intervals[0][1])]
     outside = None
     if squeezed is not None:
         sq = np.asarray(squeezed, dtype=bool)
         if sq.shape != flags.shape:
-            raise ValueError("squeezed flags must match the number of results")
+            raise ValueError("squeezed flags must match the phases")
         outside = bool(np.any(flags & ~sq))
     return PhaseRangeSummary(
         fraction_nonclassical=float(flags.mean()),
@@ -135,25 +141,6 @@ def classify_phase_range(results, squeezed=None) -> PhaseRangeSummary:
         n_total=int(flags.size),
         outside_squeezed=outside,
     )
-
-
-def _runs_to_intervals(phis: np.ndarray, flags: np.ndarray):
-    intervals = []
-    start = None
-    for phi, on in zip(phis, flags):
-        if on and start is None:
-            start = phi
-        elif not on and start is not None:
-            intervals.append((float(start), float(prev)))
-            start = None
-        prev = phi
-    if start is not None:
-        intervals.append((float(start), float(phis[-1])))
-    # merge a wrap-around pair (scan is periodic in phase)
-    if len(intervals) >= 2 and flags[0] and flags[-1] and intervals[0][0] == phis[0]:
-        first, last = intervals[0], intervals[-1]
-        intervals = intervals[1:-1] + [(last[0], first[1])]
-    return intervals
 
 
 def squeezed_phases(signal: SignalParams, phis) -> np.ndarray:

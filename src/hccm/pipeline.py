@@ -12,6 +12,7 @@ blocked runs) in quadrature.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from .nonclassicality import (
     PhaseRangeSummary,
     build_L,
     classify_phase_range,
+    det_rows,
     det_with_error,
     squeezed_phases,
 )
@@ -39,9 +41,12 @@ from .splitter import splitter_coefficients
 
 @dataclass(frozen=True)
 class PhaseScanAnalysis:
+    """The phase scan offset-corrected (corrected: (P,) values; their stderr is the
+    estimates'), fitted and separated."""
+
     estimates: PhaseScanEstimates
     offset: CorrelationEstimate
-    corrected: tuple
+    corrected: np.ndarray
     c_block: CorrelationEstimate
     drift: float
     fit: TrigFit
@@ -50,23 +55,35 @@ class PhaseScanAnalysis:
 
 @dataclass(frozen=True)
 class LoScanAnalysis:
+    """The LO scan offset-corrected (corrected: (2, J) values, as the estimates') and
+    separated."""
+
     estimates: LoScanEstimates
     offset: CorrelationEstimate
-    corrected_phi: tuple
-    corrected_phi_pi: tuple
+    corrected: np.ndarray
     separation: SeparatedContributions
     e_ref: float
 
 
 @dataclass(frozen=True)
 class DetAnalysis:
-    """The determinant test over a phase scan (and at the LO-scan point)."""
+    """The determinant test over a phase scan, one entry per phase of each (P,) array,
+    and at the LO-scan point."""
 
     config: ExperimentConfig
-    det_results: tuple
+    phis: np.ndarray
+    det: np.ndarray
+    sigma: np.ndarray
+    significance: np.ndarray
+    nonclassical: np.ndarray
     squeezed_flags: np.ndarray
     summary: PhaseRangeSummary
     lo_det: DetResult | None = None
+
+    @functools.cached_property
+    def det_results(self) -> tuple:
+        """The per-phase arrays as one DetResult per phase, built on first access."""
+        return det_rows(self.phis, self.det, self.sigma, self.significance, self.nonclassical)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -77,17 +94,13 @@ class PipelineResult(DetAnalysis):
     lo: LoScanAnalysis | None = None
 
 
-def _subtract_offset(est: CorrelationEstimate, offset: CorrelationEstimate) -> CorrelationEstimate:
-    # only the offset value is removed per point; its variance is a common-mode
-    # term and is added once to the constant coefficient after fitting
-    return CorrelationEstimate(value=est.value - offset.value, stderr=est.stderr, n=est.n)
-
-
 def analyze_phase_estimates(est: PhaseScanEstimates) -> PhaseScanAnalysis:
     """Offset-correct, fit the trigonometric polynomial, and separate."""
     offset = est.blocked_signal
-    corrected = tuple(_subtract_offset(e, offset) for e in est.estimates)
-    fit = fit_trig_poly(list(zip(est.phis, corrected)))
+    # only the offset value is removed per point; its variance is a common-mode
+    # term and is added once to the constant coefficient after fitting
+    corrected = est.values - offset.value
+    fit = fit_trig_poly(est.phis, corrected, est.stderr)
     cov = fit.cov.copy()
     cov[0, 0] += offset.stderr**2
     fit = replace(fit, cov=cov)
@@ -100,13 +113,12 @@ def analyze_phase_estimates(est: PhaseScanEstimates) -> PhaseScanAnalysis:
 def analyze_lo_estimates(est: LoScanEstimates) -> LoScanAnalysis:
     """Offset-correct the LO scan and separate by LO-strength scaling."""
     offset = est.blocked_signal
-    corr_phi = tuple(_subtract_offset(e, offset) for e in est.at_phi)
-    corr_pi = tuple(_subtract_offset(e, offset) for e in est.at_phi_pi)
-    sep = separate_by_lo(list(zip(est.e_values, corr_phi, corr_pi)), est.phi)
+    corrected = est.values - offset.value
+    sep = separate_by_lo(est.e_values, corrected, est.stderr, est.phi)
     cov = sep.cov.copy()
     cov[0, 0] += offset.stderr**2
     sep = replace(sep, cov=cov)
-    return LoScanAnalysis(est, offset, corr_phi, corr_pi, sep, float(np.max(est.e_values)))
+    return LoScanAnalysis(est, offset, corrected, sep, float(np.max(est.e_values)))
 
 
 def determinant_test(cfg: ExperimentConfig, sep, phis, lo_sep=None) -> DetAnalysis:
@@ -114,10 +126,14 @@ def determinant_test(cfg: ExperimentConfig, sep, phis, lo_sep=None) -> DetAnalys
     the LO-scan phase when the LO-strength separation is given."""
     coeffs = splitter_coefficients(cfg.splitter)
     phis = np.asarray(phis, dtype=float)
-    dets = det_with_error(build_L(sep, coeffs, phis))
+    det, sigma, significance, nonclassical = det_with_error(*build_L(sep, coeffs, phis), coeffs)
     flags = squeezed_phases(cfg.signal, phis)
-    lo_det = None if lo_sep is None else det_with_error(build_L(lo_sep, coeffs, lo_sep.phi_ref))
-    return DetAnalysis(cfg, dets, flags, classify_phase_range(dets, flags), lo_det)
+    lo_det = None
+    if lo_sep is not None:
+        lo_phi = np.array([lo_sep.phi_ref])
+        [lo_det] = det_rows(lo_phi, *det_with_error(*build_L(lo_sep, coeffs, lo_phi), coeffs))
+    summary = classify_phase_range(phis, nonclassical, flags)
+    return DetAnalysis(cfg, phis, det, sigma, significance, nonclassical, flags, summary, lo_det)
 
 
 def run_pipeline(cfg: ExperimentConfig, with_lo_scan: bool | None = None) -> PipelineResult:

@@ -11,10 +11,11 @@ byte-identical reports.
 from __future__ import annotations
 
 import json
+from dataclasses import astuple
 
 import numpy as np
 
-from .nonclassicality import SIG_THRESHOLD, DetResult
+from .nonclassicality import SIG_THRESHOLD, verdicts
 from .pipeline import DetAnalysis, LoScanAnalysis, PhaseScanAnalysis, PipelineResult
 
 STRUCTURED = "structured"  # the JSON report format; any other is text
@@ -72,19 +73,9 @@ def fit_report_text(phase: PhaseScanAnalysis) -> str:
 def phase_table_rows(phase: PhaseScanAnalysis):
     phis = phase.estimates.phis
     values, _ = phase.separation.contributions_at(phis)
-    columns = zip(phis, phase.corrected, phase.fit.predict(phis), values)
-    return [
-        {
-            "phase_rad": float(phi),
-            "C": est.value,
-            "stderr": est.stderr,
-            "C_fit": float(c_fit),
-            "C0": float(c0),
-            "C1": float(c1),
-            "C2": float(c2),
-        }
-        for phi, est, c_fit, (c0, c1, c2) in columns
-    ]
+    columns = (phis, phase.corrected, phase.estimates.stderr, phase.fit.predict(phis), *values.T)
+    keys = ("phase_rad", "C", "stderr", "C_fit", "C0", "C1", "C2")
+    return [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
 
 
 def phase_table_text(phase: PhaseScanAnalysis) -> str:
@@ -93,21 +84,14 @@ def phase_table_text(phase: PhaseScanAnalysis) -> str:
 
 def lo_table_rows(lo: LoScanAnalysis):
     c0, c1_ref, c2_ref = lo.separation.params
+    keys = ("e_l", "C_phi", "stderr_phi", "C_phi_pi", "stderr_phi_pi", "fit_phi", "fit_phi_pi")
     rows = []
-    for e, est_a, est_b in zip(lo.estimates.e_values, lo.corrected_phi, lo.corrected_phi_pi):
+    # rows of the (2, J) arrays at phi and phi + pi, one (value, stderr) pair per E_L
+    columns = (lo.corrected[0], lo.estimates.stderr[0], lo.corrected[1], lo.estimates.stderr[1])
+    for e, *estimates in zip(lo.estimates.e_values.tolist(), *(c.tolist() for c in columns)):
         odd = c1_ref * (e / lo.e_ref)
         even = c0 + c2_ref * (e / lo.e_ref) ** 2
-        rows.append(
-            {
-                "e_l": float(e),
-                "C_phi": est_a.value,
-                "stderr_phi": est_a.stderr,
-                "C_phi_pi": est_b.value,
-                "stderr_phi_pi": est_b.stderr,
-                "fit_phi": float(even + odd),
-                "fit_phi_pi": float(even - odd),
-            }
-        )
+        rows.append(dict(zip(keys, (e, *estimates, float(even + odd), float(even - odd)))))
     return rows
 
 
@@ -120,20 +104,14 @@ def lo_table_text(lo: LoScanAnalysis) -> str:
     return _table_text(header, lo_table_rows(lo))
 
 
-def _det_values(det: DetResult) -> dict:
-    return {
-        "detL": det.det,
-        "sigma": det.sigma,
-        "significance": det.significance,
-        "verdict": det.verdict,
-    }
+# a determinant result's columns after its phase, in the order of DetResult's fields
+_DET_KEYS = ("detL", "sigma", "significance", "verdict")
 
 
 def det_table_rows(result: DetAnalysis):
-    return [
-        {"phase_rad": det.phi, **_det_values(det), "squeezed_flag": bool(squeezed)}
-        for det, squeezed in zip(result.det_results, result.squeezed_flags)
-    ]
+    columns = [c.tolist() for c in (result.phis, result.det, result.sigma, result.significance)]
+    rows = zip(*columns, verdicts(result.nonclassical), result.squeezed_flags.tolist())
+    return [dict(zip(("phase_rad", *_DET_KEYS, "squeezed_flag"), row)) for row in rows]
 
 
 def det_summary_dict(result: DetAnalysis) -> dict:
@@ -147,7 +125,7 @@ def det_summary_dict(result: DetAnalysis) -> dict:
         "threshold_sigma": SIG_THRESHOLD,
     }
     if result.lo_det is not None:
-        out["lo_scan_point"] = {"phi": result.lo_det.phi, **_det_values(result.lo_det)}
+        out["lo_scan_point"] = dict(zip(("phi", *_DET_KEYS), astuple(result.lo_det)))
     return out
 
 

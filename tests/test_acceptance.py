@@ -290,10 +290,10 @@ def test_ac7_dark_noise_immunity():
     )
     est = simulate_estimates(noisy)
     num = den = 0.0
-    for phi, e in zip(est.phis, est.estimates):
-        resid = (e.value - est.blocked_signal.value) - _truth_at(noisy, phi)
-        num += resid / e.stderr**2
-        den += 1.0 / e.stderr**2
+    for phi, value, stderr in zip(est.phis, est.values, est.stderr):
+        resid = (value - est.blocked_signal.value) - _truth_at(noisy, phi)
+        num += resid / stderr**2
+        den += 1.0 / stderr**2
     pooled = num / den
     se_pooled = np.sqrt(1.0 / den + est.blocked_signal.stderr**2)
     resid_sigmas = abs(pooled) / se_pooled

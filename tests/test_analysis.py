@@ -22,6 +22,24 @@ def _est(value, stderr=0.0, n=100):
     return CorrelationEstimate(value=float(value), stderr=float(stderr), n=n)
 
 
+def _columns(points):
+    """(phi, estimate) points as fit_trig_poly's phis, values and stderr arrays."""
+    phis, ests = zip(*points)
+    return np.array(phis, dtype=float), *_value_stderr(ests)
+
+
+def _lo_columns(points):
+    """(E_L, estimate at phi, estimate at phi + pi) points as separate_by_lo's E_L
+    array and (2, J) values and stderr arrays."""
+    e_vals, at_phi, at_phi_pi = zip(*points)
+    return np.array(e_vals, dtype=float), *_value_stderr([at_phi, at_phi_pi])
+
+
+def _value_stderr(ests):
+    """The values and the stderrs of an array-like of estimates, as two arrays of its shape."""
+    return np.vectorize(lambda e: e.value)(ests), np.vectorize(lambda e: e.stderr)(ests)
+
+
 class TestEstimateCorrelation:
     def test_perfectly_correlated(self):
         est = estimate_correlation([(1.0, 1.0), (-1.0, -1.0)])
@@ -52,10 +70,10 @@ class TestEstimateCorrelation:
 class TestSeparationDict:
     def test_round_trip(self):
         points = synthetic_points((1.0, 0.5, -0.2, 0.3, 0.1), np.linspace(0, 6, 12), 0.01)
-        fit = fit_trig_poly(points)
+        fit = fit_trig_poly(*_columns(points))
         by_phase = separate_by_phase(fit, _est(0.4, 0.02, n=50), drift=0.01)
         lo_points = [(e, _est(1 + e, 0.01), _est(1 - e, 0.01)) for e in (0.0, 1.0, 2.0)]
-        for sep in (by_phase, separate_by_lo(lo_points, 0.7)):
+        for sep in (by_phase, separate_by_lo(*_lo_columns(lo_points), 0.7)):
             back = SeparatedContributions.from_dict(json.loads(json.dumps(sep.to_dict())))
             assert back.method == sep.method
             phi = 0.3 if sep.phi_ref is None else sep.phi_ref
@@ -65,9 +83,10 @@ class TestSeparationDict:
     @staticmethod
     def _separations():
         points = synthetic_points((1.0, 0.5, -0.2, 0.3, 0.1), np.linspace(0, 6, 12), 0.01)
-        by_phase = separate_by_phase(fit_trig_poly(points), _est(0.4, 0.02, n=50), drift=0.01)
+        fit = fit_trig_poly(*_columns(points))
+        by_phase = separate_by_phase(fit, _est(0.4, 0.02, n=50), drift=0.01)
         lo_points = [(e, _est(1 + e, 0.01), _est(1 - e, 0.03)) for e in (0.0, 1.0, 2.0)]
-        return {"phase": by_phase, "lo": separate_by_lo(lo_points, 0.7)}
+        return {"phase": by_phase, "lo": separate_by_lo(*_lo_columns(lo_points), 0.7)}
 
     def test_round_trip_bits(self):
         # JSON keeps every bit of params, cov and phi_ref: contributions_at agrees bit for bit
@@ -93,6 +112,10 @@ class TestSeparationDict:
             ("lo", {"phi_ref": "x"}),
             ("lo", {"cov": [[math.nan] * 3] * 3}),
             ("lo", {"cov": None}),
+            ("phase", {"cov": (-1e-4 * np.eye(6)).tolist()}),
+            ("lo", {"cov": [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}),
+            ("lo", {"cov": [[1.0, 0.5, 0.0], [0.4, 1.0, 0.0], [0.0, 0.0, 1.0]]}),
+            ("lo", {"cov": [[0.0, 1e-3, 0.0], [1e-3, 1.0, 0.0], [0.0, 0.0, 1.0]]}),
         ],
         ids=[
             "by-phase-3-params",
@@ -106,14 +129,30 @@ class TestSeparationDict:
             "lo-phi-ref-not-a-number",
             "lo-nan-cov",
             "lo-no-cov",
+            "by-phase-negative-variances",
+            "lo-not-positive-semidefinite",
+            "lo-not-symmetric",
+            "lo-covariance-beside-a-zero-variance",
         ],
     )
     def test_from_dict_refuses(self, kind, edit):
-        # one shape rule: 6 params without phi_ref, 3 with it, a square cov of that size
+        # one shape rule: 6 params without phi_ref, 3 with it, a square cov of that size;
+        # and cov must be a covariance, or a negative variance would certify at inf sigma
         payload = {**self._separations()[kind].to_dict(), **edit}
         payload = {key: value for key, value in payload.items() if value is not None}
         with pytest.raises(ValueError):
             SeparatedContributions.from_dict(json.loads(json.dumps(payload)))
+
+
+    def test_from_dict_takes_rounding(self):
+        # a covariance off symmetry by rounding, and a zero variance with its row, still load
+        for kind, sep in self._separations().items():
+            skewed, zero_row = sep.cov.copy(), sep.cov.copy()
+            skewed[0, 1] += 1e-15 * np.sqrt(skewed[0, 0] * skewed[1, 1])
+            zero_row[0, :] = zero_row[:, 0] = 0.0
+            for cov in (skewed, zero_row):
+                payload = json.loads(json.dumps({**sep.to_dict(), "cov": cov.tolist()}))
+                assert SeparatedContributions.from_dict(payload).cov.tolist() == cov.tolist(), kind
 
 
 class TestOffsetAndDrift:
@@ -138,7 +177,7 @@ class TestTrigFit:
     def test_noiseless_exact(self):
         phis = 2 * np.pi * np.arange(12) / 12
         truth = (2.0, 0.5, 0.0, 0.0, -1.2)
-        fit = fit_trig_poly(synthetic_points(truth, phis))
+        fit = fit_trig_poly(*_columns(synthetic_points(truth, phis)))
         np.testing.assert_allclose(fit.coeffs, truth, atol=1e-10)
         assert fit.chi2 == pytest.approx(0.0, abs=1e-16)
         assert fit.dof == 7
@@ -150,42 +189,42 @@ class TestTrigFit:
         for p, e in synthetic_points(truth, phis):
             sigma = rng.uniform(0.01, 0.05)
             pts.append((p, _est(e.value + rng.normal(0, sigma), sigma)))
-        fit = fit_trig_poly(pts)
+        fit = fit_trig_poly(*_columns(pts))
         for k in range(5):
             pull = (fit.coeffs[k] - truth[k]) / np.sqrt(fit.cov[k, k])
             assert abs(pull) < 5
 
     def test_predict_matches_one_call_per_phase(self, rng):
         phis = rng.uniform(0.0, 2 * np.pi, 60)
-        fit = fit_trig_poly(synthetic_points((1.0, -0.7, 0.3, 0.2, 0.05), phis))
+        fit = fit_trig_poly(*_columns(synthetic_points((1.0, -0.7, 0.3, 0.2, 0.05), phis)))
         one_by_one = [float(fit.predict(phi)[0]) for phi in phis]
         assert fit.predict(phis).tolist() == one_by_one
 
     def test_too_few_phases(self):
         phis = 2 * np.pi * np.arange(5) / 5
         with pytest.raises(InsufficientDataError):
-            fit_trig_poly(synthetic_points((1, 0, 0, 0, 0), phis))
+            fit_trig_poly(*_columns(synthetic_points((1, 0, 0, 0, 0), phis)))
 
     def test_degenerate_design(self):
         # all phases equal mod pi: cos/sin columns collapse
         phis = np.array([0.3, 0.3 + np.pi] * 5)
         pts = [(p, _est(1.0, 0.1)) for p in phis]
         with pytest.raises((DegenerateDesignError, InsufficientDataError)):
-            fit_trig_poly(pts)
+            fit_trig_poly(*_columns(pts))
 
     def test_degenerate_by_condition_number(self):
         # six distinct phases but clustered pathologically close
         phis = np.array([0.1, 0.1 + 1e-12, 0.1 + 2e-12, 0.1 + 3e-12, 0.1 + 4e-12, 0.1 + 5e-12])
         pts = [(p, _est(1.0, 0.1)) for p in phis]
         with pytest.raises(DegenerateDesignError):
-            fit_trig_poly(pts)
+            fit_trig_poly(*_columns(pts))
 
     def test_mixed_stderr_rejected(self):
         phis = 2 * np.pi * np.arange(8) / 8
         pts = synthetic_points((1, 0, 0, 0, 0), phis)
         pts[0] = (pts[0][0], _est(pts[0][1].value, 0.1))
         with pytest.raises(ValueError):
-            fit_trig_poly(pts)
+            fit_trig_poly(*_columns(pts))
 
     @pytest.mark.parametrize("stderr", [1e-160, 1e-170], ids=["subnormal", "zero"])
     def test_tiny_stderr_rejected(self, stderr):
@@ -197,10 +236,10 @@ class TestTrigFit:
             for p, e in synthetic_points((1, 0, 0, 0, 0), phis)
         ]
         with pytest.raises(DegenerateDesignError):
-            fit_trig_poly(pts)
+            fit_trig_poly(*_columns(pts))
         grid = [(e, _est(1e-160, stderr), _est(1e-160, stderr)) for e in (0.0, 1.0, 2.0)]
         with pytest.raises(DegenerateDesignError):
-            separate_by_lo(grid, phi=0.0)
+            separate_by_lo(*_lo_columns(grid), phi=0.0)
 
     def test_chi2_calibration(self, rng):
         phis = 2 * np.pi * np.arange(24) / 24
@@ -211,7 +250,7 @@ class TestTrigFit:
                 (p, _est(e.value + rng.normal(0, 0.02), 0.02))
                 for p, e in synthetic_points(truth, phis)
             ]
-            fit = fit_trig_poly(pts)
+            fit = fit_trig_poly(*_columns(pts))
             ratios.append(fit.chi2 / fit.dof)
         assert np.mean(ratios) == pytest.approx(1.0, abs=0.05)
 
@@ -222,7 +261,7 @@ class TestSeparateByPhase:
         c0, (a1, b1), (a2, b2) = 0.9, (1.2, -0.4), (0.3, 0.1)
         c2_const = 0.25
         coeffs = (c0 + c2_const, a1, b1, a2, b2)
-        fit = fit_trig_poly(synthetic_points(coeffs, phis))
+        fit = fit_trig_poly(*_columns(synthetic_points(coeffs, phis)))
         sep = separate_by_phase(fit, _est(c0, 0.0, n=10))
         for phi in (0.0, 0.7, 2.0):
             values, _ = sep.contributions_at(phi)
@@ -234,7 +273,7 @@ class TestSeparateByPhase:
 
     def test_parity_invariants(self):
         phis = 2 * np.pi * np.arange(24) / 24
-        fit = fit_trig_poly(synthetic_points((1.0, 0.5, -0.3, 0.2, 0.4), phis))
+        fit = fit_trig_poly(*_columns(synthetic_points((1.0, 0.5, -0.3, 0.2, 0.4), phis)))
         sep = separate_by_phase(fit, _est(0.6, 0.01, n=10))
         for phi in (0.0, 1.1, 2.9):
             v1, _ = sep.contributions_at(phi)
@@ -244,7 +283,7 @@ class TestSeparateByPhase:
 
     def test_sum_reproduces_fit(self):
         phis = 2 * np.pi * np.arange(24) / 24
-        fit = fit_trig_poly(synthetic_points((1.0, 0.5, -0.3, 0.2, 0.4), phis))
+        fit = fit_trig_poly(*_columns(synthetic_points((1.0, 0.5, -0.3, 0.2, 0.4), phis)))
         sep = separate_by_phase(fit, _est(0.6, 0.01, n=10))
         for phi in np.linspace(0, 2 * np.pi, 17):
             values, _ = sep.contributions_at(phi)
@@ -253,7 +292,7 @@ class TestSeparateByPhase:
     def test_high_precision_c_block(self):
         # a blocked-LO result at 3e8-sample precision enters as C0 directly
         phis = 2 * np.pi * np.arange(12) / 12
-        fit = fit_trig_poly(synthetic_points((1.0, 0.0, 0.0, 0.0, 0.0), phis))
+        fit = fit_trig_poly(*_columns(synthetic_points((1.0, 0.0, 0.0, 0.0, 0.0), phis)))
         cb = _est(0.80153, 0.00014, n=300_000_000)
         sep = separate_by_phase(fit, cb)
         values, cov = sep.contributions_at(0.3)
@@ -262,13 +301,13 @@ class TestSeparateByPhase:
 
     def test_drift_enters_c0_sigma(self):
         phis = 2 * np.pi * np.arange(12) / 12
-        fit = fit_trig_poly(synthetic_points((1.0, 0.0, 0.0, 0.0, 0.0), phis))
+        fit = fit_trig_poly(*_columns(synthetic_points((1.0, 0.0, 0.0, 0.0, 0.0), phis)))
         sep = separate_by_phase(fit, _est(0.8, 0.003, n=10), drift=0.004)
         assert np.sqrt(sep.cov[5, 5]) == pytest.approx(np.hypot(0.003, 0.004), rel=1e-12)
 
     def test_c0_c2_anticorrelation(self):
         phis = 2 * np.pi * np.arange(12) / 12
-        fit = fit_trig_poly(synthetic_points((1.0, 0.1, 0.0, 0.0, 0.0), phis))
+        fit = fit_trig_poly(*_columns(synthetic_points((1.0, 0.1, 0.0, 0.0, 0.0), phis)))
         sep = separate_by_phase(fit, _est(0.8, 0.02, n=10))
         _, cov = sep.contributions_at(0.5)
         assert cov[0, 2] == pytest.approx(-(0.02**2), rel=1e-9)
@@ -287,7 +326,7 @@ class TestSeparateByLo:
     def test_exact_recovery(self):
         grid = [0.0, 1.0, 1.5, 2.0]
         pts = self._points(0.7, -0.5, 0.3, grid)
-        sep = separate_by_lo(pts, phi=0.9)
+        sep = separate_by_lo(*_lo_columns(pts), phi=0.9)
         assert sep.method == BY_LO
         vals, _ = sep.contributions_at(0.9)
         assert vals[0] == pytest.approx(0.7, abs=1e-12)
@@ -296,7 +335,7 @@ class TestSeparateByLo:
 
     def test_pi_shift_flips_odd_part(self):
         grid = [0.0, 1.0, 2.0]
-        sep = separate_by_lo(self._points(0.7, -0.5, 0.3, grid), phi=0.9)
+        sep = separate_by_lo(*_lo_columns(self._points(0.7, -0.5, 0.3, grid)), phi=0.9)
         up, _ = sep.contributions_at(0.9)
         dn, _ = sep.contributions_at(0.9 + np.pi)
         assert dn[1] == pytest.approx(-up[1], abs=1e-12)
@@ -306,13 +345,13 @@ class TestSeparateByLo:
 
     def test_insufficient_grid(self):
         with pytest.raises(InsufficientDataError):
-            separate_by_lo(self._points(1, 0, 0, [0.0, 1.0]), phi=0.0)
+            separate_by_lo(*_lo_columns(self._points(1, 0, 0, [0.0, 1.0])), phi=0.0)
         with pytest.raises(InsufficientDataError):
-            separate_by_lo(self._points(1, 0, 0, [0.5, 1.0, 2.0]), phi=0.0)
+            separate_by_lo(*_lo_columns(self._points(1, 0, 0, [0.5, 1.0, 2.0])), phi=0.0)
 
     def test_default_reference_is_max(self):
         grid = [0.0, 1.0, 2.0]
-        sep = separate_by_lo(self._points(0.7, -0.5, 0.3, grid), phi=0.9)
+        sep = separate_by_lo(*_lo_columns(self._points(0.7, -0.5, 0.3, grid)), phi=0.9)
         vals, _ = sep.contributions_at(0.9)
         assert vals[1] == pytest.approx(-1.0, abs=1e-12)
 
@@ -341,7 +380,7 @@ class TestSeparateByLo:
                 (e, _est(x, sx), _est(y, sy))
                 for e, x, sx, y, sy in zip(grid, a, sigma_phi, b, sigma_phi_pi)
             ]
-            vals, cov = separate_by_lo(pts, phi=0.0).contributions_at(0.0)
+            vals, cov = separate_by_lo(*_lo_columns(pts), phi=0.0).contributions_at(0.0)
             draws.append(vals)
         draws = np.array(draws)
         sigma = np.sqrt(np.diag(cov))
@@ -363,7 +402,7 @@ class TestSeparateByLo:
                 for e, (sa, sb) in zip(rng.permutation(grid), sigma)
             ]
             values, cov = _closed_form_by_lo(pts)
-            sep = separate_by_lo(pts, phi=0.0)
+            sep = separate_by_lo(*_lo_columns(pts), phi=0.0)
             scale = np.sqrt(np.diag(cov))
             np.testing.assert_allclose(sep.params, values, rtol=1e-12, atol=1e-12 * scale.max())
             np.testing.assert_allclose(
@@ -372,7 +411,7 @@ class TestSeparateByLo:
 
     def test_method_tag_by_phase(self):
         phis = 2 * np.pi * np.arange(12) / 12
-        fit = fit_trig_poly(synthetic_points((1.0, 0.1, 0.0, 0.0, 0.0), phis))
+        fit = fit_trig_poly(*_columns(synthetic_points((1.0, 0.1, 0.0, 0.0, 0.0), phis)))
         sep = separate_by_phase(fit, _est(0.8, 0.02, n=10))
         assert sep.method == BY_PHASE
 
@@ -401,7 +440,7 @@ class TestNoiselessRoundTrip:
         pts = [
             (p, _est(predicted_correlation(contribs(p), z1, z2, vis))) for p in phis
         ]
-        fit = fit_trig_poly(pts)
+        fit = fit_trig_poly(*_columns(pts))
         c_block = _est(z1 * z2 * contribs(0.0).g0)
         sep = separate_by_phase(fit, c_block)
         for phi in np.linspace(0.1, 2 * np.pi, 9):

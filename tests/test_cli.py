@@ -1,8 +1,10 @@
 import copy
+import errno
 import hashlib
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -11,7 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hccm import config as config_mod
-from hccm import detector
+from hccm import detector, records
+from hccm.analysis import SeparatedContributions
 from hccm.cli import main
 
 TINY = """
@@ -368,6 +371,30 @@ def test_config_echo_round_trips(squeezing, antisqueezing, power, lo_scan):
     assert config_mod.build_config(config_mod.config_to_flat(cfg)) == cfg
 
 
+def negate_variances(separation):
+    """Set a separation's covariance to minus its absolute diagonal."""
+    separation["cov"] = np.diag(-np.abs(np.diag(separation["cov"]))).tolist()
+
+
+class _FullDisk:
+    """A file whose writes after the first (a record's header) fail as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(data)
+
+
 class TestExitCodes:
     def test_unphysical_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -595,6 +622,57 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert sorted(p.name for p in out.iterdir()) == ["lo_scan.txt", "phase_scan.txt"]
 
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            (TINY + "visibility 0.9\n", [], "expected 'key = value'"),
+            (TINY, ["--preset", "paper-quick"], "either --config or --preset"),
+            (TINY + "lo_power_uw = 275.0\n", [], "either lo_field_strength or lo_power_uw"),
+        ],
+        ids=["line-without-equals", "config-and-preset", "lo-field-strength-and-power"],
+    )
+    def test_config_refused(self, tmp_path, capsys, text, flags, message):
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "run"
+        cfg.write_text(text)
+        for command in ("simulate", "reproduce-paper"):
+            assert main([command, "--config", str(cfg), *flags, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "config error:" in err and message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text, out: text.replace(b"# kind=", b"# note=\xff\n# kind="), "not UTF-8"),
+            (
+                lambda text, out: re.sub(rb"# segment\.1\.phi=[^\n]*", b"# segment.1.phi=nan", text),
+                "phase nan in the header is not finite",
+            ),
+            (lambda text, out: (out / "lo_scan.txt").read_bytes(), "holds a lo_scan record"),
+        ],
+        ids=["header-not-utf8", "nan-segment-phase", "lo-record-as-phase-record"],
+    )
+    def test_record_refused(self, tmp_path, tiny_config_path, capsys, edit, message):
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", tiny_config_path, "--out", str(out)]) == 0
+        record = out / "phase_scan.txt"
+        record.write_bytes(edit(record.read_bytes(), out))
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "data error:" in err and message in err and "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["lo_scan.txt", "phase_scan.txt"]
+
+    def test_record_write_error(self, tmp_path, tiny_config_path, capsys, monkeypatch):
+        # an OSError while a record is written, as on a full disk: no file is left
+        monkeypatch.setattr(records, "open", lambda *args: _FullDisk(open(*args)), raising=False)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", tiny_config_path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "data error: cannot write" in err and "No space left" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_missing_record(self, tmp_path, capsys):
         assert main(["analyze", "--out", str(tmp_path / "empty")]) == 3
         assert "data error" in capsys.readouterr().err
@@ -674,6 +752,9 @@ class TestExitCodes:
             # well-formed separations in each other's place
             (lambda doc: doc.update(phase=doc["lo"]), 3, "data error: malformed"),
             (lambda doc: doc.update(lo=doc["phase"]), 3, "data error: malformed"),
+            # a negative variance would certify every phase with det < 0 at inf sigma
+            (lambda doc: negate_variances(doc["phase"]), 3, "data error: malformed"),
+            (lambda doc: negate_variances(doc["lo"]), 3, "data error: malformed"),
         ],
         ids=[
             "not-json",
@@ -687,6 +768,8 @@ class TestExitCodes:
             "nan-coeff-cov",
             "lo-as-phase",
             "phase-as-lo",
+            "phase-negative-variances",
+            "lo-negative-variances",
         ],
     )
     def test_malformed_separation(self, tmp_path, capsys, request, content, code, message):
@@ -792,7 +875,7 @@ FUZZ_REPLACES = {
 
 
 # every key, every extreme value; a list key also after a leading 0 (the LO grid's blocked point)
-FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e5", "1e308", "1e-320", "1e-200", "1e-50")
+FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e5", "1e308", "1e-320", "1e-200", "1e-50", "x", "")
 FUZZ_CASES = [
     (key, value, after_zero)
     for key in sorted(config_mod._ALL_KEYS)
@@ -805,9 +888,10 @@ FUZZ_CASES = [
 def test_cli_fuzz_exit_codes():
     """One config key set to an extreme value, for the whole grid: every CLI step
     exits with a documented code, raises nothing, and leaves no temporary or
-    partial file.  (eta1 = 1e-320 makes the segment variances subnormal, and
-    squeeze_angle_rad = 1e308 the phase factor exp(2i angle): both are refused
-    when the config is built.)"""
+    partial file, and every separation.json that analyze writes loads again.
+    (eta1 = 1e-320 makes the segment variances subnormal, and squeeze_angle_rad =
+    1e308 the phase factor exp(2i angle): both are refused when the config is
+    built.)"""
     keys = len(config_mod._ALL_KEYS) + len(config_mod._LIST_KEYS)
     assert len(FUZZ_CASES) == len(FUZZ_VALUES) * keys
     for key, value, after_zero in FUZZ_CASES:
@@ -828,4 +912,9 @@ def test_cli_fuzz_exit_codes():
                     # a failed step writes nothing
                     assert files == written, (case, args[0], files - written)
                     break
+                if args[0] == "analyze":
+                    with open(os.path.join(out, "separation.json"), encoding="utf-8") as fh:
+                        payload = json.load(fh)
+                    for part in {"phase", "lo"} & payload.keys():
+                        SeparatedContributions.from_dict(payload[part])
                 written = files

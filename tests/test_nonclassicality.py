@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hccm import gaussian, pipeline
+from hccm import analysis, detector, gaussian, nonclassicality, pipeline
 from hccm.analysis import BY_PHASE, SeparatedContributions
 from hccm.config import build_config, preset_config
 from hccm.detector import DetectorConfig, ExperimentConfig, SignalParams
@@ -14,6 +14,7 @@ from hccm.nonclassicality import (
     DetResult,
     build_L,
     classify_phase_range,
+    det_rows,
     det_with_error,
     moment_matrix_det,
     squeezed_phases,
@@ -30,29 +31,35 @@ def _sep(values, cov, phi=0.5):
     return SeparatedContributions(params=values, cov=cov, phi_ref=phi)
 
 
+def _det_at(sep, coeffs, phi):
+    """The determinant stage at one phase, as its DetResult row."""
+    [row] = det_rows([phi], *det_with_error(*build_L(sep, coeffs, [phi]), coeffs))
+    return row
+
+
 class TestBuildL:
     def test_entries(self):
         coeffs = splitter_coefficients(symmetric_splitter(0.14))
         sep = _sep([1.0, 0.5, -0.2], np.eye(3) * 1e-4)
-        lm = build_L(sep, coeffs, 0.5)
-        assert lm.matrix[0, 0] == pytest.approx(1.0)
-        assert lm.matrix[0, 1] == pytest.approx(0.5 / coeffs.t1)
-        assert lm.matrix[0, 1] == pytest.approx(0.5 / -2.0751, abs=1e-4)
-        assert lm.matrix[1, 1] == pytest.approx(0.2)
-        assert lm.matrix[1, 0] == lm.matrix[0, 1]
+        (lm,), _ = build_L(sep, coeffs, [0.5])
+        assert lm[0, 0] == pytest.approx(1.0)
+        assert lm[0, 1] == pytest.approx(0.5 / coeffs.t1)
+        assert lm[0, 1] == pytest.approx(0.5 / -2.0751, abs=1e-4)
+        assert lm[1, 1] == pytest.approx(0.2)
+        assert lm[1, 0] == lm[0, 1]
 
     def test_balanced_splitter_rejected(self):
         coeffs = splitter_coefficients(symmetric_splitter(0.5))
         sep = _sep([1.0, 0.5, -0.2], np.eye(3) * 1e-4)
         with pytest.raises(AnomalousTermInaccessibleError):
-            build_L(sep, coeffs, 0.5)
+            build_L(sep, coeffs, [0.5])
 
 
 class TestDetWithError:
     def test_zero_matrix(self):
         coeffs = splitter_coefficients(symmetric_splitter(0.14))
         sep = _sep([0.0, 0.0, 0.0], np.eye(3) * 1e-4)
-        res = det_with_error(build_L(sep, coeffs, 0.5))
+        res = _det_at(sep, coeffs, 0.5)
         assert res.det == 0.0
         assert res.significance == 0.0
         assert res.verdict == "classical-consistent"
@@ -62,7 +69,7 @@ class TestDetWithError:
         truth = np.array([2.0, 1.5, -0.5])
         cov = np.diag([0.03, 0.02, 0.025]) ** 2
         cov[0, 2] = cov[2, 0] = -2e-4
-        res = det_with_error(build_L(_sep(truth, cov), coeffs, 0.5))
+        res = _det_at(_sep(truth, cov), coeffs, 0.5)
         dets = []
         chol = np.linalg.cholesky(cov)
         for _ in range(4000):
@@ -74,17 +81,15 @@ class TestDetWithError:
     def test_verdict_threshold(self):
         coeffs = splitter_coefficients(symmetric_splitter(0.14))
         cov = np.eye(3) * 1e-6
-        res = det_with_error(build_L(_sep([1.0, 1.5, -0.5], cov), coeffs, 0.5))
+        res = _det_at(_sep([1.0, 1.5, -0.5], cov), coeffs, 0.5)
         assert res.det < 0
         assert res.verdict == "nonclassical"
-        loose = det_with_error(
-            build_L(_sep([1.0, 1.5, -0.5], np.eye(3) * 100.0), coeffs, 0.5)
-        )
+        loose = _det_at(_sep([1.0, 1.5, -0.5], np.eye(3) * 100.0), coeffs, 0.5)
         assert loose.verdict == "classical-consistent"
 
     def test_noiseless_negative_det_is_maximally_significant(self):
         coeffs = splitter_coefficients(symmetric_splitter(0.14))
-        res = det_with_error(build_L(_sep([1.0, 1.5, -0.5], np.zeros((3, 3))), coeffs, 0.5))
+        res = _det_at(_sep([1.0, 1.5, -0.5], np.zeros((3, 3))), coeffs, 0.5)
         assert res.det < 0
         assert np.isinf(res.significance)
         assert res.verdict == "nonclassical"
@@ -97,7 +102,7 @@ class TestDetWithError:
         values = np.array([1e-180, 3e-180, -1e-180])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = det_with_error(build_L(_sep(values, np.eye(3)), coeffs, 0.5))
+            res = _det_at(_sep(values, np.eye(3)), coeffs, 0.5)
         c0, c1, c2 = np.ldexp(values, 600) / [coeffs.t0, coeffs.t1, coeffs.t2]
         jac = np.array([c2 / coeffs.t0, -2.0 * c1 / coeffs.t1, c0 / coeffs.t2])
         assert res.sigma == pytest.approx(np.ldexp(np.sqrt(jac @ jac), -600), rel=1e-14)
@@ -106,8 +111,8 @@ class TestDetWithError:
     def test_nan_variance_is_never_nonclassical(self):
         # det < 0 as in the noiseless case, but a covariance that measures nothing
         coeffs = splitter_coefficients(symmetric_splitter(0.14))
-        lmat = build_L(_sep([1.0, 1.5, -0.5], np.zeros((3, 3))), coeffs, 0.5)
-        res = det_with_error(replace(lmat, c_cov=np.full((3, 3), np.nan)))
+        matrix, c_cov = build_L(_sep([1.0, 1.5, -0.5], np.zeros((3, 3))), coeffs, [0.5])
+        [res] = det_rows([0.5], *det_with_error(matrix, np.full_like(c_cov, np.nan), coeffs))
         assert res.det < 0
         assert np.isnan(res.sigma)
         assert np.isnan(res.significance)
@@ -165,35 +170,23 @@ def test_gains_that_underflow_the_products_are_refused(gain):
 
 
 class TestClassify:
-    def _results(self, phis, flags):
-        return [
-            DetResult(
-                phi=p,
-                det=-1.0 if f else 1.0,
-                sigma=0.1,
-                significance=10.0 if f else 0.0,
-                verdict="nonclassical" if f else "classical-consistent",
-            )
-            for p, f in zip(phis, flags)
-        ]
-
     def test_all_classical(self):
         phis = np.linspace(0, np.pi, 10, endpoint=False)
-        summary = classify_phase_range(self._results(phis, [False] * 10))
+        summary = classify_phase_range(phis, [False] * 10)
         assert summary.fraction_nonclassical == 0.0
         assert summary.intervals == ()
 
     def test_interval_detection(self):
         phis = np.linspace(0, np.pi, 10, endpoint=False)
         flags = [False, True, True, False, False, False, True, True, True, False]
-        summary = classify_phase_range(self._results(phis, flags))
+        summary = classify_phase_range(phis, flags)
         assert summary.fraction_nonclassical == pytest.approx(0.5)
         assert len(summary.intervals) == 2
 
     def test_wraparound_merge(self):
         phis = np.linspace(0, np.pi, 8, endpoint=False)
         flags = [True, True, False, False, False, False, False, True]
-        summary = classify_phase_range(self._results(phis, flags))
+        summary = classify_phase_range(phis, flags)
         assert len(summary.intervals) == 1
         start, end = summary.intervals[0]
         assert start == pytest.approx(phis[-1])
@@ -203,11 +196,20 @@ class TestClassify:
         phis = np.linspace(0, np.pi, 6, endpoint=False)
         flags = [False, False, True, True, False, False]
         squeezed = [False, False, True, True, False, False]
-        summary = classify_phase_range(self._results(phis, flags), squeezed)
+        summary = classify_phase_range(phis, flags, squeezed)
         assert summary.outside_squeezed is False
         squeezed2 = [False, False, True, False, False, False]
-        summary2 = classify_phase_range(self._results(phis, flags), squeezed2)
+        summary2 = classify_phase_range(phis, flags, squeezed2)
         assert summary2.outside_squeezed is True
+
+    def test_refuses_no_phase_and_mismatched_flags(self):
+        phis = np.linspace(0, np.pi, 6, endpoint=False)
+        with pytest.raises(ValueError):
+            classify_phase_range([], [])
+        with pytest.raises(ValueError):
+            classify_phase_range(phis, [True] * 5)
+        with pytest.raises(ValueError):
+            classify_phase_range(phis, [True] * 6, [True] * 5)
 
     def test_squeezed_phases_definition(self):
         state = SignalParams(np.exp(-0.6), np.exp(0.6), np.pi / 2, 2.0)
@@ -287,15 +289,15 @@ class TestPhaseAxis:
     def _check_batch(self, sep, coeffs, phis):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lmat = build_L(sep, coeffs, phis)
-            batch = det_with_error(lmat)
-        assert lmat.matrix.shape == (phis.size, 2, 2)
-        assert lmat.c_cov.shape == (phis.size, 3, 3)
-        assert isinstance(batch, tuple) and len(batch) == phis.size
+            matrix, c_cov = build_L(sep, coeffs, phis)
+            arrays = det_with_error(matrix, c_cov, coeffs)
+        assert matrix.shape == (phis.size, 2, 2)
+        assert c_cov.shape == (phis.size, 3, 3)
+        assert [a.shape for a in arrays] == [(phis.size,)] * 4
+        batch = det_rows(phis, *arrays)
         values, cov = sep.contributions_at(phis)
         for i, phi in enumerate(phis):
-            one = det_with_error(build_L(sep, coeffs, phi))
-            assert isinstance(one, DetResult)
+            one = _det_at(sep, coeffs, phi)
             assert _bits(batch[i]) == _bits(one) == _bits(_reference_det(sep, coeffs, phi))
             v1, c1 = sep.contributions_at(phi)
             assert v1.shape == (3,) and c1.shape == (3, 3)
@@ -314,7 +316,7 @@ class TestPhaseAxis:
         coeffs = splitter_coefficients(symmetric_splitter(0.14))
         sep = _random_by_phase(rng)
         phis = rng.uniform(0.0, 2.0 * np.pi, 5000)
-        batch = det_with_error(build_L(sep, coeffs, phis))
+        batch = det_rows(phis, *det_with_error(*build_L(sep, coeffs, phis), coeffs))
         assert [_bits(r) for r in batch] == [_bits(_reference_det(sep, coeffs, p)) for p in phis]
 
     def test_by_lo_phase_pair(self):
@@ -345,12 +347,15 @@ class TestPhaseAxis:
 
 @pytest.mark.parametrize("with_lo_scan, calls", [(False, 1), (True, 2)])
 def test_determinant_stage_is_one_pass(monkeypatch, with_lo_scan, calls):
-    # a prebuilt config: the stage itself builds no GaussianState and makes one
-    # build_L and one det_with_error call for the scan, plus one for the LO point
+    # the per-phase quantities stay arrays from the scan estimates to the verdict: a
+    # prebuilt config builds no GaussianState, one build_L and one det_with_error call
+    # for the scan plus one for the LO point, one CorrelationEstimate per segment (none
+    # offset-corrected), and no per-phase DetResult until det_results is read
     cfg = build_config(
         {"preset": "paper-quick", "samples_per_phase": "400", "blocked_samples": "800"}
     )
-    counts = {"GaussianState": 0, "build_L": 0, "det_with_error": 0}
+    names = ("GaussianState", "build_L", "det_with_error", "CorrelationEstimate", "DetResult")
+    counts = dict.fromkeys(names, 0)
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -368,9 +373,75 @@ def test_determinant_stage_is_one_pass(monkeypatch, with_lo_scan, calls):
     monkeypatch.setattr(
         pipeline, "det_with_error", counted("det_with_error", pipeline.det_with_error)
     )
+    for cls in (analysis.CorrelationEstimate, nonclassicality.DetResult):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
     result = pipeline.run_pipeline(cfg, with_lo_scan=with_lo_scan)
+    kinds = ("phase_scan", "lo_scan")[:calls]
+    segments = sum(len(detector.scan_plan(cfg, kind)) for kind in kinds)
+    assert counts == {
+        "GaussianState": 0,
+        "build_L": calls,
+        "det_with_error": calls,
+        "CorrelationEstimate": segments,
+        "DetResult": calls - 1,  # the LO-scan point
+    }
     assert len(result.det_results) == len(cfg.phases)
-    assert counts == {"GaussianState": 0, "build_L": calls, "det_with_error": calls}
+    assert result.det_results is result.det_results
+    assert counts["DetResult"] == calls - 1 + len(cfg.phases)
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_det_results_are_the_arrays(seed):
+    # the DetResult rows repeat the arrays bit for bit, field by field
+    result = pipeline.run_pipeline(preset_config("paper-quick").with_seed(seed))
+    rows = result.det_results
+    columns = {
+        "phi": result.phis,
+        "det": result.det,
+        "sigma": result.sigma,
+        "significance": result.significance,
+    }
+    for name, column in columns.items():
+        assert [getattr(r, name).hex() for r in rows] == [x.hex() for x in column.tolist()]
+    verdicts = ["nonclassical" if flag else "classical-consistent" for flag in result.nonclassical]
+    assert [r.verdict for r in rows] == verdicts
+    assert 0 < result.summary.n_nonclassical == int(result.nonclassical.sum()) < len(rows)
+
+
+class TestDetScaling:
+    """det L is formed on L / 2**k: it neither under- nor overflows, and scaling L by
+    2**j scales det by 4**j exactly."""
+
+    def test_tiny_l_keeps_its_sign(self):
+        # entries of order 1e-180: det L, about -1e-360, is below the smallest float and
+        # reads -0.0, but its sign and its significance are kept
+        coeffs = splitter_coefficients(symmetric_splitter(0.14))
+        values = np.array([1e-180, 3e-180, -1e-180])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = _det_at(_sep(values, np.eye(3)), coeffs, 0.5)
+            noiseless = _det_at(_sep(values, np.zeros((3, 3))), coeffs, 0.5)
+        ordinary = _det_at(_sep(np.ldexp(values, 600), np.eye(3)), coeffs, 0.5)
+        assert ordinary.det < 0 and tiny.det == 0.0 and np.signbit(tiny.det)
+        # sigma scales as 2**-600 here (the covariance stays), det as 4**-600
+        assert tiny.significance > 0
+        assert tiny.significance == pytest.approx(np.ldexp(ordinary.significance, -600), rel=1e-12)
+        assert np.isinf(noiseless.significance) and noiseless.verdict == "nonclassical"
+
+    @pytest.mark.parametrize("j", [-600, -400, 0, 400, 600])
+    def test_scaling_l_by_two_to_the_j(self, j):
+        # det scales by 4**j and, the covariance kept, its significance by 2**j, bit for
+        # bit; at |j| = 600 det itself leaves the float range, its significance does not
+        coeffs = splitter_coefficients(symmetric_splitter(0.14))
+        matrix, c_cov = build_L(_sep([1.0, 3.0, -1.0], np.eye(3)), coeffs, [0.5])
+        det, _, significance, _ = det_with_error(matrix, c_cov, coeffs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = det_with_error(np.ldexp(matrix, j), c_cov, coeffs)
+        with np.errstate(over="ignore"):
+            assert scaled[0].tobytes() == np.ldexp(det, 2 * j).tobytes()
+        assert scaled[2].tobytes() == np.ldexp(significance, j).tobytes()
+        assert det[0] < 0 and (abs(j) == 600 or np.isfinite(scaled[0][0]) and scaled[0][0] < 0)
 
 
 class TestQuantumCondition:

@@ -103,9 +103,8 @@ class TestPhaseScanRoundTrip:
         upper.write_text("".join(header + [row.upper() for row in data]))
         est_a = simulate_estimates(cfg)
         for est_b in (read_estimates(path), read_estimates(upper)):
-            for a, b in zip(est_a.estimates, est_b.estimates, strict=True):
-                assert a.value == b.value
-                assert a.stderr == b.stderr
+            assert est_a.values.tolist() == est_b.values.tolist()
+            assert est_a.stderr.tolist() == est_b.stderr.tolist()
             assert est_a.blocked_signal.value == est_b.blocked_signal.value
 
     def test_non_equidistant_phases_read_back(self, tmp_path):
@@ -127,8 +126,7 @@ class TestLoScanRoundTrip:
         est_b = scan_estimates(back.kind, back.config, back.segments)
         np.testing.assert_allclose(est_b.e_values, est_a.e_values)
         assert est_b.phi == pytest.approx(est_a.phi)
-        for a, b in zip(est_a.at_phi, est_b.at_phi):
-            assert a.value == b.value
+        assert est_a.values.tolist() == est_b.values.tolist()
 
 
 class TestStreaming:
