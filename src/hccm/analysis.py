@@ -3,8 +3,8 @@
 The measured correlation over the LO phase is a second-degree trigonometric
 polynomial; its Fourier coefficients together with the blocked-LO result
 separate the three contributions.  Alternatively the contributions separate by
-their scaling with the LO field strength.  All estimators are weighted least
-squares with exact first-order error propagation.
+their scaling with the LO field strength.  Both are one weighted least-squares
+fit, one design row per segment estimate, with exact error propagation.
 """
 
 from __future__ import annotations
@@ -119,13 +119,13 @@ def _weights(stderr: np.ndarray) -> np.ndarray:
     )
 
 
-def _wls(design: np.ndarray, stderr: np.ndarray):
-    """Weighted least squares on the rows of design: the estimator matrix L
-    (parameters = L @ values) and the weights, 1/stderr^2 (all 1 when every
-    stderr is 0).  Raises DegenerateDesignError when the weighted design has
-    condition number above DESIGN_COND_MAX, or when the stderrs are mixed zero
-    and positive or square to subnormal or zero variances (whose weights would
-    overflow)."""
+def _wls(design: np.ndarray, values: np.ndarray, stderr: np.ndarray):
+    """Weighted least squares on the rows of design, one row per estimate: the
+    parameters L @ values, their covariance (L / w) @ L.T and the weights w,
+    1/stderr^2 (all 1 when every stderr is 0), L being the estimator matrix.
+    Raises DegenerateDesignError when the weighted design has condition number
+    above DESIGN_COND_MAX, or when the stderrs are mixed zero and positive or
+    square to subnormal or zero variances (whose weights would overflow)."""
     w = _weights(stderr)
     sw = np.sqrt(w)
     u, s, vt = np.linalg.svd(design * sw[:, None], full_matrices=False)
@@ -133,7 +133,8 @@ def _wls(design: np.ndarray, stderr: np.ndarray):
         raise DegenerateDesignError(
             f"design matrix condition number {s[0] / max(s[-1], 1e-300):.2e} exceeds 1e8"
         )
-    return (vt.T / s) @ (u.T * sw), w
+    est = (vt.T / s) @ (u.T * sw)
+    return est @ values, (est / w) @ est.T, w
 
 
 def fit_trig_poly(phis, values, stderr) -> TrigFit:
@@ -150,11 +151,10 @@ def fit_trig_poly(phis, values, stderr) -> TrigFit:
             f"need at least 6 distinct phases, got {np.unique(phis).size}"
         )
     design = _design(phis)
-    est, w = _wls(design, np.asarray(stderr, dtype=float))
-    coeffs = est @ y
+    coeffs, cov, w = _wls(design, y, np.asarray(stderr, dtype=float))
     resid = y - design @ coeffs
     chi2 = float(w @ resid**2)
-    return TrigFit(coeffs=coeffs, cov=(est / w) @ est.T, chi2=chi2, dof=int(phis.size - 5))
+    return TrigFit(coeffs=coeffs, cov=cov, chi2=chi2, dof=int(phis.size - 5))
 
 
 @dataclass(frozen=True)
@@ -266,17 +266,24 @@ def separate_by_phase(
     return SeparatedContributions(params=np.append(fit.coeffs, c_block.value), cov=cov)
 
 
+def lo_design(e_values) -> np.ndarray:
+    """The (2J, 3) design of an LO scan over J field strengths E_L, one row per
+    segment: (1, x, x^2) at phi for each E_L, then (1, -x, x^2) at phi + pi, with
+    x = E_L / e_ref, e_ref the largest E_L; the columns are C0, C1 and C2 at e_ref."""
+    x = np.asarray(e_values, dtype=float) / np.max(e_values)
+    rows = np.column_stack([np.ones_like(x), x, x**2])
+    return np.vstack([rows, rows * [1.0, -1.0, 1.0]])
+
+
 def separate_by_lo(e_values, values, stderr, phi: float) -> SeparatedContributions:
     """Separate the contributions by their scaling with the LO field strength.
 
     e_values holds the J field strengths E_L, at least three distinct ones
     including 0 (blocked LO); values and stderr are (2, J) arrays of the
-    estimates a at phi (row 0) and b at phi + pi (row 1).  With
-    x = E_L / e_ref, e_ref the largest field strength, one weighted
-    fit gives (C0, C1, C2) at e_ref from the odd parts (a - b)/2 = C1 x and the
-    even parts (a + b)/2 = C0 + C2 x^2, each weighted 4/(var_a + var_b); its
-    estimator matrix, applied to the raw estimates a and b, carries their
-    variances to the full 3x3 covariance.
+    estimates at phi (row 0) and at phi + pi (row 1).  One weighted fit of the
+    rows of lo_design, weights 1/stderr^2 as in fit_trig_poly, gives (C0, C1, C2)
+    at the largest E_L with their 3x3 covariance.  Raises DegenerateDesignError
+    when some stderrs are zero and others not (e.g. a constant segment).
     """
     e_vals = np.asarray(e_values, dtype=float)
     if np.unique(e_vals).size < 3:
@@ -285,14 +292,7 @@ def separate_by_lo(e_values, values, stderr, phi: float) -> SeparatedContributio
         )
     if not np.any(e_vals == 0.0):
         raise InsufficientDataError("the LO grid must include 0 (blocked LO)")
-    n, x = e_vals.size, e_vals / e_vals.max()
-    one, zero = np.ones_like(x), np.zeros_like(x)
-    design = np.vstack([np.column_stack([zero, x, zero]), np.column_stack([one, zero, x**2])])
-    # (a, b) as one vector of 2J estimates: the J at phi, then the J at phi + pi
-    values, stderr = (np.asarray(a, dtype=float).reshape(2 * n) for a in (values, stderr))
-    est, _ = _wls(design, np.tile(np.hypot(stderr[:n], stderr[n:]) / 2.0, 2))
-    # the same estimator on the raw estimates (a, b): rows (a - b)/2, then (a + b)/2
-    odd, even = est[:, :n] / 2.0, est[:, n:] / 2.0
-    lmat = np.hstack([even + odd, even - odd])
-    cov = (lmat * stderr**2) @ lmat.T
-    return SeparatedContributions(params=lmat @ values, cov=cov, phi_ref=float(phi))
+    # row 0 (at phi), then row 1 (at phi + pi): the rows of lo_design
+    y, sigma = (np.ravel(np.asarray(a, dtype=float)) for a in (values, stderr))
+    params, cov, _ = _wls(lo_design(e_vals), y, sigma)
+    return SeparatedContributions(params=params, cov=cov, phi_ref=float(phi))

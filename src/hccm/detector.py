@@ -158,8 +158,10 @@ class ExperimentConfig:
     visibility: float = 1.0
     lo_scan_e_l: tuple = ()
     lo_scan_phi: float = 0.75 * np.pi
-    # the seed-free sampling plan (_seed_free), shared by with_seed copies only
-    _plan: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the seed-free sampling plan, built by __post_init__ and shared by with_seed copies
+    # only: each scan's specs by record kind, and each planned segment's Cholesky factors
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
@@ -183,8 +185,8 @@ class ExperimentConfig:
         if smax > 1.0 + 1e-9:
             raise ConfigError(f"splitter amplitude map is not passive: singular value {smax:.6f}")
         for kind in ("phase_scan", "lo_scan") if self.lo_scan_e_l else ("phase_scan",):
-            for spec in scan_plan(self, kind):
-                segment_factors(self, spec)
+            self._plans[kind] = plan = tuple(scan_plan(self, kind))
+            self._factors.update((spec, segment_factors(self, spec)) for spec in plan)
         if self.lo_scan_e_l and len(set(self.lo_scan_e_l)) < 3:
             raise ConfigError(
                 f"the LO scan grid needs at least 3 distinct field strengths, got {self.lo_scan_e_l}"
@@ -202,13 +204,6 @@ class ExperimentConfig:
         copy = object.__new__(type(self))
         copy.__dict__.update(self.__dict__, seed=seed)
         return copy
-
-    def _seed_free(self, key, build):
-        """The entry key of the seed-free plan, build() on first use."""
-        value = self._plan.get(key)
-        if value is None:
-            value = self._plan[key] = build()
-        return value
 
 
 @dataclass(frozen=True)
@@ -284,31 +279,30 @@ def segment_statistics(cfg: ExperimentConfig, spec: SegmentSpec):
 
 
 def segment_factors(cfg: ExperimentConfig, spec: SegmentSpec):
-    """The lower Cholesky factor [[a, 0], [b, c]] of a segment's sigma_total as (a, b, c),
-    built once per seed-free config: the one place that computes a segment's covariance.
-    ConfigError refuses it when not finite, and products c1*c2 (variance s11*s22 + s12**2)
-    whose squared deviations over n pairs may overflow (margin 40**4 for the draws' tails)
-    or, when nonzero, whose variance over n is below 4 smallest normal floats."""
-
-    def build():
-        try:
-            (s11, s12), (_, s22) = segment_statistics(cfg, spec)[1].tolist()
-            finite = all(map(math.isfinite, (s11, s12, s22)))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ConfigError("sampling covariance overflows: drift, gain, LO or noise too large")
-        n = min(spec.n, sys.float_info.max)  # a count past the float range: the sum overflows
-        if not math.isfinite(n * 40.0**4 * (s11 * s22 + s12 * s12)):
-            raise ConfigError("sample products overflow: drift, gain, LO or noise too large")
-        a, d = math.sqrt(max(s11, 0.0)), math.sqrt(max(s22, 0.0))
-        # sqrt(s11*s22 + s12**2) from a*d, so that it does not underflow
-        if 0.0 < math.hypot(a * d, s12) < math.sqrt(4.0 * n * sys.float_info.min):
-            raise ConfigError("sample products underflow: gain or efficiency too small")
-        b = s12 / a if a > 0 else 0.0
-        return a, b, math.sqrt(max(s22 - b * b, 0.0))
-
-    return cfg._seed_free(spec, build)
+    """The lower Cholesky factor [[a, 0], [b, c]] of a segment's sigma_total as (a, b, c):
+    the one place that computes a segment's covariance, once per segment of the plans of
+    a seed-free config (and afresh for any other spec).  ConfigError refuses it when not
+    finite, and products c1*c2 (variance s11*s22 + s12**2) whose squared deviations over
+    n pairs may overflow (margin 40**4 for the draws' tails) or, when nonzero, whose
+    variance over n is below 4 smallest normal floats."""
+    if (factors := cfg._factors.get(spec)) is not None:
+        return factors
+    try:
+        (s11, s12), (_, s22) = segment_statistics(cfg, spec)[1].tolist()
+        finite = all(map(math.isfinite, (s11, s12, s22)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError("sampling covariance overflows: drift, gain, LO or noise too large")
+    n = min(spec.n, sys.float_info.max)  # a count past the float range: the sum overflows
+    if not math.isfinite(n * 40.0**4 * (s11 * s22 + s12 * s12)):
+        raise ConfigError("sample products overflow: drift, gain, LO or noise too large")
+    a, d = math.sqrt(max(s11, 0.0)), math.sqrt(max(s22, 0.0))
+    # sqrt(s11*s22 + s12**2) from a*d, so that it does not underflow
+    if 0.0 < math.hypot(a * d, s12) < math.sqrt(4.0 * n * sys.float_info.min):
+        raise ConfigError("sample products underflow: gain or efficiency too small")
+    b = s12 / a if a > 0 else 0.0
+    return a, b, math.sqrt(max(s22 - b * b, 0.0))
 
 
 @functools.cache
@@ -449,14 +443,15 @@ class LoScanEstimates:
 
 def scan_plan(cfg: ExperimentConfig, kind: str):
     """Ordered segment specs of a "phase_scan" or an "lo_scan" record of cfg: a new list
-    per call, of specs built once per seed-free config."""
+    per call, of the specs built with cfg (an LO scan of an empty grid is built here,
+    and refused)."""
+    if (plan := cfg._plans.get(kind)) is not None:
+        return list(plan)
     if kind == "phase_scan":
-        build = functools.partial(phase_scan_plan, cfg)
-    elif kind == "lo_scan":
-        build = functools.partial(lo_scan_plan, cfg, cfg.lo_scan_phi, cfg.lo_scan_e_l)
-    else:
-        raise ValueError(f"unknown record kind {kind!r}")
-    return list(cfg._seed_free(kind, build))
+        return phase_scan_plan(cfg)
+    if kind == "lo_scan":
+        return lo_scan_plan(cfg, cfg.lo_scan_phi, cfg.lo_scan_e_l)
+    raise ValueError(f"unknown record kind {kind!r}")
 
 
 def simulate_segments(cfg: ExperimentConfig, specs):

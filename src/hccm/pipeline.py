@@ -4,8 +4,8 @@ and every CLI command call the same stage functions.
 
 The blocked-signal offset (LO classical noise plus correlated dark noise) is
 subtracted from every unblocked correlation before fitting; the subtraction is
-a common shift, so it moves only the constant Fourier coefficient, whose
-variance picks up the offset variance.  The blocked-LO result is used as
+a common shift, so it moves only the constant parameter (a0 or the by-LO C0),
+whose variance picks up the offset variance.  The blocked-LO result is used as
 measured; its uncertainty carries the drift error (difference of the two
 blocked runs) in quadrature.
 """
@@ -94,31 +94,31 @@ class PipelineResult(DetAnalysis):
     lo: LoScanAnalysis | None = None
 
 
+def _offset_corrected(est, solve, grid, *args):
+    """The estimates' values less the blocked-signal offset, and solve(grid, those
+    values, stderr, *args) with the offset variance added to parameter 0 (a0 or
+    C0): the shift is common to every design row, so it moves parameter 0 alone."""
+    offset = est.blocked_signal
+    corrected = est.values - offset.value
+    result = solve(grid, corrected, est.stderr, *args)
+    cov = result.cov.copy()
+    cov[0, 0] += offset.stderr**2
+    return corrected, replace(result, cov=cov)
+
+
 def analyze_phase_estimates(est: PhaseScanEstimates) -> PhaseScanAnalysis:
     """Offset-correct, fit the trigonometric polynomial, and separate."""
-    offset = est.blocked_signal
-    # only the offset value is removed per point; its variance is a common-mode
-    # term and is added once to the constant coefficient after fitting
-    corrected = est.values - offset.value
-    fit = fit_trig_poly(est.phis, corrected, est.stderr)
-    cov = fit.cov.copy()
-    cov[0, 0] += offset.stderr**2
-    fit = replace(fit, cov=cov)
+    corrected, fit = _offset_corrected(est, fit_trig_poly, est.phis)
     run_a, run_b = est.blocked_lo
     drift = drift_error(run_a, run_b)
     sep = separate_by_phase(fit, run_a, drift=drift)
-    return PhaseScanAnalysis(est, offset, corrected, run_a, drift, fit, sep)
+    return PhaseScanAnalysis(est, est.blocked_signal, corrected, run_a, drift, fit, sep)
 
 
 def analyze_lo_estimates(est: LoScanEstimates) -> LoScanAnalysis:
     """Offset-correct the LO scan and separate by LO-strength scaling."""
-    offset = est.blocked_signal
-    corrected = est.values - offset.value
-    sep = separate_by_lo(est.e_values, corrected, est.stderr, est.phi)
-    cov = sep.cov.copy()
-    cov[0, 0] += offset.stderr**2
-    sep = replace(sep, cov=cov)
-    return LoScanAnalysis(est, offset, corrected, sep, float(np.max(est.e_values)))
+    corrected, sep = _offset_corrected(est, separate_by_lo, est.e_values, est.phi)
+    return LoScanAnalysis(est, est.blocked_signal, corrected, sep, float(np.max(est.e_values)))
 
 
 def determinant_test(cfg: ExperimentConfig, sep, phis, lo_sep=None) -> DetAnalysis:

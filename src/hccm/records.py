@@ -7,9 +7,9 @@ sample pair, 33 bytes each: 32 lowercase hex digits, the 16 bytes of the
 little-endian float64 values c1 and c2, and a newline.
 
 Segments follow the plan of the header's config (``detector.scan_plan``), in
-plan order, each segment's rows contiguous; the plan gives every segment's row
-count, kind, e_l and block (the header lines must repeat them) and the
-``segment.<i>.phi`` lines its phase, so non-equidistant phase grids read back.
+plan order, each segment's rows contiguous and as many as the plan gives.  The
+header lines must repeat each segment's kind, e_l, block and phase from the plan,
+but a ``phase`` segment's phi line gives its phase, so any phase grid reads back.
 
 stream_record is the one writer and replaces its file atomically; it and
 read_record hold CHUNK_ROWS rows of a segment at a time, as bytes (the reader
@@ -30,6 +30,8 @@ import numpy as np
 from . import config as config_mod
 from .analysis import CHUNK_ROWS, reduce_chunks
 from .detector import (
+    KIND_LO_PHASE,
+    KIND_LO_PHASE_PI,
     KIND_PHASE,
     ExperimentConfig,
     SegmentEstimate,
@@ -118,10 +120,10 @@ def read_record(path, like: Record | None = None) -> Record:
     """Read a record file one chunk of a segment at a time (bounded memory).
 
     Every segment is checked against the plan of the config in the header: a
-    segment kind, e_l or block header line that is not the plan's, no phase line,
-    a row that is not 32 hex digits and a newline, non-finite samples, a file that
-    ends inside the segment or bytes after the last one raise DataError naming
-    the segment, as does an OSError.
+    segment kind, e_l or block header line, or a fixed phase's phi line, that is
+    not the plan's, no phase line, a row that is not 32 hex digits and a newline,
+    non-finite samples, a file that ends inside the segment or bytes after the
+    last one raise DataError naming the segment, as does an OSError.
     With like, a record read before, the header's config lines must be like's,
     string for string (DataError otherwise), and like's config plans the file.
     """
@@ -174,14 +176,17 @@ def _read_header(fh) -> dict:
 
 
 def _segment_name(spec: SegmentSpec, position: int) -> str:
-    if spec.kind == KIND_PHASE:
+    if spec.kind in (KIND_PHASE, KIND_LO_PHASE, KIND_LO_PHASE_PI):
         return f"segment {spec.kind} {spec.index} (plan position {position})"
     return f"calibration run {spec.kind} (plan position {position})"
 
 
 def _header_phi(meta: dict, position: int, spec: SegmentSpec, name: str) -> float:
-    """The segment's phase; its kind, e_l and block lines must be the plan's, as written."""
-    for key, planned in (("kind", spec.kind), ("e_l", repr(spec.e_l)), ("block", str(spec.block))):
+    """The segment's phase; its header lines must be the plan's, as written (but a phase's phi)."""
+    lines = [("kind", spec.kind), ("e_l", repr(spec.e_l)), ("block", str(spec.block))]
+    if spec.kind != KIND_PHASE:
+        lines.append(("phi", repr(spec.phi)))
+    for key, planned in lines:
         if (given := meta.get(f"segment.{position}.{key}")) != planned:
             raise DataError(f"{name}: the header gives {key} {given!r}, the plan {planned!r}")
     try:

@@ -15,6 +15,7 @@ from dataclasses import astuple
 
 import numpy as np
 
+from .analysis import lo_design
 from .nonclassicality import SIG_THRESHOLD, verdicts
 from .pipeline import DetAnalysis, LoScanAnalysis, PhaseScanAnalysis, PipelineResult
 
@@ -83,16 +84,12 @@ def phase_table_text(phase: PhaseScanAnalysis) -> str:
 
 
 def lo_table_rows(lo: LoScanAnalysis):
-    c0, c1_ref, c2_ref = lo.separation.params
+    e_values, stderr = lo.estimates.e_values, lo.estimates.stderr
+    # the separation's model on its own design: rows at phi, then at phi + pi
+    fit = (lo_design(e_values) @ lo.separation.params).reshape(2, -1)
+    columns = (e_values, lo.corrected[0], stderr[0], lo.corrected[1], stderr[1], *fit)
     keys = ("e_l", "C_phi", "stderr_phi", "C_phi_pi", "stderr_phi_pi", "fit_phi", "fit_phi_pi")
-    rows = []
-    # rows of the (2, J) arrays at phi and phi + pi, one (value, stderr) pair per E_L
-    columns = (lo.corrected[0], lo.estimates.stderr[0], lo.corrected[1], lo.estimates.stderr[1])
-    for e, *estimates in zip(lo.estimates.e_values.tolist(), *(c.tolist() for c in columns)):
-        odd = c1_ref * (e / lo.e_ref)
-        even = c0 + c2_ref * (e / lo.e_ref) ** 2
-        rows.append(dict(zip(keys, (e, *estimates, float(even + odd), float(even - odd)))))
-    return rows
+    return [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
 
 
 def lo_table_text(lo: LoScanAnalysis) -> str:

@@ -8,12 +8,14 @@ import pytest
 from hccm.analysis import estimate_correlation
 from hccm.config import preset_config
 from hccm.detector import (
+    KIND_LO_PHASE,
     KIND_PHASE,
     DetectorConfig,
     ExperimentConfig,
     SignalParams,
     draw_segment,
     phase_scan_plan,
+    scan_plan,
     segment_statistics,
     simulate_estimates,
 )
@@ -25,7 +27,7 @@ from hccm.gaussian import (
     two_mode_output,
 )
 from hccm.nonclassicality import moment_matrix_det
-from hccm.pipeline import analyze_phase_estimates, run_pipeline
+from hccm.pipeline import analyze_lo_estimates, analyze_phase_estimates, run_pipeline
 from hccm.splitter import (
     BeamSplitter,
     delta_g_contributions,
@@ -406,4 +408,33 @@ def test_ac9_coverage_calibration():
     print(
         "\nAC-9 PASS: 1-sigma coverage over 500 runs = "
         + ", ".join(f"{n}={c:.3f}" for n, c in zip(("a0", "a1", "b1", "a2", "b2"), coverage))
+    )
+
+
+def test_ac9_lo_coverage_calibration():
+    # AC-9's gate for the LO-strength separation, over 500 LO scans at paper-quick's
+    # segment size.  The truth: each segment's exact correlation (sigma_total of
+    # segment_statistics) less the blocked-signal one, which C0 + C1 x + C2 x^2 at phi
+    # and C0 - C1 x + C2 x^2 at phi + pi (x = E_L / max E_L) fit exactly
+    cfg0 = preset_config("paper-quick")
+    specs = scan_plan(cfg0, "lo_scan")
+    exact = np.array([segment_statistics(cfg0, spec)[1][0, 1] for spec in specs])
+    corrected = exact[:-1] - exact[-1]
+    x = np.array([spec.e_l for spec in specs[:-1]]) / max(cfg0.lo_scan_e_l)
+    sign = np.array([1.0 if spec.kind == KIND_LO_PHASE else -1.0 for spec in specs[:-1]])
+    design = np.column_stack([np.ones_like(x), sign * x, x**2])
+    targets = np.linalg.lstsq(design, corrected, rcond=None)[0]
+    assert np.abs(design @ targets - corrected).max() <= 1e-12 * np.abs(corrected).max()
+    hits = np.zeros(3)
+    runs = 500
+    for seed in range(runs):
+        est = simulate_estimates(cfg0.with_seed(5_000 + seed), "lo_scan")
+        sep = analyze_lo_estimates(est).separation
+        hits += (np.abs(sep.params - targets) <= np.sqrt(np.diag(sep.cov))).astype(float)
+    coverage = hits / runs
+    for name, c in zip(("C0", "C1", "C2"), coverage):
+        assert 0.63 <= c <= 0.73, f"by-LO {name}: 1-sigma coverage {c:.3f} outside 68% +- 5%"
+    print(
+        "\nAC-9 (by LO strength) PASS: 1-sigma coverage over 500 runs = "
+        + ", ".join(f"{n}={c:.3f}" for n, c in zip(("C0", "C1", "C2"), coverage))
     )

@@ -67,6 +67,16 @@ class TestEstimateCorrelation:
         assert half.stderr == pytest.approx(full.stderr * np.sqrt(2.0), rel=0.05)
 
 
+    @pytest.mark.parametrize("shape", [(10,), (10, 3), (2, 5, 2)])
+    def test_not_pairs_refused(self, shape):
+        with pytest.raises(ValueError, match=r"expected an \(N, 2\) array of pairs"):
+            estimate_correlation(np.zeros(shape))
+
+    def test_no_samples_refused(self):
+        with pytest.raises(ValueError, match="sample count must be >= 1, got 0"):
+            CorrelationEstimate(value=0.0, stderr=0.0, n=0)
+
+
 class TestSeparationDict:
     def test_round_trip(self):
         points = synthetic_points((1.0, 0.5, -0.2, 0.3, 0.1), np.linspace(0, 6, 12), 0.01)
@@ -256,6 +266,14 @@ class TestTrigFit:
 
 
 class TestSeparateByPhase:
+    def test_c1_amplitude_at_zero(self):
+        # a1 = b1 = 0: no direction to propagate along, so sigma is the quadrature sum
+        params = np.array([1.0, 0.0, 0.0, 0.2, 0.1, 0.8])
+        cov = np.diag([1e-4, 4e-4, 9e-4, 1e-4, 1e-4, 1e-4])
+        amp, sigma = SeparatedContributions(params, cov).c1_amplitude()
+        assert amp == 0.0
+        assert sigma == pytest.approx(np.sqrt(13e-4), rel=1e-12)
+
     def test_exact_recovery(self):
         phis = 2 * np.pi * np.arange(24) / 24
         c0, (a1, b1), (a2, b2) = 0.9, (1.2, -0.4), (0.3, 0.1)
@@ -391,9 +409,10 @@ class TestSeparateByLo:
         corr_mc = np.corrcoef(draws.T)
         assert np.all(np.abs(corr_mc - cov / np.outer(sigma, sigma)) < 0.06)
 
-    def test_matches_odd_even_closed_form(self, rng):
-        # the one weighted fit equals the separate odd and even fits with their
-        # hand-derived cross terms, on random grids and unequal sigma
+    def test_matches_independent_gls(self, rng):
+        # the fit equals a generalised least-squares solve written out independently
+        # (lstsq on whitened rows, covariance inv(X^T W X)), on random grids, in random
+        # order, with unequal sigma at phi and phi + pi
         for _ in range(200):
             grid = np.concatenate([[0.0], rng.uniform(0.1, 5.0, rng.integers(2, 8))])
             sigma = rng.uniform(0.01, 0.1, (grid.size, 2))
@@ -401,13 +420,20 @@ class TestSeparateByLo:
                 (e, _est(rng.normal(), sa), _est(rng.normal(), sb))
                 for e, (sa, sb) in zip(rng.permutation(grid), sigma)
             ]
-            values, cov = _closed_form_by_lo(pts)
+            values, cov = _gls_by_lo(pts)
             sep = separate_by_lo(*_lo_columns(pts), phi=0.0)
             scale = np.sqrt(np.diag(cov))
-            np.testing.assert_allclose(sep.params, values, rtol=1e-12, atol=1e-12 * scale.max())
-            np.testing.assert_allclose(
-                sep.cov, cov, rtol=1e-12, atol=1e-12 * np.outer(scale, scale).max()
-            )
+            # to 1e-12 of sigma, and of sigma_i sigma_j for the covariance
+            assert np.all(np.abs(sep.params - values) <= 1e-12 * scale)
+            assert np.all(np.abs(sep.cov - cov) <= 1e-12 * np.outer(scale, scale))
+
+    def test_c1_amplitude(self):
+        # by LO strength C1 is one signed number at phi_ref: its magnitude and sigma
+        grid = [0.0, 1.0, 1.5, 2.0]
+        sep = separate_by_lo(*_lo_columns(self._points(0.7, -0.5, 0.3, grid, 0.01)), phi=0.9)
+        amp, sigma = sep.c1_amplitude()
+        assert amp == pytest.approx(1.0, abs=1e-12)
+        assert sigma == np.sqrt(sep.cov[1, 1]) > 0
 
     def test_method_tag_by_phase(self):
         phis = 2 * np.pi * np.arange(12) / 12
@@ -453,33 +479,20 @@ class TestNoiselessRoundTrip:
             )
 
 
-def _closed_form_by_lo(points):
-    """(C0, C1, C2) at the largest E_L with their covariance, by the odd slope
-    through the origin and the even fit alpha + beta E_L^2 with their cross
-    terms, as separate_by_lo computed them before it became one weighted fit."""
-    items = sorted(points, key=lambda item: item[0])
-    e_vals = np.array([float(e) for e, _, _ in items])
-    e_ref = float(e_vals.max())
-    d_vals = np.array([(a.value - b.value) / 2.0 for _, a, b in items])
-    e_even = np.array([(a.value + b.value) / 2.0 for _, a, b in items])
-    var_a = np.array([a.stderr**2 for _, a, _ in items])
-    var_b = np.array([b.stderr**2 for _, _, b in items])
-    w = 4.0 / (var_a + var_b)
-    cov_de = (var_a - var_b) / 4.0
-    denom = float(w @ e_vals**2)
-    u_row = w * e_vals / denom
-    g_mat = np.column_stack([np.ones_like(e_vals), e_vals**2])
-    gtw = g_mat.T * w
-    cov_ab = np.linalg.inv(gtw @ g_mat)
-    v_rows = cov_ab @ gtw
-    alpha_beta = v_rows @ e_even
-    cross = np.array([float(u_row @ (cov_de * v_rows[k])) for k in range(2)])
-    values = np.array([alpha_beta[0], float(u_row @ d_vals) * e_ref, alpha_beta[1] * e_ref**2])
-    cov = np.zeros((3, 3))
-    cov[0, 0] = cov_ab[0, 0]
-    cov[1, 1] = e_ref**2 / denom
-    cov[2, 2] = cov_ab[1, 1] * e_ref**4
-    cov[0, 2] = cov[2, 0] = cov_ab[0, 1] * e_ref**2
-    cov[0, 1] = cov[1, 0] = cross[0] * e_ref
-    cov[1, 2] = cov[2, 1] = cross[1] * e_ref**3
+def _gls_by_lo(points):
+    """(C0, C1, C2) at the largest E_L with their covariance, by generalised least
+    squares on the model C0 + C1 x + C2 x^2 at phi and C0 - C1 x + C2 x^2 at
+    phi + pi, x = E_L / max E_L: lstsq on the rows whitened by 1/sigma, and the
+    covariance inv(X^T W X)."""
+    e_vals = np.array([float(e) for e, _, _ in points])
+    x = e_vals / e_vals.max()
+    rows, y, sigma = [], [], []
+    for sign, col in ((1.0, 1), (-1.0, 2)):
+        for xj, item in zip(x, points):
+            rows.append([1.0, sign * xj, xj**2])
+            y.append(item[col].value)
+            sigma.append(item[col].stderr)
+    design, y, sigma = np.array(rows), np.array(y), np.array(sigma)
+    values = np.linalg.lstsq(design / sigma[:, None], y / sigma, rcond=None)[0]
+    cov = np.linalg.inv(design.T @ (design / sigma[:, None] ** 2))
     return values, cov

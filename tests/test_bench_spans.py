@@ -52,3 +52,20 @@ def test_paper_full_operation_runs(monkeypatch):
     workload.setup_round()
     workload.cfg = dataclasses.replace(workload.cfg, samples_per_phase=1_000, blocked_samples=10_000)
     assert isinstance(workload.run_op(0, None)[1], bool)
+
+
+def test_cli_records_outputs_check(monkeypatch, tmp_path):
+    # the cli-records workload runs simulate, analyze and test as child processes,
+    # then checks that their reports agree with reproduce-paper's and that the
+    # records hold the plan's rows; run the three commands in process and that check
+    from hccm.cli import main
+    from hccm.config import preset_config
+
+    run = load_bench_run(monkeypatch)
+    workload = run.CliRecords(seed=3)
+    workload.samples_per_op = run.plan_samples(preset_config(workload.PRESET), with_lo=True)
+    workload.record_mb = []
+    seed = str(run.config_seed(workload.seed, 0))
+    for stage in ("simulate", "analyze", "test"):
+        assert main([stage, "--preset", workload.PRESET, "--seed", seed, "--out", str(tmp_path)]) == 0
+    assert workload.check_outputs(tmp_path, seed) is True

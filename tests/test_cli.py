@@ -16,6 +16,7 @@ from hccm import config as config_mod
 from hccm import detector, records
 from hccm.analysis import SeparatedContributions
 from hccm.cli import main
+from hccm.errors import ConfigError
 
 TINY = """
 # small end-to-end configuration
@@ -195,8 +196,8 @@ class TestDeterminism:
         golden = {
             "phase_scan.txt": "d5c671d253100e9a5c0058d0f5d5696aefc28c0ca6254d5252b3495c0c3e94c4",
             "lo_scan.txt": "29e4c1788c3e9fe30a9c0209f5938723d11b6dc58afedc86dd82ce2cf95da61c",
-            "separation.json": "aee2f946f5042b9401f6fb156ea321aee342b61f05e54d67a7d863780d3bd3f1",
-            "det_table.txt": "d92b21882e32d2ef7d03318ed49b897a2dfc0a6e32c7611e4c4c2ced2ffa6c69",
+            "separation.json": "22cc7a4612ce3d8f475c4e7aee2446c060a86237832258f0d1b11df0204b9172",
+            "det_table.txt": "c99efd18795507db1c1a834d029a0a9067158e64cf386fd4d9523a8f11c6eb5b",
         }
         assert chain_digests(tmp_path / "run", tiny_config_path, golden) == golden
 
@@ -206,8 +207,8 @@ class TestDeterminism:
         golden = {
             "phase_scan.txt": "a0faace47e70f4b50810ff94747a1e17e728141df1036d3fa683b5d588c8928e",
             "lo_scan.txt": "38662b3a97f575964cba2a2df701f676ba74551ac0761fd2a29831ce0c6f362c",
-            "separation.json": "06afc357ce8afea18d9df7f7c147941d1d74839aa60c2eb2ced6a3562dcf31fc",
-            "det_table.txt": "ae4abb911b3b0fb25349c751e716f12a1679906028d19ca28f7650a74ba7c4b6",
+            "separation.json": "3186c1642018288c870030c834e92799e998d48ea6438d7123a8256fd7bdd30d",
+            "det_table.txt": "71f68907fd5f7472fdd9592a214d317b1ea3d6fd091a1aac5ea6c1a12e552c74",
         }
         path = tmp_path / "noisy.cfg"
         path.write_text(NOISY_TINY)
@@ -628,8 +629,18 @@ class TestExitCodes:
             (TINY + "visibility 0.9\n", [], "expected 'key = value'"),
             (TINY, ["--preset", "paper-quick"], "either --config or --preset"),
             (TINY + "lo_power_uw = 275.0\n", [], "either lo_field_strength or lo_power_uw"),
+            (
+                TINY + "lo_scan_powers_uw = 0,117,166,216,275\n",
+                [],
+                "either lo_scan_field_strengths or lo_scan_powers_uw",
+            ),
         ],
-        ids=["line-without-equals", "config-and-preset", "lo-field-strength-and-power"],
+        ids=[
+            "line-without-equals",
+            "config-and-preset",
+            "lo-field-strength-and-power",
+            "lo-grid-strengths-and-powers",
+        ],
     )
     def test_config_refused(self, tmp_path, capsys, text, flags, message):
         cfg, out = tmp_path / "bad.cfg", tmp_path / "run"
@@ -639,6 +650,17 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "config error:" in err and message in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "reproduce-paper"])
+    def test_out_under_a_file(self, tmp_path, tiny_config_path, capsys, command):
+        # an --out directory below a regular file cannot be made: nothing is written
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        assert main([command, "--config", tiny_config_path, "--out", str(blocker / "run")]) == 3
+        err = capsys.readouterr().err
+        assert "data error: output directory not writable" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "tiny.cfg"]
+        assert blocker.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -661,6 +683,35 @@ class TestExitCodes:
         assert main(["analyze", "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "data error:" in err and message in err and "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["lo_scan.txt", "phase_scan.txt"]
+
+    @pytest.mark.parametrize(
+        "name, position, segment",
+        [
+            ("lo_scan.txt", 0, "segment lo_phase 0 (plan position 0)"),
+            ("lo_scan.txt", 3, "segment lo_phase_pi 1 (plan position 3)"),
+            ("lo_scan.txt", 8, "calibration run blocked_signal (plan position 8)"),
+            ("phase_scan.txt", 0, "calibration run blocked_lo_a (plan position 0)"),
+        ],
+    )
+    def test_planned_phase_checked(self, tmp_path, tiny_config_path, capsys, name, position, segment):
+        # the plan fixes the phase of every segment but a phase scan's phases: a phase
+        # line that is not the plan's would move phi_ref or mislabel the segment
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", tiny_config_path, "--out", str(out)]) == 0
+        record = out / name
+        text, count = re.subn(
+            rf"# segment\.{position}\.phi=[^\n]*".encode(),
+            f"# segment.{position}.phi=0.1".encode(),
+            record.read_bytes(),
+        )
+        assert count == 1
+        record.write_bytes(text)
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "data error:" in err and segment in err and "phi '0.1'" in err
+        assert "Traceback" not in err
         assert sorted(p.name for p in out.iterdir()) == ["lo_scan.txt", "phase_scan.txt"]
 
     def test_record_write_error(self, tmp_path, tiny_config_path, capsys, monkeypatch):
@@ -816,6 +867,23 @@ class TestExitCodes:
         assert "all positive or all zero" in err and "Traceback" not in err
         assert sorted(p.name for p in out.iterdir()) == ["lo_scan.txt", "phase_scan.txt"]
 
+    def test_constant_lo_segment(self, tmp_path, tiny_config_path, capsys):
+        # the same for the LO scan: segment.2 (lo_phase at the second field strength,
+        # after two 3 000-row segments) made all zero; each segment is one design row,
+        # so no average over the phase pair hides its zero stderr
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", tiny_config_path, "--out", str(out)]) == 0
+        record = out / "lo_scan.txt"
+        lines = record.read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 6000
+        lines[first : first + 3000] = ["0" * 32 + "\n"] * 3000
+        record.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "all positive or all zero" in err and "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["lo_scan.txt", "phase_scan.txt"]
+
     def test_balanced_splitter_precondition(self, tmp_path, capsys):
         cfg = tmp_path / "balanced.cfg"
         cfg.write_text(
@@ -882,6 +950,10 @@ FUZZ_CASES = [
     for value in FUZZ_VALUES
     for after_zero in ((False, True) if key in config_mod._LIST_KEYS else (False,))
 ]
+
+def test_unknown_preset_refused():
+    with pytest.raises(ConfigError, match="unknown preset 'papr'"):
+        config_mod.preset_config("papr")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme values overflow on purpose
