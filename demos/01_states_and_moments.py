@@ -8,7 +8,7 @@ noise, field noise, and their mixed correlation.
 
 import numpy as np
 
-from hccm import (
+from hccm.gaussian import (
     from_quadrature_variances,
     normal_ordered_signal_moments,
     quadrature_variance,

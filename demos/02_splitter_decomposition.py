@@ -8,16 +8,14 @@ on a balanced splitter and peaks at a 14:86 intensity partition.
 
 import numpy as np
 
-from hccm import (
+from hccm.gaussian import (
     LocalOscillator,
-    delta_g_contributions,
     normal_ordered_signal_moments,
     photocurrent_covariance,
-    splitter_coefficients,
     squeezed_coherent,
-    symmetric_splitter,
     two_mode_output,
 )
+from hccm.splitter import delta_g_contributions, splitter_coefficients, symmetric_splitter
 
 print("coefficient weight of the mixed term vs intensity reflectance")
 print(f"{'|R|^2':>8s}{'t1':>12s}{'|tt*t1|':>12s}")

@@ -30,7 +30,8 @@ print(
     f"  blocked-LO C_block = {analysis.c_block.value:.4f} +- {analysis.c_block.stderr:.4f}"
     f"   drift error {analysis.drift:.4f}"
 )
-print(f"  blocked-signal offset = {analysis.offset.value:+.4f} +- {analysis.offset.stderr:.4f}")
+offset = analysis.estimates.blocked_signal
+print(f"  blocked-signal offset = {offset.value:+.4f} +- {offset.stderr:.4f}")
 
 print("\nper-phase table (every 6th phase):")
 print(f"{'phi/pi':>8s}{'C':>10s}{'+-':>8s}{'fit':>10s}{'C0':>8s}{'C1':>8s}{'C2':>8s}")

@@ -122,7 +122,8 @@ def _weights(stderr: np.ndarray) -> np.ndarray:
 def _wls(design: np.ndarray, values: np.ndarray, stderr: np.ndarray):
     """Weighted least squares on the rows of design, one row per estimate: the
     parameters L @ values, their covariance (L / w) @ L.T and the weights w,
-    1/stderr^2 (all 1 when every stderr is 0), L being the estimator matrix.
+    1/stderr^2, L being the estimator matrix.  When every stderr is 0 the
+    estimates are exact: w is all 1 and the covariance is zero.
     Raises DegenerateDesignError when the weighted design has condition number
     above DESIGN_COND_MAX, or when the stderrs are mixed zero and positive or
     square to subnormal or zero variances (whose weights would overflow)."""
@@ -131,10 +132,12 @@ def _wls(design: np.ndarray, values: np.ndarray, stderr: np.ndarray):
     u, s, vt = np.linalg.svd(design * sw[:, None], full_matrices=False)
     if s[-1] <= 0 or s[0] / s[-1] > DESIGN_COND_MAX:
         raise DegenerateDesignError(
-            f"design matrix condition number {s[0] / max(s[-1], 1e-300):.2e} exceeds 1e8"
+            f"design matrix condition number {s[0] / max(s[-1], 1e-300):.2e} "
+            f"exceeds {DESIGN_COND_MAX:g}"
         )
     est = (vt.T / s) @ (u.T * sw)
-    return est @ values, (est / w) @ est.T, w
+    cov = (est / w) @ est.T if np.any(stderr) else np.zeros((len(est), len(est)))
+    return est @ values, cov, w
 
 
 def fit_trig_poly(phis, values, stderr) -> TrigFit:
@@ -142,8 +145,9 @@ def fit_trig_poly(phis, values, stderr) -> TrigFit:
 
     phis, values and stderr are (P,) arrays, one correlation estimate per phase;
     weights are 1/stderr^2.  Raises DegenerateDesignError when the weighted
-    design matrix has condition number above 1e8 (e.g. all phases equal mod pi),
-    or when some stderrs are zero and others not (e.g. a constant segment).
+    design matrix has condition number above DESIGN_COND_MAX (e.g. all phases
+    equal mod pi), or when some stderrs are zero and others not (e.g. a
+    constant segment).
     """
     phis, y = np.asarray(phis, dtype=float), np.asarray(values, dtype=float)
     if np.unique(phis).size < 6:

@@ -162,14 +162,15 @@ def cmd_analyze(args) -> int:
     phase_path, lo_path = os.path.join(args.out, PHASE_RECORD), os.path.join(args.out, LO_RECORD)
     phase_record = records.read_record(phase_path)
     phase_est = _estimates(phase_record, "phase_scan")
-    _named_config(args, config_mod.config_to_flat(phase_record.config), phase_path)
+    echo = config_mod.config_to_flat(phase_record.config)
+    _named_config(args, echo, phase_path)
     lo_record = records.read_record(lo_path, like=phase_record) if os.path.exists(lo_path) else None
     lo_est = None if lo_record is None else _estimates(lo_record, "lo_scan")
     phase = analyze_phase_estimates(phase_est)
     lo = None if lo_est is None else analyze_lo_estimates(lo_est)
 
     payload = {
-        "config": config_mod.config_to_flat(phase.estimates.config),
+        "config": echo,
         "phis": phase.estimates.phis.tolist(),
         "phase": phase.separation.to_dict(),
     }

@@ -425,7 +425,6 @@ class PhaseScanEstimates:
     stderr: np.ndarray
     blocked_lo: tuple  # (run a, run b)
     blocked_signal: CorrelationEstimate
-    config: ExperimentConfig
 
 
 @dataclass(frozen=True)
@@ -438,7 +437,6 @@ class LoScanEstimates:
     values: np.ndarray
     stderr: np.ndarray
     blocked_signal: CorrelationEstimate
-    config: ExperimentConfig
 
 
 def scan_plan(cfg: ExperimentConfig, kind: str):
@@ -475,7 +473,6 @@ def scan_estimates(kind: str, cfg: ExperimentConfig, segments):
             stderr=stderr[1:-2],
             blocked_lo=(ests[0], ests[-2]),
             blocked_signal=ests[-1],
-            config=cfg,
         )
     # grid point j at phi and at phi + pi, then the blocked-signal run
     return LoScanEstimates(
@@ -484,7 +481,6 @@ def scan_estimates(kind: str, cfg: ExperimentConfig, segments):
         values=values[:-1].reshape(-1, 2).T,
         stderr=stderr[:-1].reshape(-1, 2).T,
         blocked_signal=ests[-1],
-        config=cfg,
     )
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .analysis import SeparatedContributions
 from .detector import SignalParams
 from .errors import AnomalousTermInaccessibleError
-from .gaussian import GaussianState, normal_ordered_signal_moments
+from .gaussian import normal_ordered_signal_moments
 from .splitter import SplitterCoefficients
 
 VERDICT_NONCLASSICAL = "nonclassical"
@@ -150,8 +150,9 @@ def squeezed_phases(signal: SignalParams, phis) -> np.ndarray:
     return mid + half * np.cos(2.0 * (np.asarray(phis, dtype=float) - signal.angle)) < 1.0
 
 
-def moment_matrix_det(state: GaussianState, phi: float) -> float:
+def moment_matrix_det(state, phi: float) -> float:
     """Analytic determinant var_I var_E - anom^2 of the normal-ordered moment
-    matrix at one phase; no classical field makes it negative."""
+    matrix of state (a gaussian.GaussianState) at one phase; no classical field
+    makes it negative."""
     m = normal_ordered_signal_moments(state, phi)
     return float(m.var_i * m.var_e - m.anom**2)

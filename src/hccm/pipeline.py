@@ -41,11 +41,10 @@ from .splitter import splitter_coefficients
 
 @dataclass(frozen=True)
 class PhaseScanAnalysis:
-    """The phase scan offset-corrected (corrected: (P,) values; their stderr is the
-    estimates'), fitted and separated."""
+    """The phase scan offset-corrected (corrected: (P,) values; their stderr and the
+    offset, blocked_signal, are the estimates'), fitted and separated."""
 
     estimates: PhaseScanEstimates
-    offset: CorrelationEstimate
     corrected: np.ndarray
     c_block: CorrelationEstimate
     drift: float
@@ -55,11 +54,10 @@ class PhaseScanAnalysis:
 
 @dataclass(frozen=True)
 class LoScanAnalysis:
-    """The LO scan offset-corrected (corrected: (2, J) values, as the estimates') and
-    separated."""
+    """The LO scan offset-corrected (corrected: (2, J) values, as the estimates'; the
+    offset is their blocked_signal) and separated."""
 
     estimates: LoScanEstimates
-    offset: CorrelationEstimate
     corrected: np.ndarray
     separation: SeparatedContributions
     e_ref: float
@@ -112,13 +110,13 @@ def analyze_phase_estimates(est: PhaseScanEstimates) -> PhaseScanAnalysis:
     run_a, run_b = est.blocked_lo
     drift = drift_error(run_a, run_b)
     sep = separate_by_phase(fit, run_a, drift=drift)
-    return PhaseScanAnalysis(est, est.blocked_signal, corrected, run_a, drift, fit, sep)
+    return PhaseScanAnalysis(est, corrected, run_a, drift, fit, sep)
 
 
 def analyze_lo_estimates(est: LoScanEstimates) -> LoScanAnalysis:
     """Offset-correct the LO scan and separate by LO-strength scaling."""
     corrected, sep = _offset_corrected(est, separate_by_lo, est.e_values, est.phi)
-    return LoScanAnalysis(est, est.blocked_signal, corrected, sep, float(np.max(est.e_values)))
+    return LoScanAnalysis(est, corrected, sep, float(np.max(est.e_values)))
 
 
 def determinant_test(cfg: ExperimentConfig, sep, phis, lo_sep=None) -> DetAnalysis:

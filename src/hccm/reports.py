@@ -35,7 +35,7 @@ def _table_text(header: list, rows: list, footer=()) -> str:
 
 
 def fit_report_dict(phase: PhaseScanAnalysis) -> dict:
-    fit = phase.fit
+    fit, offset = phase.fit, phase.estimates.blocked_signal
     names = ["a0", "a1", "b1", "a2", "b2"]
     return {
         "coefficients": {n: float(c) for n, c in zip(names, fit.coeffs)},
@@ -50,7 +50,7 @@ def fit_report_dict(phase: PhaseScanAnalysis) -> dict:
             "n": phase.c_block.n,
         },
         "drift_error": float(phase.drift),
-        "offset": {"value": phase.offset.value, "stderr": phase.offset.stderr},
+        "offset": {"value": offset.value, "stderr": offset.stderr},
     }
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateSplitterError
-from .gaussian import MomentTriple
 
 COEFF_TOL = 1e-12
 
@@ -108,9 +107,10 @@ def splitter_coefficients(bs: BeamSplitter) -> SplitterCoefficients:
     return SplitterCoefficients(t0=t0, t1=t1, t2=-1.0, tt=tt)
 
 
-def delta_g_contributions(m: MomentTriple, e_l: float, bs: BeamSplitter) -> Contributions:
+def delta_g_contributions(m, e_l: float, bs: BeamSplitter) -> Contributions:
     """Analytic contributions to the intensity-noise cross correlation for a
-    signal with normal-ordered moments m and LO field strength e_l."""
+    signal with normal-ordered moments m (a gaussian.MomentTriple) and LO field
+    strength e_l."""
     if e_l < 0:
         raise ValueError(f"LO field strength must be >= 0, got {e_l}")
     c = splitter_coefficients(bs)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hccm import analysis
 from hccm.analysis import (
     BY_LO,
     BY_PHASE,
@@ -189,6 +190,8 @@ class TestTrigFit:
         truth = (2.0, 0.5, 0.0, 0.0, -1.2)
         fit = fit_trig_poly(*_columns(synthetic_points(truth, phis)))
         np.testing.assert_allclose(fit.coeffs, truth, atol=1e-10)
+        # every stderr 0: the estimates are exact, and so are the coefficients
+        assert fit.cov.shape == (5, 5) and not fit.cov.any()
         assert fit.chi2 == pytest.approx(0.0, abs=1e-16)
         assert fit.dof == 7
 
@@ -227,6 +230,14 @@ class TestTrigFit:
         phis = np.array([0.1, 0.1 + 1e-12, 0.1 + 2e-12, 0.1 + 3e-12, 0.1 + 4e-12, 0.1 + 5e-12])
         pts = [(p, _est(1.0, 0.1)) for p in phis]
         with pytest.raises(DegenerateDesignError):
+            fit_trig_poly(*_columns(pts))
+
+    def test_condition_bound_quoted(self, monkeypatch):
+        # the refusal names the bound in force, DESIGN_COND_MAX
+        phis = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        pts = [(p, _est(1.0, 0.1)) for p in phis]
+        monkeypatch.setattr(analysis, "DESIGN_COND_MAX", 10.0)
+        with pytest.raises(DegenerateDesignError, match=r"exceeds 10$"):
             fit_trig_poly(*_columns(pts))
 
     def test_mixed_stderr_rejected(self):
@@ -346,6 +357,7 @@ class TestSeparateByLo:
         pts = self._points(0.7, -0.5, 0.3, grid)
         sep = separate_by_lo(*_lo_columns(pts), phi=0.9)
         assert sep.method == BY_LO
+        assert sep.cov.shape == (3, 3) and not sep.cov.any()
         vals, _ = sep.contributions_at(0.9)
         assert vals[0] == pytest.approx(0.7, abs=1e-12)
         assert vals[1] == pytest.approx(-0.5 * 2.0, abs=1e-12)

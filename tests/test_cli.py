@@ -17,6 +17,8 @@ from hccm import detector, records
 from hccm.analysis import SeparatedContributions
 from hccm.cli import main
 from hccm.errors import ConfigError
+from hccm.nonclassicality import VERDICT_CLASSICAL
+from hccm.pipeline import run_pipeline
 
 TINY = """
 # small end-to-end configuration
@@ -41,6 +43,15 @@ eta2 = 0.94
 lo_scan_field_strengths = 0.0,1.4,2.0,2.8
 lo_scan_phase_rad = {three_quarter_pi}
 """.format(half_pi=repr(math.pi / 2), three_quarter_pi=repr(0.75 * math.pi))
+
+
+# detector 1 dark (eta1 = 0, no noise): every product c1*c2 is exactly 0, so every
+# segment of both scans has stderr 0
+EXACT_QUICK = """preset = paper-quick
+eta1 = 0
+samples_per_phase = 2000
+blocked_samples = 2000
+"""
 
 
 NOISY_TINY = TINY + """dark_uncorr1 = 2.0
@@ -238,6 +249,36 @@ class TestDeterminism:
                 assert main(["analyze", "--out", str(out), "--format", fmt]) == 0
                 assert main(["test", "--out", str(out), "--format", fmt]) == 0
             assert reports(new) == reports(old)
+
+
+class TestExactScans:
+    """Scans whose stderrs are all 0 are exact: zero covariance, sigma 0, no verdict."""
+
+    def test_run_pipeline(self, tmp_path):
+        path = tmp_path / "exact.cfg"
+        path.write_text(EXACT_QUICK)
+        result = run_pipeline(config_mod.load_config(str(path)))
+        assert not result.phase.estimates.stderr.any() and not result.lo.estimates.stderr.any()
+        for cov in (result.phase.fit.cov, result.phase.separation.cov, result.lo.separation.cov):
+            assert not cov.any()
+        assert not result.sigma.any() and not result.nonclassical.any()
+        assert result.lo_det.sigma == 0.0 and result.lo_det.verdict == VERDICT_CLASSICAL
+
+    def test_cli_chain(self, tmp_path):
+        path, out = tmp_path / "exact.cfg", tmp_path / "run"
+        path.write_text(EXACT_QUICK)
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["analyze", "--out", str(out), "--format", "structured"]) == 0
+        assert main(["test", "--out", str(out), "--format", "structured"]) == 0
+        separation = json.loads((out / "separation.json").read_text())
+        assert not np.any(separation["phase"]["cov"]) and not np.any(separation["lo"]["cov"])
+        fit = json.loads((out / "analyze_report.json").read_text())["fit"]
+        assert not any(fit["stderr"].values()) and not np.any(fit["covariance"])
+        det = json.loads((out / "det_report.json").read_text())
+        assert {row["sigma"] for row in det["det_table"]} == {0.0}
+        assert {row["verdict"] for row in det["det_table"]} == {VERDICT_CLASSICAL}
+        assert det["summary"]["n_nonclassical"] == 0
+        assert det["summary"]["lo_scan_point"]["sigma"] == 0.0
 
 
 class TestConfigCheck:

@@ -15,7 +15,7 @@ PACKAGE_DIR = Path(hccm.__file__).parent
 # the only third-party runtime dependency (pyproject.toml)
 ALLOWED_THIRD_PARTY = {"numpy"}
 # modules downstream of the samples: they must not reach into the quantum state algebra
-GAUSSIAN_FREE = ("analysis", "pipeline", "records", "reports", "cli")
+GAUSSIAN_FREE = ("analysis", "config", "pipeline", "records", "reports", "splitter", "cli")
 
 
 def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -50,6 +50,18 @@ def test_cli_import_stays_light():
     done = _run_python(code)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == []
+
+
+def test_package_re_exports_nothing():
+    # one home per name: importing the package loads no submodule and binds only its version
+    code = (
+        "import json, sys; import hccm; print(json.dumps([hccm.__version__, "
+        "sorted(m for m in sys.modules if m.startswith('hccm.')), "
+        "sorted(n for n in vars(hccm) if not n.startswith('_'))]))"
+    )
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["0.1.0", [], []]
 
 
 def test_no_third_party_import_beyond_numpy():
