@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateDesignError, InsufficientDataError, PreconditionError
 
 DESIGN_COND_MAX = 1e8
-# pairs per chunk of sampling and reduction: a (CHUNK_ROWS, 2) buffer stays in cache
+# pairs per chunk of sampling and reduction, its two columns in cache; the samples depend on it
 CHUNK_ROWS = 1 << 15
 
 BY_PHASE = "by-phase"
@@ -47,12 +47,14 @@ def reduce_chunks(chunks) -> CorrelationEstimate:
     in cache, then merged with the update of Chan, Golub & LeVeque (1979).  Raises
     PreconditionError for a chunk whose products differ while their squared
     deviations all underflow to 0.0 (samples too small for a standard error)."""
-    n, mean, m2 = 0, 0.0, 0.0
+    n, mean, m2, buffer = 0, 0.0, 0.0, None
     for pairs in chunks:
         k = len(pairs)
         if n % CHUNK_ROWS or k > CHUNK_ROWS:
             raise ValueError(f"chunks must hold {CHUNK_ROWS} pairs; only the last may be shorter")
-        products = pairs[:, 0] * pairs[:, 1]
+        if buffer is None:  # the first chunk is the longest
+            buffer = np.empty(k)
+        products = np.multiply(pairs[:, 0], pairs[:, 1], out=buffer[:k])
         chunk_mean = float(products.sum()) / k
         products -= chunk_mean
         products *= products

@@ -13,8 +13,9 @@ mode-mismatch) scaled by the gains, plus additive electronic noise:
 The noise sources are independent Gaussians, so their sum with the quantum
 fluctuations is a Gaussian of the summed covariance, sigma_total of
 segment_statistics: a segment draws (c1, c2) = chol(sigma_total) z, two
-standard normals z per pair, whatever noise is on.  Each segment draws z from
-its own seed-derived substream, an SFC64 generator (numpy's cheapest per
+standard normals z per pair, whatever noise is on; a chunk of k pairs draws its z0
+then its z1 as one block of 2k, so the samples depend on CHUNK_ROWS.  Each segment
+draws z from its own seed-derived substream, an SFC64 generator (numpy's cheapest per
 normal), so segments are reproducible independently of evaluation order, and
 one seed gives the same z for every noise setting (paired-seed tests).
 plan_chunks, the one seeding path of every sampler, seeds a whole plan with
@@ -353,18 +354,20 @@ def substream(words: np.ndarray) -> np.random.Generator:
 def segment_chunks(cfg: ExperimentConfig, spec: SegmentSpec, seeds: np.ndarray):
     """Yield one segment's (c1, c2) pairs as (k, 2) chunks of CHUNK_ROWS rows, the
     last maybe shorter, each a view of one reused buffer that the next overwrites.
-    seeds is the segment's row of plan_seeds.  The pairs are chol(sigma_total) z
-    for normals z drawn chunk after chunk from the segment's substream, so they
-    equal one whole-segment draw bit for bit.
+    seeds is the segment's row of plan_seeds.  The pairs are chol(sigma_total) z:
+    each chunk draws its 2k normals as one block from the segment's substream, the
+    first k its z0 and the next k its z1, so each column is contiguous and the
+    samples depend on CHUNK_ROWS.
     """
     a, b, c = segment_factors(cfg, spec)
     rows = min(CHUNK_ROWS, spec.n)
-    buffer, scratch = np.empty((rows, 2)), np.empty(rows)
+    buffer, scratch = np.empty(2 * rows), np.empty(rows)
     rng = substream(seeds)
     for start in range(0, spec.n, rows):
         k = min(rows, spec.n - start)
-        pairs, tmp = buffer[:k], scratch[:k]
-        rng.standard_normal(out=pairs)
+        flat, tmp = buffer[: 2 * k], scratch[:k]
+        rng.standard_normal(out=flat)
+        pairs = flat.reshape(2, k).T
         # in place, elementwise (no BLAS threads, no fused multiply-add): c1 = a*z0, c2 = b*z0 + c*z1
         c1, c2 = pairs[:, 0], pairs[:, 1]
         c2 *= c
@@ -383,11 +386,11 @@ def plan_chunks(cfg: ExperimentConfig, specs):
 
 def draw_segment(cfg: ExperimentConfig, spec: SegmentSpec):
     """Draw the (c1, c2) fluctuation samples of one segment: segment_chunks joined."""
-    pairs = np.empty((spec.n, 2))
+    columns = np.empty((2, spec.n))
     [(_, chunks)] = plan_chunks(cfg, [spec])
     for i, chunk in enumerate(chunks):
-        pairs[i * CHUNK_ROWS : i * CHUNK_ROWS + len(chunk)] = chunk
-    return pairs[:, 0], pairs[:, 1]
+        columns[:, i * CHUNK_ROWS : i * CHUNK_ROWS + len(chunk)] = chunk.T
+    return columns[0], columns[1]
 
 
 def phase_scan_plan(cfg: ExperimentConfig):

@@ -110,8 +110,8 @@ def stream_record(cfg: ExperimentConfig, path, kind: str = "phase_scan") -> int:
         fh.write("".join(line + "\n" for line in _header_lines(kind, cfg, specs)).encode())
         for _, chunks in plan_chunks(cfg, specs):
             for pairs in chunks:
-                # one hex line of 16 bytes per (c1, c2) row; the last line's newline apart
-                fh.write(binascii.b2a_hex(pairs.astype("<f8", copy=False), b"\n", 16))
+                # a hex line of 16 bytes per row, the last newline apart: interleave the columns
+                fh.write(binascii.b2a_hex(np.ascontiguousarray(pairs, "<f8"), b"\n", 16))
                 fh.write(b"\n")
     return sum(spec.n for spec in specs)
 

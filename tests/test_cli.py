@@ -205,10 +205,10 @@ class TestDeterminism:
         # change of the sampler, of the substream seeding, of the reducer or of the
         # determinant stage shows here
         golden = {
-            "phase_scan.txt": "d5c671d253100e9a5c0058d0f5d5696aefc28c0ca6254d5252b3495c0c3e94c4",
-            "lo_scan.txt": "29e4c1788c3e9fe30a9c0209f5938723d11b6dc58afedc86dd82ce2cf95da61c",
-            "separation.json": "22cc7a4612ce3d8f475c4e7aee2446c060a86237832258f0d1b11df0204b9172",
-            "det_table.txt": "c99efd18795507db1c1a834d029a0a9067158e64cf386fd4d9523a8f11c6eb5b",
+            "phase_scan.txt": "6124462e2e6c128852b785af814a48bfdbc74221a63fcc067c9cd77c9ef4a1aa",
+            "lo_scan.txt": "38fe2f55887d68e129d4a40e5ea3c73e66833624b573c4048620b0efecc0451b",
+            "separation.json": "b6e92eadad8efc7a5bf2bd982b23de65ee7197d1d6d6c3ea1c4970f2c158ae5b",
+            "det_table.txt": "cc37e94b309040fed917a0c19a094d024b262db14df7625e694de8d30369d6f2",
         }
         assert chain_digests(tmp_path / "run", tiny_config_path, golden) == golden
 
@@ -216,10 +216,10 @@ class TestDeterminism:
         # the same for TINY with dark noise and LO noise on: pins the noisy sampler,
         # which draws each segment from the Cholesky factor of its total covariance
         golden = {
-            "phase_scan.txt": "a0faace47e70f4b50810ff94747a1e17e728141df1036d3fa683b5d588c8928e",
-            "lo_scan.txt": "38662b3a97f575964cba2a2df701f676ba74551ac0761fd2a29831ce0c6f362c",
-            "separation.json": "3186c1642018288c870030c834e92799e998d48ea6438d7123a8256fd7bdd30d",
-            "det_table.txt": "71f68907fd5f7472fdd9592a214d317b1ea3d6fd091a1aac5ea6c1a12e552c74",
+            "phase_scan.txt": "906ec792cdc84af82341bec4845295970999ef7394364c5050f2abf6c28880fe",
+            "lo_scan.txt": "a67197d67907ffcbd6c9a2bdb9bfe42b08eb9ad35504537eadbd27ece3f02d28",
+            "separation.json": "e9327c509e7c0706fb2908e76f9cf601187fc2e8cca7195dbb0ed1086af6c6b3",
+            "det_table.txt": "65aec8ad80e221d1dfd07ba800a6c7f7fb7d0ad344f9a4b38b0fe4b22bf9099d",
         }
         path = tmp_path / "noisy.cfg"
         path.write_text(NOISY_TINY)
@@ -232,13 +232,13 @@ class TestDeterminism:
             assert main(["simulate", "--config", tiny_config_path, "--out", str(out)]) == 0
         for name in ("phase_scan.txt", "lo_scan.txt"):
             add_old_echo_lines(old / name)
-        # byte for byte the records that the versions with both keys wrote for TINY
+        # byte for byte TINY's records, with the echo lines of the versions with both keys
         assert {
             name: hashlib.sha256((old / name).read_bytes()).hexdigest()
             for name in ("phase_scan.txt", "lo_scan.txt")
         } == {
-            "phase_scan.txt": "47d77006e7911fb8bab739abc1a1b4af305e5a2818c53f73f6e8256414320dac",
-            "lo_scan.txt": "87076bcaf559d828082fcfa265eb02fa8086577f6f3ca62f8fae2f02fd305c11",
+            "phase_scan.txt": "1715e5b2c2b9b3fe40accb83817afcf4f185af65d5bb6be1fb36e85cf6591ab1",
+            "lo_scan.txt": "a0faa0c0ffe2281507b1d2950ce5741df3a7f67155b76d480634044ac5f95e18",
         }
 
         def reports(out):

@@ -19,6 +19,7 @@ from hccm.detector import (
     drift_factor,
     lo_scan_plan,
     phase_scan_plan,
+    plan_chunks,
     plan_seeds,
     scan_plan,
     segment_factors,
@@ -396,8 +397,8 @@ class TestSubstreams:
         c1, c2 = draw_segment(cfg, spec)
         pairs = [(float(x).hex(), float(y).hex()) for x, y in zip(c1[:2], c2[:2])]
         assert pairs == [
-            ("0x1.51979a34a97c6p-1", "0x1.3531b56c56545p+1"),
-            ("-0x1.27f0a9a8dcb08p+2", "0x1.08479f4cc2edep+2"),
+            ("0x1.51979a34a97c6p-1", "-0x1.852d57de2f227p+0"),
+            ("0x1.903ddde80d374p+1", "0x1.05f66a74ce764p+0"),
         ]
 
     def test_plan_seeds_follow_the_keys(self):
@@ -499,14 +500,13 @@ class TestSamplingStatistics:
 
     def test_draws_match_matrix_product(self):
         # the elementwise Cholesky product equals z @ L.T up to rounding, with L the
-        # factor of sigma_total (sigma_q when no noise is on)
+        # factor of sigma_total (sigma_q when no noise is on) and z the per-chunk normals
         for detector in (DetectorConfig(eta1=0.94, eta2=0.94), NOISY):
             cfg = small_config(detector=detector)
             spec = phase_scan_plan(cfg)[3]
             sigma_q, sigma_total, _ = segment_statistics(cfg, spec)
             assert (detector is NOISY) != np.array_equal(sigma_q, sigma_total)
-            z = _segment_rng(cfg, spec).standard_normal((spec.n, 2))
-            expected = z @ np.linalg.cholesky(sigma_total).T
+            expected = per_chunk_normals(cfg, spec).T @ np.linalg.cholesky(sigma_total).T
             c1, c2 = draw_segment(cfg, spec)
             scale = np.sqrt(np.diag(sigma_total))
             np.testing.assert_allclose(c1, expected[:, 0], rtol=0, atol=1e-12 * scale[0])
@@ -546,6 +546,33 @@ class TestSamplingStatistics:
         band = 5.0 * math.sqrt(p * (1.0 - p) / len(z))
         coverage = np.mean(np.abs(z) <= 1.0)
         assert abs(coverage - p) <= band, f"1-sigma coverage {coverage:.4f}, band {p:.4f} +- {band:.4f}"
+
+    @pytest.mark.parametrize("name", ["small-noisy", "paper-quick"])
+    def test_estimates_cover_the_exact_correlation(self, name):
+        # over 200 seeds, each segment estimate's z-score against the exact sigma_total[0, 1]
+        # and the exact stderr sqrt((s11 s22 + s12^2) / n) of the products' mean covers +-1
+        # in AC-9's band and never exceeds 5: no pinned bit enters.  small-noisy: every
+        # segment of a noisy config; paper-quick: 10 of its 20 000-pair phase segments
+        # and its 200 000-pair blocked-signal run, 7 chunks
+        if name == "small-noisy":
+            base = small_config(detector=replace(NOISY, lo_excess=0.1))
+            specs = phase_scan_plan(base)
+        else:
+            base = preset_config("paper-quick")
+            specs = phase_scan_plan(base)
+            specs = specs[1:-2:6] + specs[-1:]
+        exact = []
+        for spec in specs:
+            (s11, s12), (_, s22) = segment_statistics(base, spec)[1]
+            exact.append((s12, math.sqrt((s11 * s22 + s12 * s12) / spec.n)))
+        z = [
+            (est.value - value) / stderr
+            for seed in range(200)
+            for (_, est), (value, stderr) in zip(simulate_segments(base.with_seed(seed), specs), exact)
+        ]
+        coverage = np.mean(np.abs(z) <= 1.0)
+        assert 0.63 <= coverage <= 0.73, f"{name}: 1-sigma coverage {coverage:.3f} over {len(z)}"
+        assert np.abs(z).max() <= 5.0
 
     def test_ac_coupling_zero_means(self):
         cfg = small_config(samples_per_phase=50_000)
@@ -717,13 +744,20 @@ class TestLoScan:
         assert phis == {1.0, (1.0 + np.pi) % (2 * np.pi)}
 
 
-def whole_segment_draw(cfg, spec):
-    """The oracle of a chunked draw: one whole-segment draw of normals from the
-    substream seeded with the words of numpy's SeedSequence, then the same elementwise
+def per_chunk_normals(cfg, spec):
+    """The normals z0, z1 of a segment as a (2, n) array: from the substream seeded with
+    the words of numpy's SeedSequence, each chunk of k = min(CHUNK_ROWS, rest) pairs
+    draws a (2, k) array, its row 0 the chunk's z0 and its row 1 its z1."""
+    rng = substream(seed_sequence_row(cfg.seed, spec.kind, spec.index))
+    sizes = [min(CHUNK_ROWS, spec.n - at) for at in range(0, spec.n, CHUNK_ROWS)]
+    return np.hstack([rng.standard_normal((2, k)) for k in sizes])
+
+
+def per_chunk_draw(cfg, spec):
+    """The oracle of a chunked draw: per_chunk_normals, then the same elementwise
     operations with the Cholesky factor of sigma_total."""
     a, b, c = segment_factors(cfg, spec)
-    z = substream(seed_sequence_row(cfg.seed, spec.kind, spec.index)).standard_normal((spec.n, 2))
-    c1, c2 = z[:, 0], z[:, 1]
+    c1, c2 = per_chunk_normals(cfg, spec)
     c2 *= c
     c2 += b * c1
     c1 *= a
@@ -741,12 +775,41 @@ class TestChunkBoundaries:
         cfg = small_config(detector=NOISY)
         return cfg, replace(phase_scan_plan(cfg)[3], n=request.param)
 
-    def test_draw_equals_whole_segment_draw(self, segment):
+    def test_draw_equals_per_chunk_draw(self, segment):
         cfg, spec = segment
         c1, c2 = draw_segment(cfg, spec)
-        o1, o2 = whole_segment_draw(cfg, spec)
+        o1, o2 = per_chunk_draw(cfg, spec)
         np.testing.assert_array_equal(c1, o1)
         np.testing.assert_array_equal(c2, o2)
+
+    def test_chunks_have_contiguous_columns(self, segment):
+        # the transform and the products run unit-stride on each column
+        cfg, spec = segment
+        [(_, chunks)] = plan_chunks(cfg, [spec])
+        for chunk in chunks:
+            assert chunk.shape[1] == 2
+            assert chunk[:, 0].flags.c_contiguous and chunk[:, 1].flags.c_contiguous
+
+    def test_chunk_normals_are_uncorrelated(self, segment):
+        # z0 and z1 recovered from each chunk's pairs, pooled by chunk position over
+        # seeds (200 of 2-row segments, 4 otherwise): the sum of z0*z1 over m pairs is
+        # within 5 sigma of 0, and z0 and z1 have unit variance.  Columns that read the
+        # same normals would give mean z0*z1 = 1
+        cfg, spec = segment
+        a, b, c = segment_factors(cfg, spec)
+        pooled = {}
+        for seed in range(200 if spec.n < 100 else 4):
+            [(_, chunks)] = plan_chunks(cfg.with_seed(seed), [spec])
+            for i, chunk in enumerate(chunks):
+                z0 = chunk[:, 0] / a
+                z1 = (chunk[:, 1] - b * z0) / c
+                pooled.setdefault(i, []).append(np.stack([z0, z1]))
+        assert len(pooled) == -(-spec.n // CHUNK_ROWS)
+        for z0, z1 in (np.hstack(zs) for zs in pooled.values()):
+            m = z0.size
+            assert abs(np.dot(z0, z1)) < 5.0 * math.sqrt(m)
+            for z in (z0, z1):
+                assert abs(np.dot(z, z) / m - 1.0) < 5.0 * math.sqrt(2.0 / m)
 
     def test_streamed_estimate_equals_estimate_correlation(self, segment):
         cfg, spec = segment
