@@ -14,10 +14,12 @@ The noise sources are independent Gaussians, so their sum with the quantum
 fluctuations is a Gaussian of the summed covariance, sigma_total of
 segment_statistics: a segment draws (c1, c2) = chol(sigma_total) z, two
 standard normals z per pair, whatever noise is on; a chunk of k pairs draws its z0
-then its z1 as one block of 2k, so the samples depend on CHUNK_ROWS.  Each segment
-draws z from its own seed-derived substream, an SFC64 generator (numpy's cheapest per
-normal), so segments are reproducible independently of evaluation order, and
-one seed gives the same z for every noise setting (paired-seed tests).
+then its z1 as one block of 2k, so the samples depend on CHUNK_ROWS.  A full chunk
+fills it by numpy's ziggurat run on whole arrays of raw SFC64 words, faster there than
+standard_normal, which fills a shorter one.  Each segment draws z from its own
+seed-derived substream, an SFC64 generator (numpy's cheapest per normal), so segments
+are reproducible independently of evaluation order, and one seed gives the same z
+for every noise setting (paired-seed tests).
 plan_chunks, the one seeding path of every sampler, seeds a whole plan with
 plan_seeds: one SeedSequence([seed, kind id]) per segment kind, whose
 generate_state words give segment (kind, index) its three SFC64 state words,
@@ -351,22 +353,69 @@ def substream(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(_state_words_type()(words)))
 
 
+@functools.cache
+def _ziggurat_tables():
+    """numpy's normal ziggurat (Marsaglia & Tsang 2000): 256 layers of area v, layer 0 the
+    base with the tail past r, layer l >= 1 the box [0, x_l] x [f_l, f_{l-1}], f_l =
+    exp(-x_l^2/2), x_0 = 0, x_255 = r.  Returns (k, w, f, r), k and w by a word's 9 low bits
+    (layer, sign): k the rabs below which x is under the curve, w the signed width per rabs."""
+    r, v = 3.6541528853610088, 4.92867323399e-3
+    x = np.append(np.zeros(255), r)
+    for i in range(255, 1, -1):
+        x[i - 1] = math.sqrt(-2.0 * math.log(v / x[i] + math.exp(-0.5 * x[i] * x[i])))
+    f = np.exp(-0.5 * x * x)
+    w = np.append(v / f[255], x[1:])  # the base's width: its rectangle plus the tail
+    k = (np.append(r / w[0], x[:-1] / x[1:]) * 2.0**52).astype(np.int64)
+    return np.tile(k, 2), np.concatenate([w, -w]) * 2.0**-52, f, r
+
+
+def _ziggurat_normals(rng: np.random.Generator, out: np.ndarray, layer: np.ndarray):
+    """Fill out with standard normals by numpy's ziggurat on whole arrays (layer: an int64
+    work array of out's size), one SFC64 word per candidate: bits 0-7 its layer, bit 8 its
+    sign, 12-63 its 52-bit rabs.  Wedge and tail candidates take numpy's tests; a rejected
+    wedge one is redrawn by standard_normal, as numpy restarts there: every value is exact."""
+    k, w, f, r = _ziggurat_tables()
+    words = rng.bit_generator.random_raw(out.size)
+    np.bitwise_and(words.view(np.int64), 511, out=layer)
+    rabs = np.right_shift(words, 12, out=words).view(np.int64)
+    k.take(layer, mode="wrap", out=out.view(np.int64))  # intp indices: numpy's fast take
+    miss = np.flatnonzero(rabs >= out.view(np.int64))
+    w.take(layer, mode="wrap", out=out)
+    out *= rabs
+    lay = layer[miss] & 255
+    wedge, lay, tail = miss[lay > 0], lay[lay > 0], miss[lay == 0]
+    x = out[wedge]
+    redraw = wedge[(f[lay - 1] - f[lay]) * rng.random(wedge.size) + f[lay] >= np.exp(-0.5 * x * x)]
+    while tail.size:
+        xx = -np.log1p(-rng.random(tail.size)) / r
+        keep = -2.0 * np.log1p(-rng.random(tail.size)) > xx * xx
+        out[tail[keep]] = np.copysign(r + xx[keep], out[tail[keep]])
+        tail = tail[~keep]
+    out[redraw] = rng.standard_normal(redraw.size)
+
+
 def segment_chunks(cfg: ExperimentConfig, spec: SegmentSpec, seeds: np.ndarray):
     """Yield one segment's (c1, c2) pairs as (k, 2) chunks of CHUNK_ROWS rows, the
     last maybe shorter, each a view of one reused buffer that the next overwrites.
     seeds is the segment's row of plan_seeds.  The pairs are chol(sigma_total) z:
     each chunk draws its 2k normals as one block from the segment's substream, the
     first k its z0 and the next k its z1, so each column is contiguous and the
-    samples depend on CHUNK_ROWS.
+    samples depend on CHUNK_ROWS.  A full chunk (k = CHUNK_ROWS) draws them with
+    _ziggurat_normals, which skips standard_normal's per-normal branches but pays some
+    25 numpy calls per chunk, a loss below about 4 000 normals; a shorter chunk, and so
+    every segment shorter than CHUNK_ROWS, draws them with standard_normal.
     """
     a, b, c = segment_factors(cfg, spec)
     rows = min(CHUNK_ROWS, spec.n)
-    buffer, scratch = np.empty(2 * rows), np.empty(rows)
+    buffer, scratch = np.empty(2 * rows), np.empty(2 * rows)
     rng = substream(seeds)
     for start in range(0, spec.n, rows):
         k = min(rows, spec.n - start)
         flat, tmp = buffer[: 2 * k], scratch[:k]
-        rng.standard_normal(out=flat)
+        if k == CHUNK_ROWS:
+            _ziggurat_normals(rng, flat, scratch.view(np.int64))
+        else:
+            rng.standard_normal(out=flat)
         pairs = flat.reshape(2, k).T
         # in place, elementwise (no BLAS threads, no fused multiply-add): c1 = a*z0, c2 = b*z0 + c*z1
         c1, c2 = pairs[:, 0], pairs[:, 1]
@@ -459,6 +508,15 @@ def simulate_segments(cfg: ExperimentConfig, specs):
     """Draw and reduce one segment at a time, chunk by chunk: a lazy SegmentEstimate stream."""
     for spec, chunks in plan_chunks(cfg, specs):
         yield SegmentEstimate(spec, reduce_chunks(chunks))
+
+
+def expected_segments(cfg: ExperimentConfig, kind: str = "phase_scan"):
+    """The exact SegmentEstimates of a scan of cfg, in plan order: the products' mean s12
+    of segment_statistics' sigma_total, and its standard error sqrt((s11 s22 + s12^2) / n)."""
+    for spec in scan_plan(cfg, kind):
+        (s11, s12), (_, s22) = segment_statistics(cfg, spec)[1].tolist()
+        stderr = math.sqrt((s11 * s22 + s12 * s12) / spec.n)
+        yield SegmentEstimate(spec, CorrelationEstimate(value=s12, stderr=stderr, n=spec.n))
 
 
 def scan_estimates(kind: str, cfg: ExperimentConfig, segments):

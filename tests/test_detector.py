@@ -1,7 +1,10 @@
+import decimal
+import importlib.util
 import itertools
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +18,16 @@ from hccm.detector import (
     DetectorConfig,
     ExperimentConfig,
     SignalParams,
+    _ziggurat_normals,
+    _ziggurat_tables,
     draw_segment,
     drift_factor,
+    expected_segments,
     lo_scan_plan,
     phase_scan_plan,
     plan_chunks,
     plan_seeds,
+    scan_estimates,
     scan_plan,
     segment_factors,
     segment_statistics,
@@ -29,7 +36,7 @@ from hccm.detector import (
     substream,
 )
 from hccm.errors import ConfigError
-from hccm.pipeline import run_pipeline
+from hccm.pipeline import analyze_phase_estimates, run_pipeline
 from hccm.gaussian import (
     LocalOscillator,
     apply_loss,
@@ -41,6 +48,8 @@ from hccm.gaussian import (
 from hccm.splitter import BeamSplitter, symmetric_splitter
 
 from conftest import truth_correlation
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def draw_plan(cfg, specs):
@@ -535,44 +544,64 @@ class TestSamplingStatistics:
             blocked_samples=2000,
             detector=replace(NOISY, lo_excess=0.1),
         )
-        specs = phase_scan_plan(base)
-        exact = [segment_statistics(base, spec)[1][0, 1] for spec in specs]
+        specs, exact = zip(*expected_segments(base))
         z = [
-            (est.value - value) / est.stderr
+            (est.value - truth.value) / est.stderr
             for seed in range(300)
-            for (_, est), value in zip(simulate_segments(base.with_seed(seed), specs), exact)
+            for (_, est), truth in zip(simulate_segments(base.with_seed(seed), specs), exact)
         ]
         p = math.erf(1.0 / math.sqrt(2.0))
         band = 5.0 * math.sqrt(p * (1.0 - p) / len(z))
         coverage = np.mean(np.abs(z) <= 1.0)
         assert abs(coverage - p) <= band, f"1-sigma coverage {coverage:.4f}, band {p:.4f} +- {band:.4f}"
 
-    @pytest.mark.parametrize("name", ["small-noisy", "paper-quick"])
+    @pytest.mark.parametrize("name", ["small-noisy", "paper-quick", "full-chunks"])
     def test_estimates_cover_the_exact_correlation(self, name):
-        # over 200 seeds, each segment estimate's z-score against the exact sigma_total[0, 1]
-        # and the exact stderr sqrt((s11 s22 + s12^2) / n) of the products' mean covers +-1
-        # in AC-9's band and never exceeds 5: no pinned bit enters.  small-noisy: every
-        # segment of a noisy config; paper-quick: 10 of its 20 000-pair phase segments
-        # and its 200 000-pair blocked-signal run, 7 chunks
+        # over many seeds, each segment estimate's z-score against expected_segments (the
+        # exact sigma_total[0, 1] and the exact stderr sqrt((s11 s22 + s12^2) / n) of the
+        # products' mean) covers +-1 in AC-9's band and never exceeds 5: no pinned bit
+        # enters.  small-noisy: every segment of a noisy config, 200 seeds; paper-quick:
+        # 10 of its 20 000-pair phase segments and its 200 000-pair blocked-signal run,
+        # 7 chunks, 200 seeds; full-chunks: 94 seeds of a noisy config whose 15 segments
+        # are each one full chunk, drawn by the vectorised ziggurat (1 410 z-scores)
+        noisy, seeds = replace(NOISY, lo_excess=0.1), 200
         if name == "small-noisy":
-            base = small_config(detector=replace(NOISY, lo_excess=0.1))
-            specs = phase_scan_plan(base)
-        else:
+            base = small_config(detector=noisy)
+        elif name == "paper-quick":
             base = preset_config("paper-quick")
-            specs = phase_scan_plan(base)
-            specs = specs[1:-2:6] + specs[-1:]
-        exact = []
-        for spec in specs:
-            (s11, s12), (_, s22) = segment_statistics(base, spec)[1]
-            exact.append((s12, math.sqrt((s11 * s22 + s12 * s12) / spec.n)))
+        else:
+            base = small_config(detector=noisy, samples_per_phase=CHUNK_ROWS, blocked_samples=CHUNK_ROWS)
+            seeds = 94
+        segments = list(expected_segments(base))
+        if name == "paper-quick":
+            segments = segments[1:-2:6] + segments[-1:]
+        specs, exact = zip(*segments)
         z = [
-            (est.value - value) / stderr
-            for seed in range(200)
-            for (_, est), (value, stderr) in zip(simulate_segments(base.with_seed(seed), specs), exact)
+            (est.value - truth.value) / truth.stderr
+            for seed in range(seeds)
+            for (_, est), truth in zip(simulate_segments(base.with_seed(seed), specs), exact)
         ]
         coverage = np.mean(np.abs(z) <= 1.0)
         assert 0.63 <= coverage <= 0.73, f"{name}: 1-sigma coverage {coverage:.3f} over {len(z)}"
         assert np.abs(z).max() <= 5.0
+
+    @pytest.mark.parametrize("name", ["paper", "paper-quick", "thermal", "coherent"])
+    def test_expected_segments_fit_the_reference(self, name):
+        # the phase-scan fit of the exact estimates is the closed form a0..b2 of the
+        # benchmark's reference, to 1e-9 of the largest (b1 and b2 of paper are rounding
+        # noise); coherent light's, and its exact correlations, are all 0, so there a
+        # floor of 1e-12 of the largest stderr
+        spec = importlib.util.spec_from_file_location("reference", BENCH / "reference.py")
+        reference = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(reference)
+        cfg = preset_config(name)
+        est = scan_estimates("phase_scan", cfg, expected_segments(cfg))
+        fitted = analyze_phase_estimates(est).fit.coeffs
+        coef = reference.fourier_coefficients(cfg)
+        expected = np.array([coef[key] for key in ("a0", "a1", "b1", "a2", "b2")])
+        scale = 1e-12 * est.stderr.max() if name == "coherent" else 1e-9 * np.abs(expected).max()
+        assert scale > 0
+        np.testing.assert_allclose(fitted, expected, rtol=0, atol=scale)
 
     def test_ac_coupling_zero_means(self):
         cfg = small_config(samples_per_phase=50_000)
@@ -747,10 +776,18 @@ class TestLoScan:
 def per_chunk_normals(cfg, spec):
     """The normals z0, z1 of a segment as a (2, n) array: from the substream seeded with
     the words of numpy's SeedSequence, each chunk of k = min(CHUNK_ROWS, rest) pairs
-    draws a (2, k) array, its row 0 the chunk's z0 and its row 1 its z1."""
+    draws a (2, k) array, its row 0 the chunk's z0 and its row 1 its z1: a full chunk
+    by the vectorised ziggurat, a shorter one by standard_normal."""
     rng = substream(seed_sequence_row(cfg.seed, spec.kind, spec.index))
-    sizes = [min(CHUNK_ROWS, spec.n - at) for at in range(0, spec.n, CHUNK_ROWS)]
-    return np.hstack([rng.standard_normal((2, k)) for k in sizes])
+
+    def chunk(k):
+        if k < CHUNK_ROWS:
+            return rng.standard_normal((2, k))
+        z = np.empty(2 * k)
+        _ziggurat_normals(rng, z, np.empty(2 * k, np.int64))
+        return z.reshape(2, k)
+
+    return np.hstack([chunk(min(CHUNK_ROWS, spec.n - at)) for at in range(0, spec.n, CHUNK_ROWS)])
 
 
 def per_chunk_draw(cfg, spec):
@@ -835,3 +872,112 @@ def test_product_moments_take_whole_chunks():
         reduce_chunks([np.ones((5, 2)), np.ones((5, 2))])
     with pytest.raises(ValueError):
         reduce_chunks([np.ones((CHUNK_ROWS + 1, 2))])
+
+
+class TestZiggurat:
+    """The full-chunk sampler against the exact normal law, over the 2^24 normals of 256
+    full chunks: its tables, each layer's rectangle and wedge, the tail, each branch."""
+
+    N_CHUNKS = 256
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        # each chunk's words are replayed from a copy of the generator's state, so each
+        # candidate's branch is known: fast (rabs below k), wedge (layer >= 1) or tail
+        k, w, _, r = _ziggurat_tables()
+        x = w[1:256] * 2.0**52
+        edges = np.concatenate([-x[::-1], [0.0], x])
+        counts = np.zeros(edges.size + 1, np.int64)
+        out, layer = np.empty(2 * CHUNK_ROWS), np.empty(2 * CHUNK_ROWS, np.int64)
+        rng = substream(np.array([2026, 10, 20], np.uint64))
+        tails, branches = [], dict.fromkeys(["fast", "wedge_accept", "wedge_redraw", "tail"], 0)
+        branches.update(fast_changed=0, tail_within_r=0)
+        for _ in range(self.N_CHUNKS):
+            replay = np.random.SFC64()
+            replay.state = rng.bit_generator.state
+            words = replay.random_raw(out.size)
+            idx = (words & 511).astype(np.intp)
+            rabs = (words >> 12).astype(np.int64)
+            candidate = rabs * w[idx]
+            fast = rabs < k[idx]
+            wedge, tail = ~fast & (idx % 256 > 0), ~fast & (idx % 256 == 0)
+            _ziggurat_normals(rng, out, layer)
+            accepted = out[wedge] == candidate[wedge]
+            beyond = (np.abs(out[tail]) > r) & (np.sign(out[tail]) == np.sign(candidate[tail]))
+            branches["fast_changed"] += int((out[fast] != candidate[fast]).sum())
+            branches["tail_within_r"] += int((~beyond).sum())
+            branches["fast"] += int(fast.sum())
+            branches["wedge_accept"] += int(accepted.sum())
+            branches["wedge_redraw"] += int((~accepted).sum())
+            branches["tail"] += int(tail.sum())
+            counts += np.bincount(np.searchsorted(edges, out), minlength=counts.size)
+            tails.append(np.abs(out[np.abs(out) > r]))
+        return edges, counts, np.sort(np.concatenate(tails)), branches
+
+    def test_tables(self):
+        # every layer has area v: the boxes l >= 2 to 1e-12, the base (rectangle r f(r)
+        # plus the tail past r) to 1e-11, and the top box closes, v / x_1 + f(x_1) = 1;
+        # and a 40-digit recomputation of the recurrence agrees to 1e-10
+        k, w, f, r = _ziggurat_tables()
+        v = 4.92867323399e-3
+        x = np.append(0.0, w[1:256] * 2.0**52)
+        assert x[255] == r and np.array_equal(f, np.exp(-0.5 * x * x))
+        areas = x[2:] * (f[1:-1] - f[2:])
+        np.testing.assert_allclose(areas, v, rtol=1e-12, atol=0)
+        tail = math.sqrt(math.pi / 2.0) * math.erfc(r / math.sqrt(2.0))
+        assert r * f[255] + tail == pytest.approx(v, rel=1e-11, abs=0)
+        assert abs(v / x[1] + f[1] - 1.0) < 1e-10
+        assert w[0] * 2.0**52 == pytest.approx(v / f[255], rel=1e-15)
+        np.testing.assert_array_equal(w[256:], -w[:256])
+        np.testing.assert_array_equal(k[256:], k[:256])
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            d_r, d_v, d_x = decimal.Decimal(r), decimal.Decimal(v), [decimal.Decimal(0)] * 256
+            d_x[255] = d_r
+            for i in range(255, 1, -1):
+                d_x[i - 1] = (-2 * (d_v / d_x[i] + (-d_x[i] * d_x[i] / 2).exp()).ln()).sqrt()
+            d_f = [(-xi * xi / 2).exp() for xi in d_x]
+            d_k = [d_r * d_f[255] / d_v] + [d_x[i - 1] / d_x[i] for i in range(1, 256)]
+        np.testing.assert_allclose(x, [float(xi) for xi in d_x], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(f, [float(fi) for fi in d_f], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(k[:256] * 2.0**-52, [float(ki) for ki in d_k], rtol=1e-10, atol=1e-16)
+
+    def test_layers_chi2(self, draws):
+        # 512 bins: edges at +-x_1 .. +-x_255 and 0, so each bin holds one layer's wedge
+        # over the rectangles of the wider layers; the outermost two are the tails.
+        # chi2 on 511 dof, by the Wilson-Hilferty normal, below 5 sigma
+        edges, counts, _, _ = draws
+        sf = [0.5 * math.erfc(e / math.sqrt(2.0)) for e in np.append(edges, np.inf)]
+        p = -np.diff(np.append(1.0, sf))
+        expected = counts.sum() * p
+        assert counts.sum() == self.N_CHUNKS * 2 * CHUNK_ROWS
+        chi2, dof = float(((counts - expected) ** 2 / expected).sum()), counts.size - 1
+        z = ((chi2 / dof) ** (1 / 3) - (1 - 2 / (9 * dof))) / math.sqrt(2 / (9 * dof))
+        assert z < 5.0, f"chi2 {chi2:.0f} on {dof} dof"
+
+    def test_tail(self, draws):
+        # |z| > r as often as the normal law says, within 5 sigma, and the tail values
+        # follow its conditional CDF: Kolmogorov-Smirnov below 1.95 (p = 0.001)
+        _, counts, tails, _ = draws
+        r = _ziggurat_tables()[3]
+        p = math.erfc(r / math.sqrt(2.0))
+        expected = counts.sum() * p
+        assert abs(tails.size - expected) < 5.0 * math.sqrt(expected)
+        cdf = np.array([1.0 - math.erfc(t / math.sqrt(2.0)) / p for t in tails])
+        n = tails.size
+        ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert math.sqrt(n) * ks < 1.95
+
+    def test_branches(self, draws):
+        # fast, wedge-accept, wedge-redraw and tail candidates all occur; a fast one is
+        # returned as it is and a tail one past r with its own sign; redraws, the only
+        # rejections, come at the exact rate 1 - sqrt(pi/2) / (256 v), within 5 sigma:
+        # a wedge that takes or refuses too much moves it
+        branches = dict(draws[-1])
+        assert branches.pop("fast_changed") == branches.pop("tail_within_r") == 0, branches
+        assert all(branches.values()), branches
+        n = sum(branches.values())
+        assert n == self.N_CHUNKS * 2 * CHUNK_ROWS
+        rate = 1.0 - math.sqrt(math.pi / 2.0) / (256 * 4.92867323399e-3)
+        expected = n * rate
+        assert abs(branches["wedge_redraw"] - expected) < 5.0 * math.sqrt(expected), branches

@@ -159,7 +159,7 @@ def test_smallest_gains_keep_the_verdicts():
     assert [d.verdict for d in scaled] == [d.verdict for d in ref]
     significance = [d.significance for d in ref]
     assert [d.significance for d in scaled] == pytest.approx(significance, rel=1e-9)
-    assert runs[0].summary.n_nonclassical == runs[1].summary.n_nonclassical == 32
+    assert runs[0].summary.n_nonclassical == runs[1].summary.n_nonclassical == 36
 
 
 @pytest.mark.parametrize("gain", ["1e-78", "1e-80", "1e-90"])
