@@ -50,7 +50,6 @@ import numpy as np
 
 from .analysis import CHUNK_ROWS, CorrelationEstimate, reduce_chunks
 from .errors import ConfigError
-from .gaussian import from_quadrature_variances
 from .splitter import BeamSplitter, symmetric_splitter
 
 TWO_PI = 2.0 * np.pi
@@ -77,7 +76,7 @@ def _require_finite(obj, *names):
     """Raise ConfigError naming the first attribute (number or tuple) that is not finite."""
     for name in names:
         value = getattr(obj, name)
-        if not all(math.isfinite(v) for v in (value if isinstance(value, tuple) else (value,))):
+        if not all(cmath.isfinite(v) for v in (value if isinstance(value, tuple) else (value,))):
             raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
@@ -97,9 +96,10 @@ class SignalParams:
 
     def __post_init__(self):
         # from_quadrature_variances's checks in closed form; exp(2i angle) needs a finite 2*angle
+        _require_finite(self, "v_min", "v_max", "angle", "alpha")
+        if not math.isfinite(2.0 * self.angle):
+            raise ConfigError(f"squeeze angle must be finite when doubled, got {self.angle!r}")
         v_min, v_max = self.v_min, self.v_max
-        if not np.isfinite([v_min, v_max, 2.0 * self.angle, self.alpha]).all():
-            raise ConfigError("from_quadrature_variances arguments must be finite")
         if v_min <= 0 or v_max < v_min:
             raise ConfigError(f"need 0 < v_min <= v_max, got ({v_min}, {v_max})")
         if v_min * v_max < 1.0 - 1e-9:
@@ -108,7 +108,8 @@ class SignalParams:
             )
 
     def state(self, amplitude_scale: float = 1.0):
-        """The signal as a validated gaussian.GaussianState."""
+        """The signal as a validated gaussian.GaussianState (the oracle; no run calls it)."""
+        from .gaussian import from_quadrature_variances
         return from_quadrature_variances(
             self.v_min, self.v_max, self.angle, self.alpha * amplitude_scale
         )

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import SeparatedContributions
-from .detector import SignalParams
-from .errors import AnomalousTermInaccessibleError
-from .gaussian import normal_ordered_signal_moments
-from .splitter import SplitterCoefficients
+from .errors import AnomalousTermInaccessibleError, PreconditionError
+from .splitter import COEFF_TOL, SplitterCoefficients
 
 VERDICT_NONCLASSICAL = "nonclassical"
 VERDICT_CLASSICAL = "classical-consistent"
@@ -52,11 +50,17 @@ class PhaseRangeSummary:
 
 def build_L(sep: SeparatedContributions, coeffs: SplitterCoefficients, phis):
     """The measured moment matrices [[C0/t0, C1/t1], [C1/t1, C2/t2]] at P phases, a
-    (P, 2, 2) stack, and the (P, 3, 3) covariances of their contribution triples."""
+    (P, 2, 2) stack, and the (P, 3, 3) covariances of their contribution triples.
+    Refuses a balanced splitter (t1 = 0) and one with t0 != 1, where t1 is not exact."""
     if coeffs.is_balanced:
         raise AnomalousTermInaccessibleError(
             "balanced splitter: the mixed field-intensity term cancels (t1 = 0); "
             "use an unbalanced intensity partition"
+        )
+    if abs(coeffs.t0 - 1.0) > COEFF_TOL:
+        raise PreconditionError(
+            f"splitter with |T_S R_S| != |T_L R_L| (t0 = {coeffs.t0:.6g}): the order-1 "
+            "coefficient t1 holds only for t0 = 1; use ts2 * rs2 = tl2 * rl2"
         )
     values, cov = sep.contributions_at(np.reshape(phis, -1))
     scaled = values / np.array([coeffs.t0, coeffs.t1, coeffs.t2])
@@ -143,9 +147,9 @@ def classify_phase_range(phis, nonclassical, squeezed=None) -> PhaseRangeSummary
     )
 
 
-def squeezed_phases(signal: SignalParams, phis) -> np.ndarray:
-    """Flags per phase whether the signal's field variance is below vacuum:
-    V(phi) = (v_min + v_max)/2 + (v_min - v_max)/2 cos 2(phi - angle) < 1."""
+def squeezed_phases(signal, phis) -> np.ndarray:
+    """Flags per phase whether the field variance of signal (a detector.SignalParams)
+    is below vacuum: V(phi) = (v_min + v_max)/2 + (v_min - v_max)/2 cos 2(phi - angle) < 1."""
     mid, half = (signal.v_min + signal.v_max) / 2.0, (signal.v_min - signal.v_max) / 2.0
     return mid + half * np.cos(2.0 * (np.asarray(phis, dtype=float) - signal.angle)) < 1.0
 
@@ -154,5 +158,6 @@ def moment_matrix_det(state, phi: float) -> float:
     """Analytic determinant var_I var_E - anom^2 of the normal-ordered moment
     matrix of state (a gaussian.GaussianState) at one phase; no classical field
     makes it negative."""
+    from .gaussian import normal_ordered_signal_moments
     m = normal_ordered_signal_moments(state, phi)
     return float(m.var_i * m.var_e - m.anom**2)

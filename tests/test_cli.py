@@ -16,7 +16,7 @@ from hccm import config as config_mod
 from hccm import detector, records
 from hccm.analysis import SeparatedContributions
 from hccm.cli import main
-from hccm.errors import ConfigError
+from hccm.errors import ConfigError, PreconditionError
 from hccm.nonclassicality import VERDICT_CLASSICAL
 from hccm.pipeline import run_pipeline
 
@@ -51,6 +51,25 @@ EXACT_QUICK = """preset = paper-quick
 eta1 = 0
 samples_per_phase = 2000
 blocked_samples = 2000
+"""
+
+
+# a classical signal (v_min = 2.74 > 1, displaced) on an asymmetric splitter with
+# t0 = |T_S R_S| / |T_L R_L| = 1.172, where t1 is not exact: the determinant test
+# certified it nonclassical at 26 of paper-quick's 60 phases before it was refused
+CLASSICAL_ASYMMETRIC = """preset = paper-quick
+squeezing_db = 4.379
+antisqueezing_db = 6.995
+alpha_re = 3.469
+alpha_im = 0.529
+squeeze_angle_rad = 1.3547
+splitter_ts2 = 0.8241
+splitter_tl2 = 0.6367
+splitter_rs2 = 0.1184
+splitter_rl2 = 0.1115
+n_phases = 16
+samples_per_phase = 2000
+blocked_samples = 20000
 """
 
 
@@ -633,6 +652,21 @@ class TestExitCodes:
         assert f"unknown key '{key}'" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("squeeze_angle_rad = 1e308", "squeeze angle must be finite when doubled, got 1e+308"),
+            ("squeeze_angle_rad = nan", "angle must be finite, got nan"),
+            ("alpha_re = inf", "alpha must be finite, got (inf+0j)"),
+        ],
+    )
+    def test_non_finite_signal_named(self, tmp_path, capsys, line, message):
+        # the message names the signal quantity and its value
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"preset = paper-quick\n{line}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("command", ["simulate", "reproduce-paper"])
     def test_huge_squeeze_angle(self, tmp_path, capsys, command):
         # a finite angle whose double is not: exp(2i angle) has no value
@@ -940,6 +974,23 @@ class TestExitCodes:
         assert code == 4
         err = capsys.readouterr().err
         assert "unbalanced" in err
+
+    def test_unequal_splitter_products_refused(self, tmp_path, capsys):
+        # t0 != 1: simulate and analyze run, the determinant test refuses and writes nothing
+        cfg = tmp_path / "asymmetric.cfg"
+        cfg.write_text(CLASSICAL_ASYMMETRIC)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["analyze", "--out", str(out)]) == 0
+        before = sorted(p.name for p in out.iterdir())
+        capsys.readouterr()
+        assert main(["test", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "test precondition error: splitter with |T_S R_S| != |T_L R_L| (t0 = 1.17236)" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == before
+        with pytest.raises(PreconditionError, match=r"\|T_S R_S\| != \|T_L R_L\|"):
+            run_pipeline(config_mod.load_config(str(cfg)))
 
     def test_degenerate_splitter_precondition(self, tmp_path, capsys):
         # passive but lossy, with R_L = 0: the coefficient algebra has no finite solution

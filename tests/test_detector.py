@@ -130,13 +130,17 @@ class TestConfigValidation:
 
     def test_signal_checks_match_the_state(self):
         # SignalParams refuses, in closed form and with its message, what
-        # from_quadrature_variances refuses
+        # from_quadrature_variances refuses; a non-finite variance it names, with its value
         grid = (0.0, 0.5, 1.0 - 1e-10, 1.0, 2.0, np.inf, np.nan)
         for v_min, v_max in itertools.product(grid, repeat=2):
             try:
                 from_quadrature_variances(v_min, v_max, 0.3, 1j)
             except ValueError as exc:
-                with pytest.raises(ConfigError, match=re.escape(str(exc))):
+                message = str(exc)
+                if not np.isfinite([v_min, v_max]).all():
+                    name, value = ("v_max", v_max) if np.isfinite(v_min) else ("v_min", v_min)
+                    message = f"{name} must be finite, got {value!r}"
+                with pytest.raises(ConfigError, match=re.escape(message)):
                     SignalParams(v_min, v_max, 0.3, 1j)
             else:
                 SignalParams(v_min, v_max, 0.3, 1j)

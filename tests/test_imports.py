@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import hccm
+from hccm.cli import main
 
 from test_cli import TINY
 
@@ -16,6 +17,12 @@ PACKAGE_DIR = Path(hccm.__file__).parent
 ALLOWED_THIRD_PARTY = {"numpy"}
 # modules downstream of the samples: they must not reach into the quantum state algebra
 GAUSSIAN_FREE = ("analysis", "config", "pipeline", "records", "reports", "splitter", "cli")
+# the classical analysis: it sees the samples only as estimates, never the simulator,
+# the run's I/O or the quantum state algebra
+ANALYSIS_LAYERS = ("analysis", "nonclassicality")
+ABOVE_ANALYSIS = {
+    f"hccm.{name}" for name in ("detector", "config", "records", "pipeline", "cli", "gaussian")
+}
 
 
 def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -25,11 +32,27 @@ def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def _imported_modules(path: Path) -> set:
-    """Absolute names of the modules a source file imports, with package-relative
-    imports resolved against hccm (``from . import x`` counts as ``hccm.x``)."""
+    """Absolute names of the modules a source file imports, at any level."""
+    return _import_names(ast.walk(_parse(path)))
+
+
+def _module_level_imports(path: Path) -> set:
+    """Absolute names of the modules a source file imports when it is loaded: its
+    top-level statements only, not the bodies of its functions."""
+    return _import_names(_parse(path).body)
+
+
+def _import_names(nodes) -> set:
+    """Absolute names of the modules the import statements among nodes import, with
+    package-relative imports resolved against hccm (``from . import x`` counts as
+    ``hccm.x``)."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+    for node in nodes:
         if isinstance(node, ast.Import):
             found |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
@@ -41,15 +64,32 @@ def _imported_modules(path: Path) -> set:
 
 
 def test_cli_import_stays_light():
-    # analyze and test never draw samples nor need scipy:
+    # analyze and test never draw samples, need scipy or run the quantum-state oracle:
     # importing the package and its CLI must not pay for them
     code = (
         "import json, sys; import hccm, hccm.cli; "
-        "print(json.dumps([m for m in ('numpy.random', 'scipy') if m in sys.modules]))"
+        "print(json.dumps([m for m in ('numpy.random', 'scipy', 'hccm.gaussian') "
+        "if m in sys.modules]))"
     )
     done = _run_python(code)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == []
+
+
+def test_cli_modules_import_no_gaussian_at_module_level():
+    # the quantum state algebra is the tests' oracle: no module of a run loads it
+    code = "import json, sys; import hccm.cli; print(json.dumps(sorted(sys.modules)))"
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+    loaded = [name for name in json.loads(done.stdout) if name.startswith("hccm.")]
+    reached = [
+        name
+        for name in loaded
+        if "hccm.gaussian" in _module_level_imports(PACKAGE_DIR / f"{name[len('hccm.'):]}.py")
+    ]
+    assert reached == []
+    # the rule covers the simulator and the determinant test, so it cannot hold vacuously
+    assert {"hccm.cli", "hccm.detector", "hccm.nonclassicality"} <= set(loaded)
 
 
 def test_package_re_exports_nothing():
@@ -104,3 +144,39 @@ def test_analysis_layers_import_nothing_from_gaussian():
     assert reached == []
     # the scan resolves package-relative imports, so the rule cannot hold vacuously
     assert "hccm.analysis" in _imported_modules(PACKAGE_DIR / "pipeline.py")
+
+
+def test_analysis_imports_nothing_above_it():
+    reached = {
+        name: sorted(_module_level_imports(PACKAGE_DIR / f"{name}.py") & ABOVE_ANALYSIS)
+        for name in ANALYSIS_LAYERS
+    }
+    assert reached == {name: [] for name in ANALYSIS_LAYERS}
+    # module-level imports are resolved too, so the rule cannot hold vacuously
+    assert "hccm.analysis" in _module_level_imports(PACKAGE_DIR / "nonclassicality.py")
+
+
+def test_chain_runs_without_gaussian(tmp_path):
+    # simulate -> analyze -> test and run_pipeline with hccm.gaussian blocked write
+    # what an unblocked run writes, byte for byte
+    (tmp_path / "tiny.cfg").write_text(TINY)
+    code = """
+import sys
+sys.modules["hccm.gaussian"] = None
+from hccm.cli import main
+from hccm.config import load_config
+from hccm.pipeline import run_pipeline
+for command in ("simulate", "analyze", "test"):
+    code = main([command, "--config", sys.argv[1], "--out", sys.argv[2]])
+    if code:
+        sys.exit(f"{command} exited {code}")
+run_pipeline(load_config(sys.argv[1]))
+"""
+    blocked, unblocked = tmp_path / "blocked", tmp_path / "unblocked"
+    done = _run_python(code, str(tmp_path / "tiny.cfg"), str(blocked))
+    assert done.returncode == 0, done.stderr[-2000:]
+    for command in ("simulate", "analyze", "test"):
+        assert main([command, "--config", str(tmp_path / "tiny.cfg"), "--out", str(unblocked)]) == 0
+    names = sorted(p.name for p in unblocked.iterdir())
+    assert sorted(p.name for p in blocked.iterdir()) == names and "det_table.txt" in names
+    assert all((blocked / name).read_bytes() == (unblocked / name).read_bytes() for name in names)
