@@ -9,6 +9,7 @@ pi-periodic field part C2.
 
 import numpy as np
 
+from hccm.analysis import drift_error
 from hccm.config import preset_config
 from hccm.pipeline import analyze_phase_estimates
 from hccm.detector import simulate_estimates
@@ -28,7 +29,7 @@ for k, name in enumerate(names):
 print(f"  chi2/dof = {fit.chi2 / fit.dof:.3f}  (dof {fit.dof})")
 print(
     f"  blocked-LO C_block = {analysis.c_block.value:.4f} +- {analysis.c_block.stderr:.4f}"
-    f"   drift error {analysis.drift:.4f}"
+    f"   drift error {drift_error(*analysis.estimates.blocked_lo):.4f}"
 )
 offset = analysis.estimates.blocked_signal
 print(f"  blocked-signal offset = {offset.value:+.4f} +- {offset.stderr:.4f}")

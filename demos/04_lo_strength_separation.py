@@ -28,7 +28,8 @@ for e, a, a_err, b, b_err in zip(lo.estimates.e_values, up, up_err, dn, dn_err):
 
 values, cov = lo.separation.contributions_at(phi)
 err = np.sqrt(np.diag(cov))
-print(f"\nby-LO separation at the reference strength E_ref = {lo.e_ref:.2f}:")
+e_ref = lo.estimates.e_values.max()  # the separation's reference: the largest E_L
+print(f"\nby-LO separation at the reference strength E_ref = {e_ref:.2f}:")
 for name, v, s in zip(("C0", "C1", "C2"), values, err):
     print(f"  {name} = {v:+9.4f} +- {s:.4f}")
 

@@ -20,9 +20,6 @@ DESIGN_COND_MAX = 1e8
 # pairs per chunk of sampling and reduction, its two columns in cache; the samples depend on it
 CHUNK_ROWS = 1 << 15
 
-BY_PHASE = "by-phase"
-BY_LO = "by-lo-strength"
-
 
 @dataclass(frozen=True)
 class CorrelationEstimate:
@@ -181,10 +178,6 @@ class SeparatedContributions:
     params: np.ndarray
     cov: np.ndarray
     phi_ref: float | None = None
-
-    @property
-    def method(self) -> str:
-        return BY_PHASE if self.phi_ref is None else BY_LO
 
     def to_dict(self) -> dict:
         out = {"params": self.params.tolist(), "cov": self.cov.tolist()}

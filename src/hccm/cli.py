@@ -9,31 +9,21 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 test
 precondition error.
+
+Only the config, its errors and the standard library load with this module;
+each command imports the stages it runs, so ``hccm simulate`` loads neither
+``pipeline``, ``nonclassicality`` nor ``reports``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
-import numpy as np
-
 from . import config as config_mod
-from . import records, reports
-from .analysis import SeparatedContributions
-from .detector import scan_estimates
 from .errors import ConfigError, DataError, PreconditionError
-from .pipeline import (
-    DetAnalysis,
-    PhaseScanAnalysis,
-    analyze_lo_estimates,
-    analyze_phase_estimates,
-    determinant_test,
-    run_pipeline,
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,18 +102,19 @@ def _write_files(out_dir: str, files: dict) -> None:
     """Write each {file name: text} into out_dir, printing its path.  Every file
     goes to its temporary file before any replaces its target, so a failed
     write leaves the earlier output set as it was."""
+    from .records import atomic_open
     paths = {os.path.join(out_dir, name): text for name, text in files.items()}
     with contextlib.ExitStack() as stack:
         for path, text in paths.items():
-            stack.enter_context(records.atomic_open(path)).write(text.encode("utf-8"))
+            stack.enter_context(atomic_open(path)).write(text.encode("utf-8"))
     print("\n".join(paths))
 
 
-def _print_fit(phase: PhaseScanAnalysis) -> None:
+def _print_fit(phase) -> None:
     print(f"chi2/dof = {phase.fit.chi2 / phase.fit.dof:.4f}")
 
 
-def _print_verdict(det: DetAnalysis) -> None:
+def _print_verdict(det) -> None:
     s = det.summary
     print(
         f"nonclassical fraction = {s.fraction_nonclassical:.3f} "
@@ -139,32 +130,38 @@ def _print_verdict(det: DetAnalysis) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from .records import refuse_directories, stream_record
     cfg = _config(args, default_preset="paper-quick")
     phase_path, lo_path = os.path.join(args.out, PHASE_RECORD), os.path.join(args.out, LO_RECORD)
-    records.refuse_directories(phase_path, *([lo_path] if cfg.lo_scan_e_l else []))
-    rows = records.stream_record(cfg, phase_path, kind="phase_scan")
+    refuse_directories(phase_path, *([lo_path] if cfg.lo_scan_e_l else []))
+    rows = stream_record(cfg, phase_path, kind="phase_scan")
     print(f"wrote {phase_path}: {len(cfg.phases)} phases x {cfg.samples_per_phase} samples")
     if cfg.lo_scan_e_l:
-        lo_rows = records.stream_record(cfg, lo_path, kind="lo_scan")
+        lo_rows = stream_record(cfg, lo_path, kind="lo_scan")
         print(f"wrote {lo_path}: {len(cfg.lo_scan_e_l)} LO strengths x 2 phases")
         rows += lo_rows
     print(f"seed={cfg.seed} total_rows={rows}")
     return EXIT_OK
 
 
-def _estimates(record: records.Record, kind: str):
+def _estimates(record, kind: str):
+    from .detector import scan_estimates
     if record.kind != kind:
         raise DataError(f"{record.path} holds a {record.kind} record, expected {kind}")
     return scan_estimates(kind, record.config, record.segments)
 
 
 def cmd_analyze(args) -> int:
+    import json
+    from .pipeline import analyze_lo_estimates, analyze_phase_estimates
+    from .records import read_record
+    from .reports import analyze_files
     phase_path, lo_path = os.path.join(args.out, PHASE_RECORD), os.path.join(args.out, LO_RECORD)
-    phase_record = records.read_record(phase_path)
+    phase_record = read_record(phase_path)
     phase_est = _estimates(phase_record, "phase_scan")
     echo = config_mod.config_to_flat(phase_record.config)
     _named_config(args, echo, phase_path)
-    lo_record = records.read_record(lo_path, like=phase_record) if os.path.exists(lo_path) else None
+    lo_record = read_record(lo_path, like=phase_record) if os.path.exists(lo_path) else None
     lo_est = None if lo_record is None else _estimates(lo_record, "lo_scan")
     phase = analyze_phase_estimates(phase_est)
     lo = None if lo_est is None else analyze_lo_estimates(lo_est)
@@ -177,7 +174,7 @@ def cmd_analyze(args) -> int:
     if lo is not None:
         payload["lo"] = lo.separation.to_dict()
     separation = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    files = reports.analyze_files(phase, lo, args.format)
+    files = analyze_files(phase, lo, args.format)
     _write_files(args.out, {**files, SEPARATION_FILE: separation})
     _print_fit(phase)
     return EXIT_OK
@@ -185,6 +182,9 @@ def cmd_analyze(args) -> int:
 
 def _read_separation(args):
     """The config, separations and phase grid that analyze left in --out."""
+    import json
+    import numpy as np
+    from .analysis import SeparatedContributions
     path = os.path.join(args.out, SEPARATION_FILE)
     if not os.path.exists(path):
         raise DataError(
@@ -213,16 +213,20 @@ def _read_separation(args):
 
 
 def cmd_test(args) -> int:
+    from .pipeline import determinant_test
+    from .reports import det_files
     det = determinant_test(*_read_separation(args))
-    _write_files(args.out, reports.det_files(det, args.format))
+    _write_files(args.out, det_files(det, args.format))
     _print_verdict(det)
     return EXIT_OK
 
 
 def cmd_reproduce_paper(args) -> int:
+    from .pipeline import run_pipeline
+    from .reports import pipeline_files
     cfg = _config(args, default_preset="paper")
     result = run_pipeline(cfg)
-    _write_files(args.out, reports.pipeline_files(result, args.format))
+    _write_files(args.out, pipeline_files(result, args.format))
     _print_fit(result.phase)
     _print_verdict(result)
     return EXIT_OK

@@ -14,12 +14,12 @@ The noise sources are independent Gaussians, so their sum with the quantum
 fluctuations is a Gaussian of the summed covariance, sigma_total of
 segment_statistics: a segment draws (c1, c2) = chol(sigma_total) z, two
 standard normals z per pair, whatever noise is on; a chunk of k pairs draws its z0
-then its z1 as one block of 2k, so the samples depend on CHUNK_ROWS.  A full chunk
-fills it by numpy's ziggurat run on whole arrays of raw SFC64 words, faster there than
-standard_normal, which fills a shorter one.  Each segment draws z from its own
-seed-derived substream, an SFC64 generator (numpy's cheapest per normal), so segments
-are reproducible independently of evaluation order, and one seed gives the same z
-for every noise setting (paired-seed tests).
+then its z1 as one block of 2k, so the samples depend on CHUNK_ROWS.  A chunk of at
+least CHUNK_ROWS // 2 pairs fills it by numpy's ziggurat run on whole arrays of raw
+SFC64 words, faster there than standard_normal, which fills a shorter one.  Each
+segment draws z from its own seed-derived substream, an SFC64 generator (numpy's
+cheapest per normal), so segments are reproducible independently of evaluation
+order, and one seed gives the same z for every noise setting (paired-seed tests).
 plan_chunks, the one seeding path of every sampler, seeds a whole plan with
 plan_seeds: one SeedSequence([seed, kind id]) per segment kind, whose
 generate_state words give segment (kind, index) its three SFC64 state words,
@@ -401,10 +401,11 @@ def segment_chunks(cfg: ExperimentConfig, spec: SegmentSpec, seeds: np.ndarray):
     seeds is the segment's row of plan_seeds.  The pairs are chol(sigma_total) z:
     each chunk draws its 2k normals as one block from the segment's substream, the
     first k its z0 and the next k its z1, so each column is contiguous and the
-    samples depend on CHUNK_ROWS.  A full chunk (k = CHUNK_ROWS) draws them with
-    _ziggurat_normals, which skips standard_normal's per-normal branches but pays some
-    25 numpy calls per chunk, a loss below about 4 000 normals; a shorter chunk, and so
-    every segment shorter than CHUNK_ROWS, draws them with standard_normal.
+    samples depend on CHUNK_ROWS.  A chunk of k >= CHUNK_ROWS // 2 pairs draws them
+    with _ziggurat_normals, which skips standard_normal's per-normal branches but pays
+    some 25 numpy calls per chunk, a loss below about 4 000 to 6 800 normals, far under
+    the CHUNK_ROWS normals of the shortest such chunk; a shorter chunk, and so every
+    segment shorter than CHUNK_ROWS // 2, draws them with standard_normal.
     """
     a, b, c = segment_factors(cfg, spec)
     rows = min(CHUNK_ROWS, spec.n)
@@ -413,8 +414,8 @@ def segment_chunks(cfg: ExperimentConfig, spec: SegmentSpec, seeds: np.ndarray):
     for start in range(0, spec.n, rows):
         k = min(rows, spec.n - start)
         flat, tmp = buffer[: 2 * k], scratch[:k]
-        if k == CHUNK_ROWS:
-            _ziggurat_normals(rng, flat, scratch.view(np.int64))
+        if k >= CHUNK_ROWS // 2:
+            _ziggurat_normals(rng, flat, scratch[: 2 * k].view(np.int64))
         else:
             rng.standard_normal(out=flat)
         pairs = flat.reshape(2, k).T

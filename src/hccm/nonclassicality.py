@@ -45,7 +45,7 @@ class PhaseRangeSummary:
     intervals: tuple
     n_nonclassical: int
     n_total: int
-    outside_squeezed: bool | None
+    outside_squeezed: bool
 
 
 def build_L(sep: SeparatedContributions, coeffs: SplitterCoefficients, phis):
@@ -111,18 +111,19 @@ def det_rows(phis, det, sigma, significance, nonclassical) -> tuple:
     return tuple(DetResult(*row) for row in zip(*columns, verdicts(nonclassical)))
 
 
-def classify_phase_range(phis, nonclassical, squeezed=None) -> PhaseRangeSummary:
-    """Summarize the per-phase determinant verdicts: (P,) arrays of the phases and
-    of their nonclassical flags.
-
-    squeezed, when given, flags per phase whether the analytic signal state is
-    squeezed there (field variance below vacuum); the summary then reports
-    whether nonclassicality extends beyond the squeezed interval.  Raises
-    ValueError for no phase, or for flags of another length than phis.
+def classify_phase_range(phis, nonclassical, squeezed) -> PhaseRangeSummary:
+    """Summarize the per-phase determinant verdicts: (P,) arrays of the phases, of
+    their nonclassical flags and of their squeezed flags (squeezed_phases: the
+    signal's field variance is below vacuum there).  The summary reports whether
+    nonclassicality extends beyond the squeezed interval.  Raises ValueError for
+    no phase, or for either flag array of another length than phis.
     """
     phis, flags = np.asarray(phis, dtype=float), np.asarray(nonclassical, dtype=bool)
+    sq = np.asarray(squeezed, dtype=bool)
     if flags.size == 0 or flags.shape != phis.shape:
         raise ValueError("need one nonclassical flag per phase, for at least one phase")
+    if sq.shape != flags.shape:
+        raise ValueError("squeezed flags must match the phases")
     order = np.argsort(phis)
     phis_o, flags_o = phis[order], flags[order]
     # runs of nonclassical phases in phase order: edges +1 at a start, -1 past an end
@@ -132,18 +133,12 @@ def classify_phase_range(phis, nonclassical, squeezed=None) -> PhaseRangeSummary
     if len(intervals) >= 2 and flags_o[0] and flags_o[-1]:
         # merge the runs at both ends: the scan is periodic in phase
         intervals = intervals[1:-1] + [(intervals[-1][0], intervals[0][1])]
-    outside = None
-    if squeezed is not None:
-        sq = np.asarray(squeezed, dtype=bool)
-        if sq.shape != flags.shape:
-            raise ValueError("squeezed flags must match the phases")
-        outside = bool(np.any(flags & ~sq))
     return PhaseRangeSummary(
         fraction_nonclassical=float(flags.mean()),
         intervals=tuple(intervals),
         n_nonclassical=int(flags.sum()),
         n_total=int(flags.size),
-        outside_squeezed=outside,
+        outside_squeezed=bool(np.any(flags & ~sq)),
     )
 
 

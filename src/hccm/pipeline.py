@@ -41,13 +41,13 @@ from .splitter import splitter_coefficients
 
 @dataclass(frozen=True)
 class PhaseScanAnalysis:
-    """The phase scan offset-corrected (corrected: (P,) values; their stderr and the
-    offset, blocked_signal, are the estimates'), fitted and separated."""
+    """The phase scan offset-corrected (corrected: (P,) values), fitted and separated.
+    The stderr, the offset (blocked_signal) and both blocked-LO runs, whose difference
+    is the drift error, are the estimates'; c_block is blocked-LO run a."""
 
     estimates: PhaseScanEstimates
     corrected: np.ndarray
     c_block: CorrelationEstimate
-    drift: float
     fit: TrigFit
     separation: SeparatedContributions
 
@@ -55,12 +55,11 @@ class PhaseScanAnalysis:
 @dataclass(frozen=True)
 class LoScanAnalysis:
     """The LO scan offset-corrected (corrected: (2, J) values, as the estimates'; the
-    offset is their blocked_signal) and separated."""
+    offset is their blocked_signal) and separated at the largest E_L of the estimates."""
 
     estimates: LoScanEstimates
     corrected: np.ndarray
     separation: SeparatedContributions
-    e_ref: float
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,6 @@ class DetAnalysis:
     """The determinant test over a phase scan, one entry per phase of each (P,) array,
     and at the LO-scan point."""
 
-    config: ExperimentConfig
     phis: np.ndarray
     det: np.ndarray
     sigma: np.ndarray
@@ -108,15 +106,14 @@ def analyze_phase_estimates(est: PhaseScanEstimates) -> PhaseScanAnalysis:
     """Offset-correct, fit the trigonometric polynomial, and separate."""
     corrected, fit = _offset_corrected(est, fit_trig_poly, est.phis)
     run_a, run_b = est.blocked_lo
-    drift = drift_error(run_a, run_b)
-    sep = separate_by_phase(fit, run_a, drift=drift)
-    return PhaseScanAnalysis(est, corrected, run_a, drift, fit, sep)
+    sep = separate_by_phase(fit, run_a, drift=drift_error(run_a, run_b))
+    return PhaseScanAnalysis(est, corrected, run_a, fit, sep)
 
 
 def analyze_lo_estimates(est: LoScanEstimates) -> LoScanAnalysis:
     """Offset-correct the LO scan and separate by LO-strength scaling."""
     corrected, sep = _offset_corrected(est, separate_by_lo, est.e_values, est.phi)
-    return LoScanAnalysis(est, corrected, sep, float(np.max(est.e_values)))
+    return LoScanAnalysis(est, corrected, sep)
 
 
 def determinant_test(cfg: ExperimentConfig, sep, phis, lo_sep=None) -> DetAnalysis:
@@ -131,7 +128,7 @@ def determinant_test(cfg: ExperimentConfig, sep, phis, lo_sep=None) -> DetAnalys
         lo_phi = np.array([lo_sep.phi_ref])
         [lo_det] = det_rows(lo_phi, *det_with_error(*build_L(lo_sep, coeffs, lo_phi), coeffs))
     summary = classify_phase_range(phis, nonclassical, flags)
-    return DetAnalysis(cfg, phis, det, sigma, significance, nonclassical, flags, summary, lo_det)
+    return DetAnalysis(phis, det, sigma, significance, nonclassical, flags, summary, lo_det)
 
 
 def run_pipeline(cfg: ExperimentConfig, with_lo_scan: bool | None = None) -> PipelineResult:

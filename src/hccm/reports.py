@@ -15,7 +15,7 @@ from dataclasses import astuple
 
 import numpy as np
 
-from .analysis import lo_design
+from .analysis import drift_error, lo_design
 from .nonclassicality import SIG_THRESHOLD, verdicts
 from .pipeline import DetAnalysis, LoScanAnalysis, PhaseScanAnalysis, PipelineResult
 
@@ -49,7 +49,7 @@ def fit_report_dict(phase: PhaseScanAnalysis) -> dict:
             "stderr": phase.c_block.stderr,
             "n": phase.c_block.n,
         },
-        "drift_error": float(phase.drift),
+        "drift_error": float(drift_error(*phase.estimates.blocked_lo)),
         "offset": {"value": offset.value, "stderr": offset.stderr},
     }
 
@@ -96,7 +96,7 @@ def lo_table_text(lo: LoScanAnalysis) -> str:
     header = [
         "# LO-strength scan table (offset-corrected)",
         f"# phi={lo.estimates.phi!r}",
-        f"# e_ref={lo.e_ref!r}",
+        f"# e_ref={float(np.max(lo.estimates.e_values))!r}",
     ]
     return _table_text(header, lo_table_rows(lo))
 

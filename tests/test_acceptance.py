@@ -163,7 +163,7 @@ def test_ac4_full_scale_phase_scan(full_scale_run):
 
     # blocked-LO result implies a non-negative intensity variance
     c_block = result.phase.c_block
-    t0 = splitter_coefficients(result.config.splitter).t0
+    t0 = splitter_coefficients(preset_config("paper").splitter).t0
     assert c_block.value / t0 >= -3.0 * c_block.stderr / t0
     print(
         f"\nAC-4 PASS: chi2/dof {chi2_dof:.3f}; det at 3pi/4 = {det_star.det:.3e} "

@@ -6,8 +6,6 @@ import pytest
 
 from hccm import analysis
 from hccm.analysis import (
-    BY_LO,
-    BY_PHASE,
     CorrelationEstimate,
     SeparatedContributions,
     drift_error,
@@ -86,7 +84,7 @@ class TestSeparationDict:
         lo_points = [(e, _est(1 + e, 0.01), _est(1 - e, 0.01)) for e in (0.0, 1.0, 2.0)]
         for sep in (by_phase, separate_by_lo(*_lo_columns(lo_points), 0.7)):
             back = SeparatedContributions.from_dict(json.loads(json.dumps(sep.to_dict())))
-            assert back.method == sep.method
+            assert back.phi_ref == sep.phi_ref
             phi = 0.3 if sep.phi_ref is None else sep.phi_ref
             for got, want in zip(back.contributions_at(phi), sep.contributions_at(phi)):
                 np.testing.assert_array_equal(got, want)
@@ -105,7 +103,7 @@ class TestSeparationDict:
         cases = ((seps["phase"], np.linspace(0, 7, 29)), (seps["lo"], np.array([0.7, 0.7 + np.pi])))
         for sep, phis in cases:
             back = SeparatedContributions.from_dict(json.loads(json.dumps(sep.to_dict())))
-            assert back.method == sep.method and back.phi_ref == sep.phi_ref
+            assert back.phi_ref == sep.phi_ref
             for got, want in zip(back.contributions_at(phis), sep.contributions_at(phis)):
                 assert got.tobytes() == want.tobytes()
 
@@ -356,7 +354,7 @@ class TestSeparateByLo:
         grid = [0.0, 1.0, 1.5, 2.0]
         pts = self._points(0.7, -0.5, 0.3, grid)
         sep = separate_by_lo(*_lo_columns(pts), phi=0.9)
-        assert sep.method == BY_LO
+        assert sep.phi_ref == 0.9
         assert sep.cov.shape == (3, 3) and not sep.cov.any()
         vals, _ = sep.contributions_at(0.9)
         assert vals[0] == pytest.approx(0.7, abs=1e-12)
@@ -450,8 +448,9 @@ class TestSeparateByLo:
     def test_method_tag_by_phase(self):
         phis = 2 * np.pi * np.arange(12) / 12
         fit = fit_trig_poly(*_columns(synthetic_points((1.0, 0.1, 0.0, 0.0, 0.0), phis)))
+        # the kind of a separation is its phi_ref: None by phase, the scanned phase by LO
         sep = separate_by_phase(fit, _est(0.8, 0.02, n=10))
-        assert sep.method == BY_PHASE
+        assert sep.phi_ref is None
 
 
 class TestNoiselessRoundTrip:

@@ -565,9 +565,10 @@ class TestSamplingStatistics:
         # exact sigma_total[0, 1] and the exact stderr sqrt((s11 s22 + s12^2) / n) of the
         # products' mean) covers +-1 in AC-9's band and never exceeds 5: no pinned bit
         # enters.  small-noisy: every segment of a noisy config, 200 seeds; paper-quick:
-        # 10 of its 20 000-pair phase segments and its 200 000-pair blocked-signal run,
-        # 7 chunks, 200 seeds; full-chunks: 94 seeds of a noisy config whose 15 segments
-        # are each one full chunk, drawn by the vectorised ziggurat (1 410 z-scores)
+        # 10 of its 20 000-pair phase segments, each one chunk drawn by the vectorised
+        # ziggurat, and its 200 000-pair blocked-signal run, 7 chunks, 200 seeds;
+        # full-chunks: 94 seeds of a noisy config whose 15 segments are each one full
+        # chunk, drawn by the vectorised ziggurat (1 410 z-scores)
         noisy, seeds = replace(NOISY, lo_excess=0.1), 200
         if name == "small-noisy":
             base = small_config(detector=noisy)
@@ -780,12 +781,13 @@ class TestLoScan:
 def per_chunk_normals(cfg, spec):
     """The normals z0, z1 of a segment as a (2, n) array: from the substream seeded with
     the words of numpy's SeedSequence, each chunk of k = min(CHUNK_ROWS, rest) pairs
-    draws a (2, k) array, its row 0 the chunk's z0 and its row 1 its z1: a full chunk
-    by the vectorised ziggurat, a shorter one by standard_normal."""
+    draws a (2, k) array, its row 0 the chunk's z0 and its row 1 its z1: a chunk of at
+    least CHUNK_ROWS // 2 pairs by the vectorised ziggurat, a shorter one by
+    standard_normal."""
     rng = substream(seed_sequence_row(cfg.seed, spec.kind, spec.index))
 
     def chunk(k):
-        if k < CHUNK_ROWS:
+        if k < CHUNK_ROWS // 2:
             return rng.standard_normal((2, k))
         z = np.empty(2 * k)
         _ziggurat_normals(rng, z, np.empty(2 * k, np.int64))
@@ -806,10 +808,15 @@ def per_chunk_draw(cfg, spec):
 
 
 class TestChunkBoundaries:
-    """Segments of 2 rows, one row either side of a chunk, and past two chunks, of a
-    config with every noise source on."""
+    """Segments of 2 rows, one row either side of half a chunk (where the sampler
+    switches to the ziggurat) and of a chunk, a full chunk and a half one, and past two
+    chunks, of a config with every noise source on."""
 
-    SIZES = (2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 7)
+    HALF = CHUNK_ROWS // 2
+    SIZES = (
+        2, HALF - 1, HALF, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, CHUNK_ROWS + HALF,
+        2 * CHUNK_ROWS + 7,
+    )
 
     @pytest.fixture(params=SIZES)
     def segment(self, request):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hccm
 from hccm.cli import main
 
@@ -22,6 +24,18 @@ GAUSSIAN_FREE = ("analysis", "config", "pipeline", "records", "reports", "splitt
 ANALYSIS_LAYERS = ("analysis", "nonclassicality")
 ABOVE_ANALYSIS = {
     f"hccm.{name}" for name in ("detector", "config", "records", "pipeline", "cli", "gaussian")
+}
+# the hccm modules that importing the CLI loads, and that each command adds: a command
+# imports the stages it runs, so simulate loads no analysis stage, determinant test or report
+CLI_MODULES = {"hccm"} | {
+    f"hccm.{name}" for name in ("analysis", "cli", "config", "detector", "errors", "splitter")
+}
+STAGE_MODULES = {f"hccm.{name}" for name in ("nonclassicality", "pipeline", "records", "reports")}
+COMMAND_MODULES = {
+    "import": CLI_MODULES,
+    "simulate": CLI_MODULES | {"hccm.records"},
+    "analyze": CLI_MODULES | STAGE_MODULES,
+    "test": CLI_MODULES | STAGE_MODULES,
 }
 
 
@@ -76,20 +90,45 @@ def test_cli_import_stays_light():
     assert json.loads(done.stdout) == []
 
 
-def test_cli_modules_import_no_gaussian_at_module_level():
-    # the quantum state algebra is the tests' oracle: no module of a run loads it
-    code = "import json, sys; import hccm.cli; print(json.dumps(sorted(sys.modules)))"
-    done = _run_python(code)
-    assert done.returncode == 0, done.stderr
-    loaded = [name for name in json.loads(done.stdout) if name.startswith("hccm.")]
+@pytest.fixture(scope="module")
+def command_modules(tmp_path_factory):
+    """The hccm modules loaded by a child process that imports hccm.cli ("import") and
+    by one that runs each command on the TINY config, in chain order."""
+    tmp = tmp_path_factory.mktemp("commands")
+    (tmp / "tiny.cfg").write_text(TINY)
+    code = """
+import sys
+from hccm.cli import main
+if sys.argv[1:] and main(sys.argv[1:]):
+    sys.exit(f"{sys.argv[1]} failed")
+print(" ".join(sorted(m for m in sys.modules if m == "hccm" or m.startswith("hccm."))))
+"""
+    loaded = {}
+    for command in COMMAND_MODULES:
+        args = [] if command == "import" else [command, "--out", str(tmp / "run")]
+        args += ["--config", str(tmp / "tiny.cfg")] if command == "simulate" else []
+        done = _run_python(code, *args)
+        assert done.returncode == 0, done.stderr[-2000:]
+        loaded[command] = set(done.stdout.splitlines()[-1].split())
+    return loaded
+
+
+def test_commands_load_only_the_stages_they_run(command_modules):
+    assert command_modules == COMMAND_MODULES
+
+
+def test_cli_modules_import_no_gaussian_at_module_level(command_modules):
+    # the quantum state algebra is the tests' oracle: no module that a command loads
+    # imports it when loaded
+    loaded = set().union(*command_modules.values()) - {"hccm"}
     reached = [
         name
-        for name in loaded
+        for name in sorted(loaded)
         if "hccm.gaussian" in _module_level_imports(PACKAGE_DIR / f"{name[len('hccm.'):]}.py")
     ]
     assert reached == []
     # the rule covers the simulator and the determinant test, so it cannot hold vacuously
-    assert {"hccm.cli", "hccm.detector", "hccm.nonclassicality"} <= set(loaded)
+    assert {"hccm.cli", "hccm.detector", "hccm.nonclassicality"} <= loaded
 
 
 def test_package_re_exports_nothing():
