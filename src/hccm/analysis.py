@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDesignError, InsufficientDataError, PreconditionError
+from .errors import PreconditionError
 
 DESIGN_COND_MAX = 1e8
 # pairs per chunk of sampling and reduction, its two columns in cache; the samples depend on it
@@ -63,7 +63,7 @@ def reduce_chunks(chunks) -> CorrelationEstimate:
         m2 += squares + delta * delta * (n * k / total)
         n = total
     if n < 2:
-        raise InsufficientDataError(f"need at least 2 sample pairs, got {n}")
+        raise PreconditionError(f"need at least 2 sample pairs, got {n}")
     stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return CorrelationEstimate(value=mean, stderr=stderr, n=n)
 
@@ -112,7 +112,7 @@ def _weights(stderr: np.ndarray) -> np.ndarray:
         return 1.0 / variances
     if np.all(stderr == 0):
         return np.ones_like(variances)
-    raise DegenerateDesignError(
+    raise PreconditionError(
         "per-point standard errors must be all positive or all zero, "
         "and no positive one may square to a subnormal or zero variance"
     )
@@ -123,14 +123,14 @@ def _wls(design: np.ndarray, values: np.ndarray, stderr: np.ndarray):
     parameters L @ values, their covariance (L / w) @ L.T and the weights w,
     1/stderr^2, L being the estimator matrix.  When every stderr is 0 the
     estimates are exact: w is all 1 and the covariance is zero.
-    Raises DegenerateDesignError when the weighted design has condition number
+    Raises PreconditionError when the weighted design has condition number
     above DESIGN_COND_MAX, or when the stderrs are mixed zero and positive or
     square to subnormal or zero variances (whose weights would overflow)."""
     w = _weights(stderr)
     sw = np.sqrt(w)
     u, s, vt = np.linalg.svd(design * sw[:, None], full_matrices=False)
     if s[-1] <= 0 or s[0] / s[-1] > DESIGN_COND_MAX:
-        raise DegenerateDesignError(
+        raise PreconditionError(
             f"design matrix condition number {s[0] / max(s[-1], 1e-300):.2e} "
             f"exceeds {DESIGN_COND_MAX:g}"
         )
@@ -143,14 +143,14 @@ def fit_trig_poly(phis, values, stderr) -> TrigFit:
     """Fit C(phi) = a0 + a1 cos(phi) + b1 sin(phi) + a2 cos(2phi) + b2 sin(2phi).
 
     phis, values and stderr are (P,) arrays, one correlation estimate per phase;
-    weights are 1/stderr^2.  Raises DegenerateDesignError when the weighted
+    weights are 1/stderr^2.  Raises PreconditionError when the weighted
     design matrix has condition number above DESIGN_COND_MAX (e.g. all phases
     equal mod pi), or when some stderrs are zero and others not (e.g. a
     constant segment).
     """
     phis, y = np.asarray(phis, dtype=float), np.asarray(values, dtype=float)
     if np.unique(phis).size < 6:
-        raise InsufficientDataError(
+        raise PreconditionError(
             f"need at least 6 distinct phases, got {np.unique(phis).size}"
         )
     design = _design(phis)
@@ -169,10 +169,11 @@ class SeparatedContributions:
     drift error, with their 6x6 cov.  By LO strength: params = (C0, C1, C2) at
     phi_ref, with their 3x3 cov.  contributions_at evaluates (C0, C1(phi),
     C2(phi)) with its joint 3x3 covariance.  to_dict/from_dict convert to and
-    from plain JSON values; from_dict raises ValueError or TypeError unless
-    every number is a finite float, there are 6 params without phi_ref, 3 with
-    it, and cov is a square matrix of that size that is a covariance: no
-    negative variance, and symmetric and positive semidefinite within rounding.
+    from plain JSON values; from_dict raises ValueError, TypeError or (for an
+    integer beyond the float range) OverflowError unless every number is a
+    finite float, there are 6 params without phi_ref, 3 with it, and cov is a
+    square matrix of that size that is a covariance: no negative variance, and
+    symmetric and positive semidefinite within rounding.
     """
 
     params: np.ndarray
@@ -281,16 +282,16 @@ def separate_by_lo(e_values, values, stderr, phi: float) -> SeparatedContributio
     including 0 (blocked LO); values and stderr are (2, J) arrays of the
     estimates at phi (row 0) and at phi + pi (row 1).  One weighted fit of the
     rows of lo_design, weights 1/stderr^2 as in fit_trig_poly, gives (C0, C1, C2)
-    at the largest E_L with their 3x3 covariance.  Raises DegenerateDesignError
+    at the largest E_L with their 3x3 covariance.  Raises PreconditionError
     when some stderrs are zero and others not (e.g. a constant segment).
     """
     e_vals = np.asarray(e_values, dtype=float)
     if np.unique(e_vals).size < 3:
-        raise InsufficientDataError(
+        raise PreconditionError(
             f"need at least 3 distinct LO field strengths, got {np.unique(e_vals).size}"
         )
     if not np.any(e_vals == 0.0):
-        raise InsufficientDataError("the LO grid must include 0 (blocked LO)")
+        raise PreconditionError("the LO grid must include 0 (blocked LO)")
     # row 0 (at phi), then row 1 (at phi + pi): the rows of lo_design
     y, sigma = (np.ravel(np.asarray(a, dtype=float)) for a in (values, stderr))
     params, cov, _ = _wls(lo_design(e_vals), y, sigma)

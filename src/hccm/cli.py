@@ -87,10 +87,12 @@ def _config(args, default_preset: str):
 def _named_config(args, echo: dict, source: str):
     """The config that --config, --preset and --seed name (resolved as simulate does),
     or None when none is given.  analyze and test read their config from source, whose
-    config echo is echo: the named config's echo must equal it, string for string."""
+    config echo is echo: it must give every key (DataError otherwise), and the named
+    config's echo must equal it, string for string."""
     if not (args.config or args.preset or args.seed is not None):
         return None
     cfg = _config(args, "paper-quick")
+    config_mod.require_full_echo(echo, source)
     named = config_mod.config_to_flat(cfg)
     actual = {k: v for k, v in echo.items() if k not in config_mod.LEGACY_KEYS}
     if keys := ", ".join(sorted(k for k in named | actual if named.get(k) != actual.get(k))):
@@ -144,25 +146,22 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _estimates(record, kind: str):
-    from .detector import scan_estimates
-    if record.kind != kind:
-        raise DataError(f"{record.path} holds a {record.kind} record, expected {kind}")
-    return scan_estimates(kind, record.config, record.segments)
-
-
 def cmd_analyze(args) -> int:
     import json
+    from .detector import scan_estimates
     from .pipeline import analyze_lo_estimates, analyze_phase_estimates
     from .records import read_record
     from .reports import analyze_files
     phase_path, lo_path = os.path.join(args.out, PHASE_RECORD), os.path.join(args.out, LO_RECORD)
-    phase_record = read_record(phase_path)
-    phase_est = _estimates(phase_record, "phase_scan")
-    echo = config_mod.config_to_flat(phase_record.config)
+    phase_record = read_record(phase_path, "phase_scan")
+    cfg = phase_record.config
+    phase_est = scan_estimates("phase_scan", cfg, phase_record.segments)
+    echo = config_mod.config_to_flat(cfg)
     _named_config(args, echo, phase_path)
-    lo_record = read_record(lo_path, like=phase_record) if os.path.exists(lo_path) else None
-    lo_est = None if lo_record is None else _estimates(lo_record, "lo_scan")
+    lo_est = None
+    if os.path.exists(lo_path):
+        lo_record = read_record(lo_path, "lo_scan", like=phase_record)
+        lo_est = scan_estimates("lo_scan", cfg, lo_record.segments)
     phase = analyze_phase_estimates(phase_est)
     lo = None if lo_est is None else analyze_lo_estimates(lo_est)
 
@@ -196,6 +195,7 @@ def _read_separation(args):
             payload = json.load(fh)
         echo = payload["config"]
         cfg = _named_config(args, echo, path) or config_mod.build_config(echo)
+        config_mod.require_full_echo(echo, path)  # after the build: a bad value is named first
         sep = SeparatedContributions.from_dict(payload["phase"])
         lo_sep = SeparatedContributions.from_dict(payload["lo"]) if "lo" in payload else None
         if sep.phi_ref is not None or (lo_sep is not None and lo_sep.phi_ref is None):
@@ -203,9 +203,10 @@ def _read_separation(args):
         phis = np.array(payload["phis"], dtype=float)
         if phis.ndim != 1 or phis.size == 0 or not np.all(np.isfinite(phis)):
             raise ValueError("phis must be a non-empty list of finite phases")
-    except ConfigError:
+    except (ConfigError, DataError):
         raise
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    # OverflowError: a JSON integer beyond the float range
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise DataError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

@@ -13,7 +13,7 @@ import math
 from dataclasses import fields
 
 from .detector import DetectorConfig, ExperimentConfig, SignalParams
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .splitter import BeamSplitter
 
 _LIST_KEYS = {"lo_scan_field_strengths", "lo_scan_powers_uw"}
@@ -54,6 +54,8 @@ _ALL_KEYS = set(_BASE) | {"lo_field_strength", "lo_scan_field_strengths", "prese
 # the keys of a configurable plan and verdict threshold, which older record headers
 # and separation.json files still echo: tolerated there and ignored
 LEGACY_KEYS = {"schedule", "sig_threshold"}
+# the keys config_to_flat writes, every one of which a config echo must give
+ECHO_KEYS = _ALL_KEYS - {"preset", "lo_power_uw", "lo_amp_per_sqrt_uw", "lo_scan_powers_uw"}
 
 _QUICK = {"n_phases": "60", "samples_per_phase": "20000", "blocked_samples": "200000"}
 
@@ -202,6 +204,13 @@ def _db_echo(v: float) -> str:
     db = 10.0 * math.log10(v)
     near = (db + k * math.ulp(db) for k in (0, 1, -1, 2, -2))
     return repr(next((x for x in near if 10.0 ** (x / 10.0) == v), db))
+
+
+def require_full_echo(echo: dict, source) -> None:
+    """Raise DataError naming the ECHO_KEYS that echo, the config echo of source (a record
+    header or separation.json), lacks: build_config would read them with the preset's values."""
+    if missing := sorted(ECHO_KEYS - echo.keys()):
+        raise DataError(f"malformed {source}: its config echo lacks {', '.join(missing)}")
 
 
 def config_to_flat(cfg: ExperimentConfig) -> dict:

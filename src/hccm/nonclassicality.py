@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import SeparatedContributions
-from .errors import AnomalousTermInaccessibleError, PreconditionError
+from .errors import PreconditionError
 from .splitter import COEFF_TOL, SplitterCoefficients
 
 VERDICT_NONCLASSICAL = "nonclassical"
@@ -51,9 +51,10 @@ class PhaseRangeSummary:
 def build_L(sep: SeparatedContributions, coeffs: SplitterCoefficients, phis):
     """The measured moment matrices [[C0/t0, C1/t1], [C1/t1, C2/t2]] at P phases, a
     (P, 2, 2) stack, and the (P, 3, 3) covariances of their contribution triples.
-    Refuses a balanced splitter (t1 = 0) and one with t0 != 1, where t1 is not exact."""
+    Refuses a balanced splitter (t1 = 0), one with t0 != 1, where t1 is not exact, and
+    a matrix entry that overflows to inf or NaN, whose determinant would measure nothing."""
     if coeffs.is_balanced:
-        raise AnomalousTermInaccessibleError(
+        raise PreconditionError(
             "balanced splitter: the mixed field-intensity term cancels (t1 = 0); "
             "use an unbalanced intensity partition"
         )
@@ -62,8 +63,11 @@ def build_L(sep: SeparatedContributions, coeffs: SplitterCoefficients, phis):
             f"splitter with |T_S R_S| != |T_L R_L| (t0 = {coeffs.t0:.6g}): the order-1 "
             "coefficient t1 holds only for t0 = 1; use ts2 * rs2 = tl2 * rl2"
         )
-    values, cov = sep.contributions_at(np.reshape(phis, -1))
-    scaled = values / np.array([coeffs.t0, coeffs.t1, coeffs.t2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, cov = sep.contributions_at(np.reshape(phis, -1))
+        scaled = values / np.array([coeffs.t0, coeffs.t1, coeffs.t2])
+    if not np.isfinite(scaled).all():
+        raise PreconditionError("the contributions overflow: the moment matrix is not finite")
     return scaled[:, [0, 1, 1, 2]].reshape(-1, 2, 2), cov
 
 

@@ -50,7 +50,6 @@ _ROW = re.compile(rb"[0-9a-fA-F]{32}\n")
 class Record:
     """A record file reduced to one SegmentEstimate per segment, in plan order."""
 
-    kind: str  # "phase_scan" | "lo_scan"
     segments: tuple
     config: ExperimentConfig
     path: str
@@ -116,14 +115,17 @@ def stream_record(cfg: ExperimentConfig, path, kind: str = "phase_scan") -> int:
     return sum(spec.n for spec in specs)
 
 
-def read_record(path, like: Record | None = None) -> Record:
-    """Read a record file one chunk of a segment at a time (bounded memory).
+def read_record(path, kind: str, like: Record | None = None) -> Record:
+    """Read a record file of kind ("phase_scan" or "lo_scan") one chunk of a segment
+    at a time (bounded memory).
 
-    Every segment is checked against the plan of the config in the header: a
-    segment kind, e_l or block header line, or a fixed phase's phi line, that is
-    not the plan's, no phase line, a row that is not 32 hex digits and a newline,
-    non-finite samples, a file that ends inside the segment or bytes after the
-    last one raise DataError naming the segment, as does an OSError.
+    A header of another kind, or whose config lines lack a key of config.ECHO_KEYS,
+    raises DataError before any segment is read.  Every segment is checked against
+    the plan of the config in the header: a segment kind, e_l or block header line,
+    or a fixed phase's phi line, that is not the plan's, no phase line, a row that
+    is not 32 hex digits and a newline, non-finite samples, a file that ends inside
+    the segment or bytes after the last one raise DataError naming the segment, as
+    does an OSError.
     With like, a record read before, the header's config lines must be like's,
     string for string (DataError otherwise), and like's config plans the file.
     """
@@ -135,7 +137,8 @@ def read_record(path, like: Record | None = None) -> Record:
             if meta.get("format") != FORMAT_TAG:
                 found = meta.get("format")
                 raise DataError(f"not a {FORMAT_TAG} record file (format {found!r}): {path}")
-            kind = meta.get("kind")
+            if (found := meta.get("kind")) != kind:
+                raise DataError(f"{path} holds a {found} record, expected {kind}")
             echo = {
                 k: v for k, v in meta.items() if k not in ("format", "kind", "columns") and "." not in k
             }
@@ -148,6 +151,7 @@ def read_record(path, like: Record | None = None) -> Record:
                 cfg = config_mod.build_config(echo) if like is None else like.config
             except ConfigError as exc:
                 raise DataError(f"record header does not parse as a config: {exc}") from exc
+            config_mod.require_full_echo(echo, path)  # after the build: a bad value is named first
             try:
                 plan = scan_plan(cfg, kind)
             except ValueError as exc:
@@ -155,7 +159,7 @@ def read_record(path, like: Record | None = None) -> Record:
             segments = tuple(_read_segments(fh, meta, plan))
     except OSError as exc:
         raise DataError(f"cannot read record file {path}: {exc}") from exc
-    return Record(kind, segments, cfg, os.fspath(path), echo)
+    return Record(segments, cfg, os.fspath(path), echo)
 
 
 def _read_header(fh) -> dict:

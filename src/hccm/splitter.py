@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSplitterError
+from .errors import ConfigError, PreconditionError
 
 COEFF_TOL = 1e-12
 
@@ -96,11 +96,10 @@ def splitter_coefficients(bs: BeamSplitter) -> SplitterCoefficients:
     t0 = (|R_S||T_S|)/(|R_L||T_L|), t1 = |R_S|/|T_L| - |T_L|/|R_S|, t2 = -1,
     tt = |T_S||T_L||R_S||R_L|.  t1 is exact only for |T_S R_S| = |T_L R_L|; the
     general order-1 term is |T_S||R_S|(|R_S||R_L| - |T_S||T_L|) E_L anom.
+    Raises PreconditionError for rl2 = 0 or ts2 = 0 (BeamSplitter refuses rs2 = 0 and tl2 = 0).
     """
-    if bs.rs2 * bs.tl2 <= 0.0:
-        raise DegenerateSplitterError("need rs2 > 0 and tl2 > 0")
     if bs.rl2 <= 0.0 or bs.ts2 <= 0.0:
-        raise DegenerateSplitterError("need rl2 > 0 and ts2 > 0 for finite coefficients")
+        raise PreconditionError("need rl2 > 0 and ts2 > 0 for finite coefficients")
     t0 = (bs.r_s / bs.r_l) * (bs.t_s / bs.t_l)
     t1 = bs.r_s / bs.t_l - bs.t_l / bs.r_s
     tt = bs.t_s * bs.t_l * bs.r_s * bs.r_l

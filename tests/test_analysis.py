@@ -14,7 +14,7 @@ from hccm.analysis import (
     separate_by_lo,
     separate_by_phase,
 )
-from hccm.errors import DegenerateDesignError, InsufficientDataError
+from hccm.errors import PreconditionError
 
 
 def _est(value, stderr=0.0, n=100):
@@ -51,7 +51,7 @@ class TestEstimateCorrelation:
         assert est.value == -1.0
 
     def test_too_few_samples(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(PreconditionError, match="need at least 2 sample pairs, got 1"):
             estimate_correlation([(1.0, 1.0)])
 
     def test_null_distribution(self, rng):
@@ -213,21 +213,21 @@ class TestTrigFit:
 
     def test_too_few_phases(self):
         phis = 2 * np.pi * np.arange(5) / 5
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(PreconditionError, match="need at least 6 distinct phases, got 5"):
             fit_trig_poly(*_columns(synthetic_points((1, 0, 0, 0, 0), phis)))
 
     def test_degenerate_design(self):
         # all phases equal mod pi: cos/sin columns collapse
         phis = np.array([0.3, 0.3 + np.pi] * 5)
         pts = [(p, _est(1.0, 0.1)) for p in phis]
-        with pytest.raises((DegenerateDesignError, InsufficientDataError)):
+        with pytest.raises(PreconditionError, match="6 distinct phases|condition number"):
             fit_trig_poly(*_columns(pts))
 
     def test_degenerate_by_condition_number(self):
         # six distinct phases but clustered pathologically close
         phis = np.array([0.1, 0.1 + 1e-12, 0.1 + 2e-12, 0.1 + 3e-12, 0.1 + 4e-12, 0.1 + 5e-12])
         pts = [(p, _est(1.0, 0.1)) for p in phis]
-        with pytest.raises(DegenerateDesignError):
+        with pytest.raises(PreconditionError, match="condition number .* exceeds 1e"):
             fit_trig_poly(*_columns(pts))
 
     def test_condition_bound_quoted(self, monkeypatch):
@@ -235,7 +235,7 @@ class TestTrigFit:
         phis = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
         pts = [(p, _est(1.0, 0.1)) for p in phis]
         monkeypatch.setattr(analysis, "DESIGN_COND_MAX", 10.0)
-        with pytest.raises(DegenerateDesignError, match=r"exceeds 10$"):
+        with pytest.raises(PreconditionError, match=r"condition number .* exceeds 10$"):
             fit_trig_poly(*_columns(pts))
 
     def test_mixed_stderr_rejected(self):
@@ -254,10 +254,10 @@ class TestTrigFit:
             (p, _est(e.value * 1e-160, stderr))
             for p, e in synthetic_points((1, 0, 0, 0, 0), phis)
         ]
-        with pytest.raises(DegenerateDesignError):
+        with pytest.raises(PreconditionError, match="all positive or all zero"):
             fit_trig_poly(*_columns(pts))
         grid = [(e, _est(1e-160, stderr), _est(1e-160, stderr)) for e in (0.0, 1.0, 2.0)]
-        with pytest.raises(DegenerateDesignError):
+        with pytest.raises(PreconditionError, match="all positive or all zero"):
             separate_by_lo(*_lo_columns(grid), phi=0.0)
 
     def test_chi2_calibration(self, rng):
@@ -372,9 +372,9 @@ class TestSeparateByLo:
             sep.contributions_at(0.3)
 
     def test_insufficient_grid(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(PreconditionError, match="3 distinct LO field strengths, got 2"):
             separate_by_lo(*_lo_columns(self._points(1, 0, 0, [0.0, 1.0])), phi=0.0)
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(PreconditionError, match="must include 0"):
             separate_by_lo(*_lo_columns(self._points(1, 0, 0, [0.5, 1.0, 2.0])), phi=0.0)
 
     def test_default_reference_is_max(self):

@@ -429,7 +429,9 @@ def test_config_echo_round_trips(squeezing, antisqueezing, power, lo_scan):
     if not lo_scan:
         flat["lo_scan_powers_uw"] = ""
     cfg = config_mod.build_config(flat)
-    assert config_mod.build_config(config_mod.config_to_flat(cfg)) == cfg
+    echo = config_mod.config_to_flat(cfg)
+    assert echo.keys() == config_mod.ECHO_KEYS  # the keys each config echo must give
+    assert config_mod.build_config(echo) == cfg
 
 
 def negate_variances(separation):
@@ -760,6 +762,25 @@ class TestExitCodes:
         assert "data error:" in err and message in err and "Traceback" not in err
         assert sorted(p.name for p in out.iterdir()) == ["lo_scan.txt", "phase_scan.txt"]
 
+    def test_partial_record_echo_refused(self, tmp_path, capsys):
+        # both headers without their squeezing lines: build_config would read the
+        # preset's -2.7 and 5.5 dB in place of this config's -6 and 8
+        cfg, out = tmp_path / "squeezed.cfg", tmp_path / "run"
+        cfg.write_text(
+            TINY.replace("squeezing_db = -2.7", "squeezing_db = -6").replace("= 5.5", "= 8")
+        )
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        for name in ("phase_scan.txt", "lo_scan.txt"):
+            text, count = re.subn(rb"# (anti)?squeezing_db=[^\n]*\n", b"", (out / name).read_bytes())
+            assert count == 2
+            (out / name).write_bytes(text)
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "phase_scan.txt: its config echo lacks antisqueezing_db, squeezing_db" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["lo_scan.txt", "phase_scan.txt"]
+
     @pytest.mark.parametrize(
         "name, position, segment",
         [
@@ -881,6 +902,21 @@ class TestExitCodes:
             # a negative variance would certify every phase with det < 0 at inf sigma
             (lambda doc: negate_variances(doc["phase"]), 3, "data error: malformed"),
             (lambda doc: negate_variances(doc["lo"]), 3, "data error: malformed"),
+            # build_config would read the missing keys with the preset's values
+            (
+                lambda doc: [doc["config"].pop(key) for key in ("seed", "squeezing_db")],
+                3,
+                "separation.json: its config echo lacks seed, squeezing_db",
+            ),
+            # JSON integers beyond the float range
+            (lambda doc: doc["phase"]["params"].__setitem__(0, 10**400), 3, "data error: malformed"),
+            (lambda doc: doc["phis"].__setitem__(0, 10**400), 3, "data error: malformed"),
+            # finite parameters whose contributions overflow to inf
+            (
+                lambda doc: doc["phase"].update(params=[1e308] * 6),
+                4,
+                "test precondition error: the contributions overflow",
+            ),
         ],
         ids=[
             "not-json",
@@ -896,6 +932,10 @@ class TestExitCodes:
             "phase-as-lo",
             "phase-negative-variances",
             "lo-negative-variances",
+            "partial-echo",
+            "params-past-float-range",
+            "phis-past-float-range",
+            "overflowing-contributions",
         ],
     )
     def test_malformed_separation(self, tmp_path, capsys, request, content, code, message):

@@ -8,9 +8,10 @@ from hccm import analysis, detector, gaussian, nonclassicality, pipeline
 from hccm.analysis import SeparatedContributions
 from hccm.config import build_config, preset_config
 from hccm.detector import DetectorConfig, ExperimentConfig, SignalParams
-from hccm.errors import AnomalousTermInaccessibleError, ConfigError
+from hccm.errors import ConfigError, PreconditionError
 from hccm.gaussian import squeezed_coherent, thermal_state
 from hccm.nonclassicality import (
+    VERDICT_CLASSICAL,
     DetResult,
     build_L,
     classify_phase_range,
@@ -19,7 +20,7 @@ from hccm.nonclassicality import (
     moment_matrix_det,
     squeezed_phases,
 )
-from hccm.splitter import splitter_coefficients, symmetric_splitter
+from hccm.splitter import BeamSplitter, splitter_coefficients, symmetric_splitter
 
 
 REFERENCE_STATE = dict(v_min=0.537, v_max=3.548)
@@ -51,7 +52,7 @@ class TestBuildL:
     def test_balanced_splitter_rejected(self):
         coeffs = splitter_coefficients(symmetric_splitter(0.5))
         sep = _sep([1.0, 0.5, -0.2], np.eye(3) * 1e-4)
-        with pytest.raises(AnomalousTermInaccessibleError):
+        with pytest.raises(PreconditionError, match=r"balanced splitter: .*\(t1 = 0\)"):
             build_L(sep, coeffs, [0.5])
 
 
@@ -160,6 +161,84 @@ def test_smallest_gains_keep_the_verdicts():
     significance = [d.significance for d in ref]
     assert [d.significance for d in scaled] == pytest.approx(significance, rel=1e-9)
     assert runs[0].summary.n_nonclassical == runs[1].summary.n_nonclassical == 34
+
+
+def _random_t0_one_config(rng) -> ExperimentConfig:
+    """A random physical signal, classical (v_min >= 1) in about half the draws, on a
+    random passive lossy splitter with ts2 rs2 = tl2 rl2 (t0 = 1, where build_L's t1 is
+    exact) and |rs2 - tl2| >= 0.05 (t1 away from 0); efficiencies and visibility in
+    (0.5, 1], random gains, 24 phases, no noise, and an LO grid that ends at e_l."""
+    v_min = rng.uniform(1.0, 3.0) if rng.random() < 0.5 else rng.uniform(0.2, 1.0)
+    v_max = rng.uniform(max(v_min, 1.0 / v_min), 6.0)
+    signal = SignalParams(v_min, v_max, rng.uniform(0.0, np.pi), complex(*rng.uniform(-3, 3, 2)))
+    while True:  # until the amplitude map [[T_S, R_L], [-R_S, T_L]] is passive
+        ts2, tl2, rs2 = rng.uniform(0.02, 0.98, 3)
+        rl2 = ts2 * rs2 / tl2
+        amplitudes = np.sqrt([[ts2, rl2], [rs2, tl2]]) * [[1, 1], [-1, 1]]
+        if abs(rs2 - tl2) >= 0.05 and np.linalg.norm(amplitudes, 2) <= 1.0:
+            break
+    eta1, eta2, visibility = 1.0 - rng.uniform(0.0, 0.5, 3)
+    gain1, gain2 = np.exp(rng.uniform(-2.0, 2.0, 2))
+    e_l = rng.uniform(1.0, 4.0)
+    return ExperimentConfig(
+        signal=signal,
+        e_l=e_l,
+        phases=tuple(2 * np.pi * i / 24 for i in range(24)),
+        samples_per_phase=20_000,
+        blocked_samples=200_000,
+        seed=1,
+        detector=DetectorConfig(eta1, eta2, gain1, gain2),
+        splitter=BeamSplitter(ts2, tl2, rs2, rl2),
+        visibility=visibility,
+        lo_scan_e_l=(0.0, e_l * rng.uniform(0.2, 0.5), e_l * rng.uniform(0.6, 0.9), e_l),
+        lo_scan_phi=rng.uniform(0.0, 2 * np.pi),
+    )
+
+
+def _exact_chain(cfg):
+    """Both scans of cfg on exact segment moments, analyzed, and the determinant test."""
+    segments = {kind: detector.expected_segments(cfg, kind) for kind in ("phase_scan", "lo_scan")}
+    est = {kind: detector.scan_estimates(kind, cfg, segs) for kind, segs in segments.items()}
+    phase = pipeline.analyze_phase_estimates(est["phase_scan"])
+    lo = pipeline.analyze_lo_estimates(est["lo_scan"])
+    det = pipeline.determinant_test(cfg, phase.separation, phase.estimates.phis, lo.separation)
+    return phase, lo, det
+
+
+def test_abstract_claims_on_random_t0_one_splitters():
+    """The abstract's claims as identities of the exact chain over 200 random configs:
+    (i) a classical signal gives no det < 0 and no certified phase; (ii) det L over the
+    signal's det M is one positive constant over the phases ("detection details are
+    meaningless"); (iii) scaling the gains changes no verdict and no significance;
+    (iv) the by-LO (C0, C1, C2) at lo_scan_phi equals the by-phase triple."""
+    rng = np.random.default_rng(2029)
+    classical = 0
+    for _ in range(200):
+        cfg = _random_t0_one_config(rng)
+        phase, lo, det = _exact_chain(cfg)
+        if cfg.signal.v_min >= 1.0:
+            classical += 1
+            assert det.det.min() >= 0 and det.lo_det.det >= 0
+            assert not det.nonclassical.any() and det.lo_det.verdict == VERDICT_CLASSICAL
+        state = cfg.signal.state()
+        det_m = np.array([moment_matrix_det(state, phi) for phi in det.phis])
+        kept = np.abs(det_m) > 1e-6 * np.abs(det_m).max()
+        ratio = det.det[kept] / det_m[kept]
+        assert ratio.min() > 0 and np.ptp(ratio) <= 1e-9 * ratio.mean()
+        gains = dict(gain1=7.3 * cfg.detector.gain1, gain2=0.011 * cfg.detector.gain2)
+        *_, scaled = _exact_chain(replace(cfg, detector=replace(cfg.detector, **gains)))
+        assert scaled.nonclassical.tolist() == det.nonclassical.tolist()
+        assert scaled.lo_det.verdict == det.lo_det.verdict
+        np.testing.assert_allclose(
+            np.append(scaled.significance, scaled.lo_det.significance),
+            np.append(det.significance, det.lo_det.significance),
+            rtol=1e-9,
+            atol=0,
+        )
+        by_phase = phase.separation.contributions_at(cfg.lo_scan_phi)[0]
+        by_lo = lo.separation.contributions_at(cfg.lo_scan_phi)[0]
+        np.testing.assert_allclose(by_lo, by_phase, rtol=0, atol=1e-12 * np.abs(by_phase).max())
+    assert 50 <= classical <= 150
 
 
 @pytest.mark.parametrize("gain", ["1e-78", "1e-80", "1e-90"])

@@ -53,8 +53,8 @@ def hex_rows(cfg, plan):
 
 
 def read_estimates(path):
-    record = read_record(path)
-    return scan_estimates(record.kind, record.config, record.segments)
+    record = read_record(path, "phase_scan")
+    return scan_estimates("phase_scan", record.config, record.segments)
 
 
 def split_record(path):
@@ -73,8 +73,7 @@ class TestPhaseScanRoundTrip:
         header, data = split_record(path)
         assert data == hex_rows(cfg, plan)
         assert f"# segment.0.kind={KIND_BLOCKED_LO_A}\n" in header
-        back = read_record(path)
-        assert back.kind == "phase_scan"
+        back = read_record(path, "phase_scan")
         assert len(back.segments) == len(plan)
         by_key = {(s.spec.kind, s.spec.index): s for s in back.segments}
         for spec in plan:
@@ -86,7 +85,7 @@ class TestPhaseScanRoundTrip:
         cfg = tiny_config()
         path = tmp_path / "scan.txt"
         stream_record(cfg, path)
-        cfg2 = read_record(path).config
+        cfg2 = read_record(path, "phase_scan").config
         assert cfg2.seed == cfg.seed
         assert cfg2.e_l == pytest.approx(cfg.e_l)
         assert cfg2.splitter == cfg.splitter
@@ -120,10 +119,9 @@ class TestLoScanRoundTrip:
         cfg = tiny_config()
         path = tmp_path / "lo.txt"
         stream_record(cfg, path, kind="lo_scan")
-        back = read_record(path)
-        assert back.kind == "lo_scan"
+        back = read_record(path, "lo_scan")
         est_a = simulate_estimates(cfg, "lo_scan")
-        est_b = scan_estimates(back.kind, back.config, back.segments)
+        est_b = scan_estimates("lo_scan", back.config, back.segments)
         np.testing.assert_allclose(est_b.e_values, est_a.e_values)
         assert est_b.phi == pytest.approx(est_a.phi)
         assert est_a.values.tolist() == est_b.values.tolist()
@@ -165,7 +163,7 @@ class TestStreaming:
         assert data == hex_rows(cfg, phase_scan_plan(cfg))
         assert header[:2] == ["# format=HCCM2\n", "# kind=phase_scan\n"]
         simulated = simulate_segments(cfg, phase_scan_plan(cfg))
-        assert [s.estimate for s in read_record(path).segments] == [s.estimate for s in simulated]
+        assert [s.estimate for s in read_record(path, "phase_scan").segments] == [s.estimate for s in simulated]
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, existing):
@@ -215,13 +213,13 @@ class TestStreaming:
 class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
-            read_record(tmp_path / "nope.txt")
+            read_record(tmp_path / "nope.txt", "phase_scan")
 
     def test_wrong_format(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# format=OTHER\n0,0.0,1.0,2.0\n")
         with pytest.raises(DataError):
-            read_record(path)
+            read_record(path, "phase_scan")
 
     def test_malformed_row(self, tmp_path):
         # a decimal row where a hex row belongs
@@ -230,7 +228,7 @@ class TestErrors:
         header, data = split_record(path)
         path.write_text("".join(header + data[:100] + ["0,0.0,1.0,2.0\n"] + data[101:]))
         with pytest.raises(DataError, match="segment phase 0 .*row 41 is not 32 hex digits"):
-            read_record(path)
+            read_record(path, "phase_scan")
 
     def test_hccm1_file_refused(self, tmp_path):
         # the decimal format this one replaced: header, then phase_index,phase_rad,c1,c2 rows
@@ -240,7 +238,7 @@ class TestErrors:
         header[0] = "# format=HCCM1\n"
         path.write_text("".join(header + ["-1,0.0,0.5,-0.25\n"] * len(data)))
         with pytest.raises(DataError, match="not a HCCM2 record file .*HCCM1"):
-            read_record(path)
+            read_record(path, "phase_scan")
 
     def test_missing_blocked_run_detected(self, tmp_path):
         # the file ends where the last calibration run would start
@@ -249,7 +247,7 @@ class TestErrors:
         header, data = split_record(path)
         path.write_text("".join(header + data[:-60]))
         with pytest.raises(DataError, match="calibration run blocked_signal .* is missing"):
-            read_record(path)
+            read_record(path, "phase_scan")
 
 
 class TestPlanChecks:
@@ -268,33 +266,33 @@ class TestPlanChecks:
     def test_row_count_differs_from_plan(self, record):
         self.rewrite(record, lambda d: d[:-10])
         with pytest.raises(DataError, match="blocked_signal .*50 rows, the plan has 60"):
-            read_record(record)
+            read_record(record, "phase_scan")
 
     def test_extra_rows(self, record):
         self.rewrite(record, lambda d: d + d[-1:])
         with pytest.raises(DataError, match="blocked_signal .*more rows than the plan's 60"):
-            read_record(record)
+            read_record(record, "phase_scan")
 
     def test_truncated_mid_segment(self, record):
         # plan order: blocked_lo_a (60 rows), 8 phases x 50, blocked_lo_b, blocked_signal
         self.rewrite(record, lambda d: d[:80])
         with pytest.raises(DataError, match="segment phase 0 .*20 rows, the plan has 50"):
-            read_record(record)
+            read_record(record, "phase_scan")
 
     def test_truncated_mid_row(self, record):
         self.rewrite(record, lambda d: d[:80] + [d[80][:10]])
         with pytest.raises(DataError, match="segment phase 0 .*ends inside row 21 of 50"):
-            read_record(record)
+            read_record(record, "phase_scan")
 
     def test_trailing_bytes(self, record):
         self.rewrite(record, lambda d: d + ["0\n"])
         with pytest.raises(DataError, match="blocked_signal .*2 trailing bytes after the plan's 60"):
-            read_record(record)
+            read_record(record, "phase_scan")
 
     def test_non_hex_character(self, record):
         self.rewrite(record, lambda d: d[:100] + ["g" + d[100][1:]] + d[101:])
         with pytest.raises(DataError, match="segment phase 0 .*row 41 is not 32 hex digits"):
-            read_record(record)
+            read_record(record, "phase_scan")
 
     @pytest.mark.parametrize(
         "wrong",
@@ -309,20 +307,20 @@ class TestPlanChecks:
     def test_row_of_wrong_width(self, record, wrong):
         self.rewrite(record, lambda d: d[:100] + wrong(d[100], d[101]) + d[102:])
         with pytest.raises(DataError, match="segment phase 0 .*row 41 is not 32 hex digits"):
-            read_record(record)
+            read_record(record, "phase_scan")
 
     def test_non_finite_samples(self, record):
         nan_row = struct.pack("<dd", float("nan"), 1.0).hex() + "\n"
         self.rewrite(record, lambda d: d[:100] + [nan_row] + d[101:])
         with pytest.raises(DataError, match="segment phase 0 .*finite"):
-            read_record(record)
+            read_record(record, "phase_scan")
 
     def test_header_without_segment_phase(self, record):
         header, data = split_record(record)
         header = [line for line in header if not line.startswith("# segment.3.phi=")]
         record.write_text("".join(header + data))
         with pytest.raises(DataError, match="segment phase 2 .*no phase"):
-            read_record(record)
+            read_record(record, "phase_scan")
 
     @pytest.mark.parametrize(
         "key, value", [("kind", "blocked_lo_b"), ("e_l", "1.80"), ("block", "7"), ("block", None)]
@@ -336,7 +334,7 @@ class TestPlanChecks:
             header.append(f"# segment.3.{key}={value}\n")
         record.write_text("".join(header + data))
         with pytest.raises(DataError, match=f"segment phase 2 .*gives {key} {value!r}, the plan"):
-            read_record(record)
+            read_record(record, "phase_scan")
 
     @pytest.mark.parametrize(
         "lines",
@@ -348,11 +346,25 @@ class TestPlanChecks:
         header, data = split_record(record)
         record.write_text("".join(header + [lines] + data))
         with pytest.raises(DataError, match="does not parse as a config: sample products"):
-            read_record(record)
+            read_record(record, "phase_scan")
 
     def test_header_without_kind(self, record):
         # the writer always names the kind: a header without it is no record of either scan
         header, data = split_record(record)
         record.write_text("".join(line for line in header + data if line != "# kind=phase_scan\n"))
-        with pytest.raises(DataError, match="unknown record kind None"):
-            read_record(record)
+        with pytest.raises(DataError, match="holds a None record, expected phase_scan"):
+            read_record(record, "phase_scan")
+
+    def test_other_kind_refused_before_any_segment(self, record, tmp_path, monkeypatch):
+        # an LO record read as a phase scan: refused from its header, before the
+        # config is built or a segment reduced
+        lo = tmp_path / "lo.txt"
+        stream_record(tiny_config(), lo, kind="lo_scan")
+        calls = []
+        for module, name in ((records, "reduce_chunks"), (records.config_mod, "build_config")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, f=original: calls.append(a) or f(*a))
+        with pytest.raises(DataError, match="lo.txt holds a lo_scan record, expected phase_scan"):
+            read_record(lo, "phase_scan")
+        assert calls == []
+        assert len(read_record(record, "phase_scan").segments) == 11 and len(calls) == 12

@@ -1,9 +1,7 @@
-import types
-
 import numpy as np
 import pytest
 
-from hccm.errors import ConfigError, DegenerateSplitterError
+from hccm.errors import ConfigError, PreconditionError
 from hccm.gaussian import normal_ordered_signal_moments, squeezed_coherent
 from hccm.splitter import (
     BeamSplitter,
@@ -59,12 +57,9 @@ class TestCoefficients:
         assert c.t0 == pytest.approx(np.sqrt(0.2 / 0.1), rel=1e-12)
 
     def test_degenerate_inputs(self):
-        stub = types.SimpleNamespace(
-            rs2=0.0, tl2=0.5, rl2=0.5, ts2=0.5, r_s=0.0, t_l=np.sqrt(0.5),
-            r_l=np.sqrt(0.5), t_s=np.sqrt(0.5),
-        )
-        with pytest.raises(DegenerateSplitterError):
-            splitter_coefficients(stub)
+        # rl2 = 0 passes BeamSplitter (rs2 and tl2 > 0) but leaves t0 infinite
+        with pytest.raises(PreconditionError, match="need rl2 > 0 and ts2 > 0"):
+            splitter_coefficients(BeamSplitter(ts2=0.5, tl2=0.5, rs2=0.1, rl2=0.0))
 
     def test_optimal_unbalancing(self):
         # |tt * t1| over symmetric lossless splitters peaks at x = (2 - sqrt 2)/4
